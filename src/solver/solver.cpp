@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "io/snapshot.hpp"
 #include "kernels/calibrate.hpp"
@@ -74,43 +75,6 @@ void diag_upper_solve(const CscT<V>& d, V* x) {
 
 }  // namespace
 
-template <class V>
-void block_lower_solve(const block::BlockMatrixT<V>& f,
-                       std::type_identity_t<std::span<V>> x) {
-  const auto& grid = f.grid();
-  for (index_t bk = 0; bk < f.nb(); ++bk) {
-    V* seg = x.data() + grid.block_start(bk);
-    // Subtract contributions of already-solved block columns to the left.
-    for (nnz_t rp = f.row_begin(bk); rp < f.row_end(bk); ++rp) {
-      const index_t bj = f.row_block_col(rp);
-      if (bj >= bk) continue;
-      block_spmv_sub(f.block(f.row_block_pos(rp)),
-                     x.data() + grid.block_start(bj), seg);
-    }
-    const nnz_t diag = f.find_block(bk, bk);
-    PANGULU_CHECK(diag >= 0, "missing diagonal block");
-    diag_lower_solve(f.block(diag), seg);
-  }
-}
-
-template <class V>
-void block_upper_solve(const block::BlockMatrixT<V>& f,
-                       std::type_identity_t<std::span<V>> x) {
-  const auto& grid = f.grid();
-  for (index_t bk = f.nb() - 1; bk >= 0; --bk) {
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t rp = f.row_begin(bk); rp < f.row_end(bk); ++rp) {
-      const index_t bj = f.row_block_col(rp);
-      if (bj <= bk) continue;
-      block_spmv_sub(f.block(f.row_block_pos(rp)),
-                     x.data() + grid.block_start(bj), seg);
-    }
-    const nnz_t diag = f.find_block(bk, bk);
-    PANGULU_CHECK(diag >= 0, "missing diagonal block");
-    diag_upper_solve(f.block(diag), seg);
-  }
-}
-
 namespace {
 
 /// y_segment -= Block^T * x_segment: for each column j of the block, the
@@ -161,43 +125,6 @@ void diag_lower_transpose_solve(const CscT<V>& d, V* x) {
 }
 
 }  // namespace
-
-template <class V>
-void block_upper_transpose_solve(const block::BlockMatrixT<V>& f,
-                                 std::type_identity_t<std::span<V>> x) {
-  const auto& grid = f.grid();
-  // U^T is lower triangular: forward sweep. The blocks of U^T's block-row
-  // bk are the transposes of U's block-column bk (block rows bj < bk).
-  for (index_t bk = 0; bk < f.nb(); ++bk) {
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t p = f.col_begin(bk); p < f.col_end(bk); ++p) {
-      const index_t bj = f.block_row(p);
-      if (bj >= bk) continue;
-      block_spmv_t_sub(f.block(p), x.data() + grid.block_start(bj), seg);
-    }
-    const nnz_t diag = f.find_block(bk, bk);
-    PANGULU_CHECK(diag >= 0, "missing diagonal block");
-    diag_upper_transpose_solve(f.block(diag), seg);
-  }
-}
-
-template <class V>
-void block_lower_transpose_solve(const block::BlockMatrixT<V>& f,
-                                 std::type_identity_t<std::span<V>> x) {
-  const auto& grid = f.grid();
-  // L^T is upper triangular: backward sweep over block-columns of L.
-  for (index_t bk = f.nb() - 1; bk >= 0; --bk) {
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t p = f.col_begin(bk); p < f.col_end(bk); ++p) {
-      const index_t bi = f.block_row(p);
-      if (bi <= bk) continue;
-      block_spmv_t_sub(f.block(p), x.data() + grid.block_start(bi), seg);
-    }
-    const nnz_t diag = f.find_block(bk, bk);
-    PANGULU_CHECK(diag >= 0, "missing diagonal block");
-    diag_lower_transpose_solve(f.block(diag), seg);
-  }
-}
 
 template <class BM>
 SolvePlan SolvePlan::build(const BM& f) {
@@ -453,22 +380,6 @@ Status block_lower_transpose_solve_multi(const block::BlockMatrixT<V>& f,
 // the historical API, the FP32 set backs the kSingle/kMixedIR solve paths.
 template SolvePlan SolvePlan::build(const block::BlockMatrixT<float>&);
 template SolvePlan SolvePlan::build(const block::BlockMatrixT<double>&);
-template void block_lower_solve(const block::BlockMatrixT<float>&,
-                                std::span<float>);
-template void block_lower_solve(const block::BlockMatrixT<double>&,
-                                std::span<double>);
-template void block_upper_solve(const block::BlockMatrixT<float>&,
-                                std::span<float>);
-template void block_upper_solve(const block::BlockMatrixT<double>&,
-                                std::span<double>);
-template void block_upper_transpose_solve(const block::BlockMatrixT<float>&,
-                                          std::span<float>);
-template void block_upper_transpose_solve(const block::BlockMatrixT<double>&,
-                                          std::span<double>);
-template void block_lower_transpose_solve(const block::BlockMatrixT<float>&,
-                                          std::span<float>);
-template void block_lower_transpose_solve(const block::BlockMatrixT<double>&,
-                                          std::span<double>);
 template Status block_lower_solve(const block::BlockMatrixT<float>&,
                                   const SolvePlan&, std::span<float>,
                                   const CancelToken*);
@@ -543,7 +454,48 @@ std::unique_ptr<ThreadPool> make_preprocess_pool(int threads) {
   return std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
 }
 
+/// The refinement controls reach the solver from callers and from snapshot
+/// files: a negative budget would make the refinement loop spin, and a
+/// negative tolerance could never be met.
+Status check_refinement(int refine_iters, int ir_max_iters,
+                        kernels::tolerance_t ir_tolerance) {
+  if (refine_iters >= 0 && ir_max_iters >= 0 && ir_tolerance >= 0)
+    return Status::ok();
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "refine_iters (%d), ir_max_iters (%d) and ir_tolerance (%g) "
+                "must all be non-negative",
+                refine_iters, ir_max_iters, ir_tolerance);
+  return Status::invalid_argument(buf);
+}
+
+/// Every block's values in position order, widened to FP64 (exact for
+/// FP32, so set_flat_values narrows them back bit for bit).
+template <class V>
+std::vector<value_t> flat_values(const block::BlockMatrixT<V>& f) {
+  std::vector<value_t> out;
+  out.reserve(static_cast<std::size_t>(f.total_nnz()));
+  for (nnz_t pos = 0; pos < static_cast<nnz_t>(f.n_blocks()); ++pos) {
+    const auto v = f.block(pos).values();
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
+
+template <class V>
+void set_flat_values(block::BlockMatrixT<V>& f, std::span<const value_t> v) {
+  std::size_t at = 0;
+  for (nnz_t pos = 0; pos < static_cast<nnz_t>(f.n_blocks()); ++pos)
+    for (V& x : f.block(pos).values_mut()) x = static_cast<V>(v[at++]);
+}
+
 }  // namespace
+
+template <class Self, class Fn>
+auto Solver::with_factors(Self& self, Fn&& fn) {
+  if (kernels::stores_fp32(self.opts_.precision)) return fn(self.factors32_);
+  return fn(self.factors_);
+}
 
 Status Solver::prepare_structure(ThreadPool* pool) {
   Timer timer;
@@ -603,6 +555,9 @@ Status Solver::prepare_structure(ThreadPool* pool) {
 Status Solver::factorize(const Csc& a, const Options& opts) {
   if (a.n_rows() != a.n_cols())
     return Status::invalid_argument("factorize: square matrices only");
+  Status s =
+      check_refinement(opts.refine_iters, opts.ir_max_iters, opts.ir_tolerance);
+  if (!s.is_ok()) return s;
   opts_ = opts;
   if (!opts_.thresholds_file.empty()) {
     Status ts =
@@ -621,7 +576,7 @@ Status Solver::factorize(const Csc& a, const Options& opts) {
   // one by default, a dedicated pool when the caller pinned a thread count.
   std::unique_ptr<ThreadPool> local_pool =
       make_preprocess_pool(opts_.preprocess_threads);
-  Status s = prepare_structure(local_pool.get());
+  s = prepare_structure(local_pool.get());
   if (!s.is_ok()) return s;
 
   // (4) Numeric factorisation on the simulated cluster (real numerics).
@@ -677,16 +632,11 @@ Status Solver::write_checkpoint(index_t tasks_done) {
   // Snapshot values always travel as FP64. Under FP32 storage the live
   // numeric state is factors32_ (factors_ is stale mid-run), widened exactly
   // on encode so resume's narrowing round-trips bit for bit.
-  const bool ckpt_fp32 = kernels::stores_fp32(opts_.precision);
   auto append_block_values = [&](nnz_t pos) {
-    if (ckpt_fp32) {
-      const auto v = factors32_.block(pos).values();
-      for (float fv : v)
-        snap.block_values.push_back(static_cast<value_t>(fv));
-    } else {
-      const auto v = factors_.block(pos).values();
+    with_factors(*this, [&](const auto& f) {
+      const auto v = f.block(pos).values();
       snap.block_values.insert(snap.block_values.end(), v.begin(), v.end());
-    }
+    });
   };
   if (opts_.incremental_snapshots) {
     // Advance the dirty marks over the newly committed tasks; every task
@@ -727,6 +677,8 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
   Status s = io::read_snapshot_file(path, &snap);
   if (!s.is_ok()) return s;
   const io::SnapshotMeta& m = snap.meta;
+  s = check_refinement(m.refine_iters, base.ir_max_iters, base.ir_tolerance);
+  if (!s.is_ok()) return s;
 
   // Rebuild the options that determine the computed bits from the snapshot;
   // `base` contributes only the fields a snapshot does not carry.
@@ -809,49 +761,34 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
         "committed-task prefix");
 
   // Land the checkpointed block values: the numeric state at task `done`.
-  // Incremental snapshots carry only the dirty blocks (targets of the
-  // committed prefix); prepare_structure left every block holding its
-  // initial pre-numeric values, which is exactly the state of a clean
-  // block, so nothing else needs touching. The stored dirty list must
-  // match the one recomputed from the task prefix bit for bit — a mismatch
-  // means the snapshot and the recomputed task graph disagree.
-  if (m.incremental != 0) {
-    std::vector<char> expect_dirty(
-        static_cast<std::size_t>(factors_.n_blocks()), 0);
-    for (index_t t = 0; t < done; ++t)
-      expect_dirty[static_cast<std::size_t>(
-          tasks_[static_cast<std::size_t>(t)].target)] = 1;
-    std::vector<nnz_t> expect_pos;
-    for (nnz_t pos = 0; pos < factors_.n_blocks(); ++pos)
-      if (expect_dirty[static_cast<std::size_t>(pos)])
-        expect_pos.push_back(pos);
-    if (snap.dirty_pos != expect_pos)
-      return Status::failed_precondition(
-          "resume: snapshot dirty-block list (" +
-          std::to_string(snap.dirty_pos.size()) +
-          " blocks) does not match the targets of its committed-task "
-          "prefix (" +
-          std::to_string(expect_pos.size()) + " blocks)");
-    std::size_t off = 0;
-    for (nnz_t pos : snap.dirty_pos) {
-      auto vals = factors_.block(pos).values_mut();
-      std::copy(snap.block_values.begin() + static_cast<std::ptrdiff_t>(off),
-                snap.block_values.begin() +
-                    static_cast<std::ptrdiff_t>(off + vals.size()),
-                vals.begin());
-      off += vals.size();
-    }
-  } else {
-    std::size_t off = 0;
-    for (nnz_t pos = 0; pos < static_cast<nnz_t>(snap.block_nnz.size());
-         ++pos) {
-      auto vals = factors_.block(pos).values_mut();
-      std::copy(snap.block_values.begin() + static_cast<std::ptrdiff_t>(off),
-                snap.block_values.begin() +
-                    static_cast<std::ptrdiff_t>(off + vals.size()),
-                vals.begin());
-      off += vals.size();
-    }
+  // Full snapshots carry every block. Incremental ones carry only the dirty
+  // blocks (targets of the committed prefix); prepare_structure left every
+  // block holding its initial pre-numeric values, which is exactly the
+  // state of a clean block, so nothing else needs touching. The stored
+  // dirty list must match the one recomputed from the task prefix bit for
+  // bit — a mismatch means the snapshot and the recomputed task graph
+  // disagree.
+  std::vector<char> dirty(static_cast<std::size_t>(factors_.n_blocks()),
+                          m.incremental == 0 ? 1 : 0);
+  for (index_t t = 0; t < done; ++t)
+    dirty[static_cast<std::size_t>(
+        tasks_[static_cast<std::size_t>(t)].target)] = 1;
+  std::vector<nnz_t> landing;
+  for (nnz_t pos = 0; pos < factors_.n_blocks(); ++pos)
+    if (dirty[static_cast<std::size_t>(pos)]) landing.push_back(pos);
+  if (m.incremental != 0 && snap.dirty_pos != landing)
+    return Status::failed_precondition(
+        "resume: snapshot dirty-block list (" +
+        std::to_string(snap.dirty_pos.size()) +
+        " blocks) does not match the targets of its committed-task "
+        "prefix (" +
+        std::to_string(landing.size()) + " blocks)");
+  std::size_t off = 0;
+  for (nnz_t pos : landing) {
+    auto vals = factors_.block(pos).values_mut();
+    std::copy_n(snap.block_values.begin() + static_cast<std::ptrdiff_t>(off),
+                vals.size(), vals.begin());
+    off += vals.size();
   }
   stats_.resumed_from_task = done;
 
@@ -871,22 +808,16 @@ Status Solver::build_solve_plans() {
   topts.device = opts_.device;
   topts.n_ranks = opts_.n_ranks;
   topts.execute_numerics = false;
-  Status s;
-  if (kernels::stores_fp32(opts_.precision)) {
-    // Build against the FP32 twin so the plans' segment byte sizes model the
-    // FP32 message payloads (the structure arrays are identical either way).
-    s = runtime::build_trsv_plan(factors32_, mapping_, /*lower=*/true, topts,
-                                 &trsv_fwd_);
-    if (!s.is_ok()) return s;
-    s = runtime::build_trsv_plan(factors32_, mapping_, /*lower=*/false, topts,
-                                 &trsv_bwd_);
-  } else {
-    s = runtime::build_trsv_plan(factors_, mapping_, /*lower=*/true, topts,
-                                 &trsv_fwd_);
-    if (!s.is_ok()) return s;
-    s = runtime::build_trsv_plan(factors_, mapping_, /*lower=*/false, topts,
-                                 &trsv_bwd_);
-  }
+  // Build against the twin the solves run on, so under FP32 storage the
+  // plans' segment byte sizes model the FP32 message payloads (the
+  // structure arrays are identical either way).
+  Status s = with_factors(*this, [&](const auto& f) {
+    Status ps = runtime::build_trsv_plan(f, mapping_, /*lower=*/true, topts,
+                                         &trsv_fwd_);
+    if (!ps.is_ok()) return ps;
+    return runtime::build_trsv_plan(f, mapping_, /*lower=*/false, topts,
+                                    &trsv_bwd_);
+  });
   if (!s.is_ok()) return s;
   stats_.plan_seconds = timer.seconds();
   return Status::ok();
@@ -944,7 +875,7 @@ Status Solver::run_numeric_phase(index_t resume_from_task) {
     // consumer (determinant, condest, snapshots) keeps working. The widening
     // is exact, so factors_ is a faithful view of the FP32 bits, not a
     // reround.
-    factors32_ = block::BlockMatrixT<float>::converted_from(factors_);
+    factors32_ = decltype(factors32_)::converted_from(factors_);
     s = runtime::simulate_factorization(factors32_, tasks_, mapping_, so,
                                         &stats_.sim);
     if (s.is_ok()) {
@@ -993,20 +924,7 @@ Status Solver::refactorize(const Csc& a) {
     return Status::failed_precondition(
         "refactorize: sparsity pattern differs from the analysed matrix");
   }
-  std::vector<value_t> prev_values;
-  if (opts_.cancel) {
-    const auto ov = original_.values();
-    prev_values.assign(ov.begin(), ov.end());
-  }
-  original_ = a;
-  Status s = refactorize_reuse();
-  if (!s.is_ok() && opts_.cancel && is_cancel_code(s)) {
-    // Pair with refactorize_reuse's rollback: the analysed matrix must
-    // match the reinstated factors, or refinement would mix the two.
-    std::copy(prev_values.begin(), prev_values.end(),
-              original_.values_mut().begin());
-  }
-  return s;
+  return refactorize_values(a.values());
 }
 
 Status Solver::refactorize_values(std::span<const value_t> values) {
@@ -1022,7 +940,9 @@ Status Solver::refactorize_values(std::span<const value_t> values) {
     const auto ov = original_.values();
     prev_values.assign(ov.begin(), ov.end());
   }
-  std::copy(values.begin(), values.end(), original_.values_mut().begin());
+  // `values` may alias matrix().values() (refactorize(matrix()) does).
+  if (values.data() != original_.values().data())
+    std::copy(values.begin(), values.end(), original_.values_mut().begin());
   Status s = refactorize_reuse();
   if (!s.is_ok() && opts_.cancel && is_cancel_code(s)) {
     std::copy(prev_values.begin(), prev_values.end(),
@@ -1072,25 +992,14 @@ Status Solver::refactorize_reuse() {
   std::vector<value_t> prev_permuted;
   std::vector<value_t> prev_filled;
   std::vector<value_t> prev_factors;
-  std::vector<float> prev_factors32;
   if (snapshot) {
     const auto pv = reorder_.permuted.values();
     prev_permuted.assign(pv.begin(), pv.end());
     const auto sfv = symbolic_.filled.values();
     prev_filled.assign(sfv.begin(), sfv.end());
-    prev_factors.reserve(static_cast<std::size_t>(factors_.total_nnz()));
-    for (nnz_t pos = 0; pos < static_cast<nnz_t>(factors_.n_blocks()); ++pos) {
-      const auto bv = factors_.block(pos).values();
-      prev_factors.insert(prev_factors.end(), bv.begin(), bv.end());
-    }
-    if (kernels::stores_fp32(opts_.precision)) {
-      prev_factors32.reserve(static_cast<std::size_t>(factors32_.total_nnz()));
-      for (nnz_t pos = 0; pos < static_cast<nnz_t>(factors32_.n_blocks());
-           ++pos) {
-        const auto bv = factors32_.block(pos).values();
-        prev_factors32.insert(prev_factors32.end(), bv.begin(), bv.end());
-      }
-    }
+    // The twin the numeric phase overwrites; under FP32 storage factors_
+    // is its exact widening, so this one copy restores both.
+    with_factors(*this, [&](const auto& f) { prev_factors = flat_values(f); });
   }
   // Re-apply the frozen scaling + permutations to the new values.
   Csc work = original_;
@@ -1133,20 +1042,10 @@ Status Solver::refactorize_reuse() {
                 reorder_.permuted.values_mut().begin());
       std::copy(prev_filled.begin(), prev_filled.end(),
                 symbolic_.filled.values_mut().begin());
-      std::size_t at = 0;
-      for (nnz_t pos = 0; pos < static_cast<nnz_t>(factors_.n_blocks());
-           ++pos) {
-        auto bv = factors_.block(pos).values_mut();
-        for (value_t& v : bv) v = prev_factors[at++];
-      }
-      if (kernels::stores_fp32(opts_.precision)) {
-        std::size_t at32 = 0;
-        for (nnz_t pos = 0; pos < static_cast<nnz_t>(factors32_.n_blocks());
-             ++pos) {
-          auto bv = factors32_.block(pos).values_mut();
-          for (float& v : bv) v = prev_factors32[at32++];
-        }
-      }
+      // factors_ directly, then the FP32 twin under FP32 storage (under
+      // kDouble the twin is factors_ itself and the repeat is a no-op).
+      set_flat_values(factors_, prev_factors);
+      with_factors(*this, [&](auto& f) { set_flat_values(f, prev_factors); });
       return s;
     }
     factorized_ = false;
@@ -1157,6 +1056,196 @@ Status Solver::refactorize_reuse() {
   return Status::ok();
 }
 
+namespace {
+
+/// One side of the permute/scale pair around the triangular sweeps: row i
+/// of a caller vector sits at row perm[i] of the work panel, times scale[i].
+struct PermScale {
+  std::span<const index_t> perm;
+  std::span<const value_t> scale;
+};
+
+/// A solve's two triangular sweeps, in single-vector and panel form.
+template <class V>
+struct SweepPair {
+  using Vec = Status (*)(const block::BlockMatrixT<V>&, const SolvePlan&,
+                         std::span<V>, const CancelToken*);
+  using Panel = Status (*)(const block::BlockMatrixT<V>&, const SolvePlan&,
+                           V*, index_t, index_t, const CancelToken*);
+  Vec vec[2];
+  Panel panel[2];
+};
+
+// A x = b: L y = z, then U x = y.
+template <class V>
+constexpr SweepPair<V> kForwardSweeps{
+    {&block_lower_solve<V>, &block_upper_solve<V>},
+    {&block_lower_solve_multi<V>, &block_upper_solve_multi<V>}};
+// A^T x = b: U^T y = z, then L^T w = y.
+template <class V>
+constexpr SweepPair<V> kTransposeSweeps{
+    {&block_upper_transpose_solve<V>, &block_lower_transpose_solve<V>},
+    {&block_upper_transpose_solve_multi<V>,
+     &block_lower_transpose_solve_multi<V>}};
+
+/// The direct pass (DESIGN.md §13): pack k column-major right-hand sides
+/// into the row-interleaved work panel `z` through `in` (rounding to V
+/// once), run the two sweeps, and unpack the result through `out`
+/// (widening exactly). k = 1 runs the single-vector sweeps: bitwise the
+/// k = 1 panel sweeps' result, and measurably faster.
+template <class V>
+Status direct_pass(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
+                   const SweepPair<V>& sweeps, PermScale in, PermScale out,
+                   const value_t* rhs, value_t* sol, index_t n, index_t k,
+                   std::vector<V>& z, const CancelToken* cancel) {
+  const auto nn = static_cast<std::size_t>(n);
+  const auto kk = static_cast<std::size_t>(k);
+  for (std::size_t c = 0; c < kk; ++c)
+    for (std::size_t r = 0; r < nn; ++r)
+      z[static_cast<std::size_t>(in.perm[r]) * kk + c] =
+          static_cast<V>(in.scale[r] * rhs[c * nn + r]);
+  for (int s = 0; s < 2; ++s) {
+    const Status ss = k == 1
+                          ? sweeps.vec[s](f, plan, {z.data(), nn}, cancel)
+                          : sweeps.panel[s](f, plan, z.data(), k, k, cancel);
+    if (!ss.is_ok()) return ss;
+  }
+  for (std::size_t c = 0; c < kk; ++c)
+    for (std::size_t r = 0; r < nn; ++r)
+      sol[c * nn + r] = out.scale[r] * static_cast<value_t>(
+          z[static_cast<std::size_t>(out.perm[r]) * kk + c]);
+  return Status::ok();
+}
+
+/// The publication rule shared by every solve entry point: the caller's
+/// output is written on success or on kNumericBreakdown (its iterate is the
+/// best the refinement reached), never on a cancel.
+bool publishes(const Status& s) {
+  return s.is_ok() || s.code() == StatusCode::kNumericBreakdown;
+}
+
+}  // namespace
+
+template <class V>
+Status Solver::refine(const block::BlockMatrixT<V>& f, const value_t* b,
+                      index_t k, value_t* x, SolveStats* worst,
+                      const CancelToken* cancel) const {
+  const index_t n = stats_.n;
+  const auto nn = static_cast<std::size_t>(n);
+  const auto kk = static_cast<std::size_t>(k);
+  std::vector<V> z(nn * kk);
+  auto pass = [&](const value_t* rhs, value_t* sol, index_t cols) {
+    return direct_pass(f, solve_plan_, kForwardSweeps<V>,
+                       {reorder_.row_perm, reorder_.row_scale},
+                       {reorder_.col_perm, reorder_.col_scale}, rhs, sol, n,
+                       cols, z, cancel);
+  };
+  Status s = pass(b, x, k);
+  if (!s.is_ok()) return s;
+
+  // Iterative refinement against the original matrix (the GESP recipe),
+  // on the shrinking set of active columns: a column leaves the panel the
+  // moment its own single-RHS loop would stop, and the panel sweeps are
+  // per-column independent, so every column sees exactly that loop. Under
+  // kDouble/kSingle a column stops after refine_iters sweeps or at FP64
+  // roundoff, never as an error. Under kMixedIR it converges at
+  // ir_tolerance and fails on an exhausted ir_max_iters budget or on a
+  // stall: a sweep that no longer shrinks the residual will not start
+  // shrinking it later, the FP32 factors have hit their preconditioning
+  // limit.
+  const bool mixed = opts_.precision == kernels::Precision::kMixedIR;
+  const int budget = mixed ? opts_.ir_max_iters : opts_.refine_iters;
+  const value_t target = mixed ? opts_.ir_tolerance : value_t(1e-16);
+  const value_t norm_a = norm1(original_);
+  std::vector<value_t> ax(nn);
+  std::vector<value_t> rp(nn * kk);
+  std::vector<value_t> dx(nn * kk);
+  std::vector<int> iters(kk, 0);
+  std::vector<value_t> resid(kk, 0);
+  std::vector<value_t> prev(kk, std::numeric_limits<value_t>::infinity());
+  index_t n_failed = 0;
+  std::vector<index_t> active(kk);
+  std::iota(active.begin(), active.end(), index_t(0));
+  for (int it = 0; !active.empty(); ++it) {
+    if (cancel) {
+      s = cancel->check(("refinement iteration " + std::to_string(it)).c_str());
+      if (!s.is_ok()) return s;
+    }
+    std::vector<index_t> next;
+    for (index_t col : active) {
+      const auto j = static_cast<std::size_t>(col);
+      const std::span<const value_t> xc(x + j * nn, nn);
+      const std::span<const value_t> bc(b + j * nn, nn);
+      // The residual lands straight in the correction panel's next slot.
+      const std::span<value_t> r(rp.data() + next.size() * nn, nn);
+      original_.spmv(xc, ax);
+      for (std::size_t i = 0; i < nn; ++i) r[i] = bc[i] - ax[i];
+      resid[j] = norm_inf(r) /
+                 std::max<value_t>(norm_a * norm_inf(xc) + norm_inf(bc), 1);
+      if (resid[j] <= target) continue;
+      if (it >= budget || (mixed && resid[j] >= prev[j] * value_t(0.9))) {
+        if (mixed) ++n_failed;
+        continue;
+      }
+      prev[j] = resid[j];
+      next.push_back(col);
+    }
+    if (next.empty()) break;
+    s = pass(rp.data(), dx.data(), static_cast<index_t>(next.size()));
+    if (!s.is_ok()) return s;
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      const auto j = static_cast<std::size_t>(next[i]);
+      for (std::size_t row = 0; row < nn; ++row)
+        x[j * nn + row] += dx[i * nn + row];
+      ++iters[j];
+    }
+    active = std::move(next);
+  }
+  if (worst) {
+    *worst = SolveStats{};
+    for (std::size_t j = 0; j < kk; ++j) {
+      worst->refine_iterations = std::max(worst->refine_iterations, iters[j]);
+      worst->final_residual = std::max(worst->final_residual, resid[j]);
+    }
+  }
+  if (n_failed == 0) return Status::ok();
+  // std::to_string would print these as fixed-point zeros.
+  auto sci = [](value_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.3e", static_cast<double>(v));
+    return std::string(buf);
+  };
+  return Status::numeric_breakdown(
+      "mixed-precision refinement stalled or spent its " +
+      std::to_string(budget) + "-sweep budget above relative residual " +
+      sci(target) + " on " + std::to_string(n_failed) + " of " +
+      std::to_string(k) + " right-hand sides (worst " +
+      sci(*std::max_element(resid.begin(), resid.end())) +
+      ") — retry at Precision::kDouble");
+}
+
+Status Solver::solve_panel(const value_t* b, index_t k, bool transpose,
+                           value_t* x, SolveStats* worst,
+                           const CancelToken* cancel) const {
+  if (k == 0) {
+    if (worst) *worst = SolveStats{};
+    return Status::ok();
+  }
+  return with_factors(*this, [&](const auto& f) -> Status {
+    if (!transpose) return refine(f, b, k, x, worst, cancel);
+    // A^T x = b with Ap = P_R (D_r A D_c) P_C^T = L U:
+    //   z(col_perm[c]) = col_scale[c] * b(c);  U^T y = z;  L^T w = y;
+    //   x(r) = row_scale[r] * w(row_perm[r]).  No refinement.
+    using V = typename std::decay_t<decltype(f)>::value_type;
+    std::vector<V> z(static_cast<std::size_t>(stats_.n) *
+                     static_cast<std::size_t>(k));
+    return direct_pass(f, solve_plan_, kTransposeSweeps<V>,
+                       {reorder_.col_perm, reorder_.col_scale},
+                       {reorder_.row_perm, reorder_.row_scale}, b, x, stats_.n,
+                       k, z, cancel);
+  });
+}
+
 Status Solver::solve(std::span<const value_t> b, std::span<value_t> x,
                      SolveStats* solve_stats) const {
   return solve(b, x, solve_stats, opts_.cancel);
@@ -1165,573 +1254,49 @@ Status Solver::solve(std::span<const value_t> b, std::span<value_t> x,
 Status Solver::solve(std::span<const value_t> b, std::span<value_t> x,
                      SolveStats* solve_stats, const CancelToken* cancel) const {
   if (!factorized_) return Status::failed_precondition("factorize() first");
-  const index_t n = stats_.n;
-  if (static_cast<index_t>(b.size()) != n || static_cast<index_t>(x.size()) != n)
+  const auto n = static_cast<std::size_t>(stats_.n);
+  if (b.size() != n || x.size() != n)
     return Status::invalid_argument("solve: size mismatch");
-  if (kernels::stores_fp32(opts_.precision))
-    return solve_fp32(b, x, solve_stats, cancel);
-
-  // One direct solve pass: permute/scale rhs, two triangular solves,
-  // unpermute/scale solution.
-  std::vector<value_t> z(static_cast<std::size_t>(n));
-  auto direct_pass = [&](std::span<const value_t> rhs,
-                         std::span<value_t> sol) -> Status {
-    // bp(row_perm[r]) = row_scale[r] * rhs(r)
-    for (index_t r = 0; r < n; ++r) {
-      z[static_cast<std::size_t>(reorder_.row_perm[static_cast<std::size_t>(r)])] =
-          reorder_.row_scale[static_cast<std::size_t>(r)] *
-          rhs[static_cast<std::size_t>(r)];
-    }
-    // Cancellation between sweep levels leaves only the internal work
-    // vector partial; `sol` is written after both sweeps complete.
-    Status ss = block_lower_solve(factors_, solve_plan_, z, cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_upper_solve(factors_, solve_plan_, z, cancel);
-    if (!ss.is_ok()) return ss;
-    // x(c) = col_scale[c] * z(col_perm[c])
-    for (index_t c = 0; c < n; ++c) {
-      sol[static_cast<std::size_t>(c)] =
-          reorder_.col_scale[static_cast<std::size_t>(c)] *
-          z[static_cast<std::size_t>(reorder_.col_perm[static_cast<std::size_t>(c)])];
-    }
-    return Status::ok();
-  };
-
-  // The whole pass works on an internal iterate; the caller's x is written
-  // only on success, so a cancel-typed return leaves it bitwise untouched.
-  std::vector<value_t> xi(static_cast<std::size_t>(n));
-  Status ds = direct_pass(b, xi);
-  if (!ds.is_ok()) return ds;
-
-  // Iterative refinement against the original matrix recovers the digits a
-  // perturbed pivot may have cost (the GESP recipe).
-  std::vector<value_t> r(static_cast<std::size_t>(n));
-  std::vector<value_t> ax(static_cast<std::size_t>(n));
-  std::vector<value_t> dx(static_cast<std::size_t>(n));
-  int iterations = 0;
-  value_t last_residual = 0;
-  for (int it = 0; it <= opts_.refine_iters; ++it) {
-    if (cancel) {
-      Status cs = cancel->check(
-          ("refinement iteration " + std::to_string(it)).c_str());
-      if (!cs.is_ok()) return cs;
-    }
-    original_.spmv(xi, ax);
-    for (index_t i = 0; i < n; ++i)
-      r[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(i)] - ax[static_cast<std::size_t>(i)];
-    const value_t rn = norm_inf(r);
-    const value_t scale =
-        std::max<value_t>(norm1(original_) * norm_inf(xi) + norm_inf(b), 1);
-    last_residual = rn / scale;
-    if (it == opts_.refine_iters || last_residual <= 1e-16) break;
-    ds = direct_pass(r, dx);
-    if (!ds.is_ok()) return ds;
-    for (index_t i = 0; i < n; ++i)
-      xi[static_cast<std::size_t>(i)] += dx[static_cast<std::size_t>(i)];
-    ++iterations;
-  }
-  std::copy(xi.begin(), xi.end(), x.begin());
-  if (solve_stats) {
-    solve_stats->refine_iterations = iterations;
-    solve_stats->final_residual = last_residual;
-  }
-  return Status::ok();
-}
-
-Status Solver::solve_fp32(std::span<const value_t> b, std::span<value_t> x,
-                          SolveStats* solve_stats,
-                          const CancelToken* cancel) const {
-  const index_t n = stats_.n;
-  const bool mixed = opts_.precision == kernels::Precision::kMixedIR;
-
-  // FP32 direct pass: permute/scale in FP64, round once into the FP32 work
-  // vector, run the FP32 sweeps on the FP32 factors, widen on the way out.
-  std::vector<float> z(static_cast<std::size_t>(n));
-  auto direct_pass = [&](std::span<const value_t> rhs,
-                         std::span<value_t> sol) -> Status {
-    for (index_t r = 0; r < n; ++r) {
-      z[static_cast<std::size_t>(
-          reorder_.row_perm[static_cast<std::size_t>(r)])] =
-          static_cast<float>(
-              reorder_.row_scale[static_cast<std::size_t>(r)] *
-              rhs[static_cast<std::size_t>(r)]);
-    }
-    Status ss = block_lower_solve(factors32_, solve_plan_, z, cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_upper_solve(factors32_, solve_plan_, z, cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t c = 0; c < n; ++c) {
-      sol[static_cast<std::size_t>(c)] =
-          reorder_.col_scale[static_cast<std::size_t>(c)] *
-          static_cast<value_t>(z[static_cast<std::size_t>(
-              reorder_.col_perm[static_cast<std::size_t>(c)])]);
-    }
-    return Status::ok();
-  };
-
-  // As in the FP64 path, refine an internal iterate and publish only on a
-  // non-cancelled return; a numeric breakdown still surfaces its best
-  // iterate, a cancel leaves the caller's x bitwise untouched.
-  std::vector<value_t> xi(static_cast<std::size_t>(n));
-  Status ds = direct_pass(b, xi);
-  if (!ds.is_ok()) return ds;
-
-  // Refinement in FP64 against the original matrix. kSingle runs the same
-  // fixed-budget loop as the FP64 path (accuracy bounded by FP32, never an
-  // error); kMixedIR iterates until Options::ir_tolerance and reports a
-  // stall or an exhausted sweep budget as kNumericBreakdown.
-  std::vector<value_t> r(static_cast<std::size_t>(n));
-  std::vector<value_t> ax(static_cast<std::size_t>(n));
-  std::vector<value_t> dx(static_cast<std::size_t>(n));
-  const int max_iters = mixed ? opts_.ir_max_iters : opts_.refine_iters;
-  int iterations = 0;
-  value_t last_residual = 0;
-  value_t prev_residual = std::numeric_limits<value_t>::infinity();
-  Status result = Status::ok();
-  for (int it = 0;; ++it) {
-    if (cancel) {
-      Status cs = cancel->check(
-          ("refinement iteration " + std::to_string(it)).c_str());
-      if (!cs.is_ok()) return cs;
-    }
-    original_.spmv(xi, ax);
-    for (index_t i = 0; i < n; ++i)
-      r[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(i)] - ax[static_cast<std::size_t>(i)];
-    const value_t rn = norm_inf(r);
-    const value_t scale =
-        std::max<value_t>(norm1(original_) * norm_inf(xi) + norm_inf(b), 1);
-    last_residual = rn / scale;
-    if (mixed) {
-      if (last_residual <= opts_.ir_tolerance) break;
-      // A sweep that no longer shrinks the residual will not start shrinking
-      // it later: the FP32 factorisation has hit its preconditioning limit.
-      // std::to_string would print these as fixed-point zeros.
-      auto sci = [](value_t v) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.3e", static_cast<double>(v));
-        return std::string(buf);
-      };
-      if (last_residual >= prev_residual * value_t(0.9)) {
-        result = Status::numeric_breakdown(
-            "mixed-precision refinement stalled at relative residual " +
-            sci(last_residual) + " (target " + sci(opts_.ir_tolerance) +
-            ") after " + std::to_string(iterations) +
-            " sweeps — retry at Precision::kDouble");
-        break;
-      }
-      if (it >= max_iters) {
-        result = Status::numeric_breakdown(
-            "mixed-precision refinement did not reach relative residual " +
-            sci(opts_.ir_tolerance) + " within " + std::to_string(max_iters) +
-            " sweeps — retry at Precision::kDouble");
-        break;
-      }
-    } else {
-      if (it == max_iters || last_residual <= 1e-16) break;
-    }
-    ds = direct_pass(r, dx);
-    if (!ds.is_ok()) return ds;
-    for (index_t i = 0; i < n; ++i)
-      xi[static_cast<std::size_t>(i)] += dx[static_cast<std::size_t>(i)];
-    prev_residual = last_residual;
-    ++iterations;
-  }
-  std::copy(xi.begin(), xi.end(), x.begin());
-  if (solve_stats) {
-    solve_stats->refine_iterations = iterations;
-    solve_stats->final_residual = last_residual;
-  }
-  return result;
+  std::vector<value_t> xi(n);
+  Status s = solve_panel(b.data(), 1, false, xi.data(), solve_stats, cancel);
+  if (publishes(s)) std::copy(xi.begin(), xi.end(), x.begin());
+  return s;
 }
 
 Status Solver::solve_multi(const Dense& b, Dense* x, SolveStats* worst) const {
   if (!factorized_) return Status::failed_precondition("factorize() first");
   if (b.n_rows() != stats_.n)
     return Status::invalid_argument("solve_multi: row count mismatch");
-  if (kernels::stores_fp32(opts_.precision))
-    return solve_multi_fp32(b, x, worst);
-  const index_t n = stats_.n;
-  const index_t k = b.n_cols();
-  *x = Dense(n, k);
-  if (worst) *worst = SolveStats{};
-  if (k == 0) return Status::ok();
-
-  // One panel direct pass for `kk` packed columns: the permute/scale step
-  // packs the column-major rhs into the row-interleaved work panel the
-  // sweeps consume, and the unpermute/scale step unpacks it back. Column for
-  // column this performs exactly solve()'s direct_pass operations.
-  std::vector<value_t> z(static_cast<std::size_t>(n) *
-                         static_cast<std::size_t>(k));
-  auto panel_direct = [&](const value_t* rhs, value_t* sol,
-                          index_t kk) -> Status {
-    for (index_t c = 0; c < kk; ++c) {
-      const value_t* rc = rhs + static_cast<std::size_t>(c) * n;
-      for (index_t r = 0; r < n; ++r) {
-        z[static_cast<std::size_t>(
-              reorder_.row_perm[static_cast<std::size_t>(r)]) *
-              static_cast<std::size_t>(kk) +
-          static_cast<std::size_t>(c)] =
-            reorder_.row_scale[static_cast<std::size_t>(r)] *
-            rc[static_cast<std::size_t>(r)];
-      }
-    }
-    Status ss = block_lower_solve_multi(factors_, solve_plan_, z.data(), kk,
-                                        kk, opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_upper_solve_multi(factors_, solve_plan_, z.data(), kk, kk,
-                                 opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t c = 0; c < kk; ++c) {
-      value_t* sc = sol + static_cast<std::size_t>(c) * n;
-      for (index_t cc = 0; cc < n; ++cc) {
-        sc[static_cast<std::size_t>(cc)] =
-            reorder_.col_scale[static_cast<std::size_t>(cc)] *
-            z[static_cast<std::size_t>(
-                  reorder_.col_perm[static_cast<std::size_t>(cc)]) *
-                  static_cast<std::size_t>(kk) +
-              static_cast<std::size_t>(c)];
-      }
-    }
-    return Status::ok();
-  };
-
-  // Dense stores columns contiguously, so b/x panels enter and leave
-  // panel_direct column-major; only the internal work panel is interleaved.
-  Status ds = panel_direct(b.col(0), x->col(0), k);
-  if (!ds.is_ok()) return ds;
-
-  // Iterative refinement on the shrinking active set: a column leaves the
-  // panel the moment solve() would have stopped refining it, and the panel
-  // kernels are per-column independent, so each column sees exactly the
-  // operations of its own single-RHS refinement loop.
-  std::vector<value_t> r(static_cast<std::size_t>(n));
-  std::vector<value_t> ax(static_cast<std::size_t>(n));
-  std::vector<value_t> rp(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(k));
-  std::vector<value_t> dx(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(k));
-  std::vector<int> iters(static_cast<std::size_t>(k), 0);
-  std::vector<value_t> resid(static_cast<std::size_t>(k), 0);
-  std::vector<index_t> active(static_cast<std::size_t>(k));
-  for (index_t j = 0; j < k; ++j) active[static_cast<std::size_t>(j)] = j;
-  for (int it = 0; it <= opts_.refine_iters && !active.empty(); ++it) {
-    if (opts_.cancel) {
-      Status cs = opts_.cancel->check(
-          ("refinement iteration " + std::to_string(it)).c_str());
-      if (!cs.is_ok()) return cs;
-    }
-    std::vector<index_t> next;
-    for (index_t col : active) {
-      value_t* xc = x->col(col);
-      original_.spmv({xc, static_cast<std::size_t>(n)}, ax);
-      for (index_t i = 0; i < n; ++i)
-        r[static_cast<std::size_t>(i)] =
-            b(i, col) - ax[static_cast<std::size_t>(i)];
-      const value_t rn = norm_inf(r);
-      const value_t scale = std::max<value_t>(
-          norm1(original_) *
-                  norm_inf({xc, static_cast<std::size_t>(n)}) +
-              norm_inf({b.col(col), static_cast<std::size_t>(n)}),
-          1);
-      resid[static_cast<std::size_t>(col)] = rn / scale;
-      if (it == opts_.refine_iters ||
-          resid[static_cast<std::size_t>(col)] <= 1e-16)
-        continue;  // this column is done refining
-      std::copy(r.begin(), r.end(),
-                rp.begin() + static_cast<std::ptrdiff_t>(next.size()) * n);
-      next.push_back(col);
-    }
-    if (next.empty()) break;
-    ds = panel_direct(rp.data(), dx.data(), static_cast<index_t>(next.size()));
-    if (!ds.is_ok()) return ds;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      const index_t col = next[i];
-      value_t* xc = x->col(col);
-      const value_t* dc = dx.data() + i * static_cast<std::size_t>(n);
-      for (index_t row = 0; row < n; ++row)
-        xc[static_cast<std::size_t>(row)] += dc[static_cast<std::size_t>(row)];
-      ++iters[static_cast<std::size_t>(col)];
-    }
-    active = std::move(next);
-  }
-  if (worst) {
-    for (index_t j = 0; j < k; ++j) {
-      worst->refine_iterations =
-          std::max(worst->refine_iterations, iters[static_cast<std::size_t>(j)]);
-      worst->final_residual =
-          std::max(worst->final_residual, resid[static_cast<std::size_t>(j)]);
-    }
-  }
-  return Status::ok();
-}
-
-Status Solver::solve_multi_fp32(const Dense& b, Dense* x,
-                                SolveStats* worst) const {
-  const index_t n = stats_.n;
-  const index_t k = b.n_cols();
-  *x = Dense(n, k);
-  if (worst) *worst = SolveStats{};
-  if (k == 0) return Status::ok();
-  const bool mixed = opts_.precision == kernels::Precision::kMixedIR;
-
-  // FP32 panel direct pass: as solve_multi's, but the row-interleaved work
-  // panel is FP32 and the sweeps run on the FP32 factors. Column for column
-  // this performs exactly solve_fp32()'s direct-pass operations.
-  std::vector<float> z(static_cast<std::size_t>(n) *
-                       static_cast<std::size_t>(k));
-  auto panel_direct = [&](const value_t* rhs, value_t* sol,
-                          index_t kk) -> Status {
-    for (index_t c = 0; c < kk; ++c) {
-      const value_t* rc = rhs + static_cast<std::size_t>(c) * n;
-      for (index_t row = 0; row < n; ++row) {
-        z[static_cast<std::size_t>(
-              reorder_.row_perm[static_cast<std::size_t>(row)]) *
-              static_cast<std::size_t>(kk) +
-          static_cast<std::size_t>(c)] =
-            static_cast<float>(
-                reorder_.row_scale[static_cast<std::size_t>(row)] *
-                rc[static_cast<std::size_t>(row)]);
-      }
-    }
-    Status ss = block_lower_solve_multi(factors32_, solve_plan_, z.data(), kk,
-                                        kk, opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_upper_solve_multi(factors32_, solve_plan_, z.data(), kk, kk,
-                                 opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t c = 0; c < kk; ++c) {
-      value_t* sc = sol + static_cast<std::size_t>(c) * n;
-      for (index_t cc = 0; cc < n; ++cc) {
-        sc[static_cast<std::size_t>(cc)] =
-            reorder_.col_scale[static_cast<std::size_t>(cc)] *
-            static_cast<value_t>(
-                z[static_cast<std::size_t>(
-                      reorder_.col_perm[static_cast<std::size_t>(cc)]) *
-                      static_cast<std::size_t>(kk) +
-                  static_cast<std::size_t>(c)]);
-      }
-    }
-    return Status::ok();
-  };
-
-  Status ds = panel_direct(b.col(0), x->col(0), k);
-  if (!ds.is_ok()) return ds;
-
-  // FP64 refinement on the shrinking active set, column-for-column identical
-  // to solve_fp32's loop: a column leaves when it converges, stalls, or
-  // exhausts the sweep budget; under kMixedIR the latter two mark it failed.
-  std::vector<value_t> r(static_cast<std::size_t>(n));
-  std::vector<value_t> ax(static_cast<std::size_t>(n));
-  std::vector<value_t> rp(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(k));
-  std::vector<value_t> dx(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(k));
-  std::vector<int> iters(static_cast<std::size_t>(k), 0);
-  std::vector<value_t> resid(static_cast<std::size_t>(k), 0);
-  std::vector<value_t> prev(static_cast<std::size_t>(k),
-                            std::numeric_limits<value_t>::infinity());
-  std::vector<char> failed(static_cast<std::size_t>(k), 0);
-  const int max_iters = mixed ? opts_.ir_max_iters : opts_.refine_iters;
-  std::vector<index_t> active(static_cast<std::size_t>(k));
-  for (index_t j = 0; j < k; ++j) active[static_cast<std::size_t>(j)] = j;
-  for (int it = 0; !active.empty(); ++it) {
-    if (opts_.cancel) {
-      Status cs = opts_.cancel->check(
-          ("refinement iteration " + std::to_string(it)).c_str());
-      if (!cs.is_ok()) return cs;
-    }
-    std::vector<index_t> next;
-    for (index_t col : active) {
-      value_t* xc = x->col(col);
-      original_.spmv({xc, static_cast<std::size_t>(n)}, ax);
-      for (index_t i = 0; i < n; ++i)
-        r[static_cast<std::size_t>(i)] =
-            b(i, col) - ax[static_cast<std::size_t>(i)];
-      const value_t rn = norm_inf(r);
-      const value_t scale = std::max<value_t>(
-          norm1(original_) * norm_inf({xc, static_cast<std::size_t>(n)}) +
-              norm_inf({b.col(col), static_cast<std::size_t>(n)}),
-          1);
-      resid[static_cast<std::size_t>(col)] = rn / scale;
-      if (mixed) {
-        if (resid[static_cast<std::size_t>(col)] <= opts_.ir_tolerance)
-          continue;  // converged
-        if (resid[static_cast<std::size_t>(col)] >=
-                prev[static_cast<std::size_t>(col)] * value_t(0.9) ||
-            it >= max_iters) {
-          failed[static_cast<std::size_t>(col)] = 1;
-          continue;
-        }
-      } else {
-        if (it == max_iters ||
-            resid[static_cast<std::size_t>(col)] <= 1e-16)
-          continue;
-      }
-      std::copy(r.begin(), r.end(),
-                rp.begin() + static_cast<std::ptrdiff_t>(next.size()) * n);
-      prev[static_cast<std::size_t>(col)] =
-          resid[static_cast<std::size_t>(col)];
-      next.push_back(col);
-    }
-    if (next.empty()) break;
-    ds = panel_direct(rp.data(), dx.data(), static_cast<index_t>(next.size()));
-    if (!ds.is_ok()) return ds;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      const index_t col = next[i];
-      value_t* xc = x->col(col);
-      const value_t* dc = dx.data() + i * static_cast<std::size_t>(n);
-      for (index_t row = 0; row < n; ++row)
-        xc[static_cast<std::size_t>(row)] += dc[static_cast<std::size_t>(row)];
-      ++iters[static_cast<std::size_t>(col)];
-    }
-    active = std::move(next);
-  }
-  if (worst) {
-    for (index_t j = 0; j < k; ++j) {
-      worst->refine_iterations = std::max(
-          worst->refine_iterations, iters[static_cast<std::size_t>(j)]);
-      worst->final_residual =
-          std::max(worst->final_residual, resid[static_cast<std::size_t>(j)]);
-    }
-  }
-  if (mixed) {
-    index_t n_failed = 0;
-    for (char fcol : failed) n_failed += fcol != 0;
-    if (n_failed > 0)
-      return Status::numeric_breakdown(
-          "mixed-precision refinement failed to converge on " +
-          std::to_string(n_failed) + " of " + std::to_string(k) +
-          " right-hand sides — retry at Precision::kDouble");
-  }
-  return Status::ok();
+  // Dense stores columns contiguously: b and x enter and leave the driver
+  // column-major; only its internal work panel is row-interleaved.
+  Dense xi(stats_.n, b.n_cols());
+  Status s = solve_panel(b.col(0), b.n_cols(), false, xi.col(0), worst,
+                         opts_.cancel);
+  if (publishes(s)) *x = std::move(xi);
+  return s;
 }
 
 Status Solver::solve_multi_transpose(const Dense& b, Dense* x) const {
   if (!factorized_) return Status::failed_precondition("factorize() first");
   if (b.n_rows() != stats_.n)
     return Status::invalid_argument("solve_multi_transpose: row count mismatch");
-  const index_t n = stats_.n;
-  const index_t k = b.n_cols();
-  *x = Dense(n, k);
-  if (k == 0) return Status::ok();
-  if (kernels::stores_fp32(opts_.precision)) {
-    // FP32 transposed panel sweeps on the FP32 factors.
-    std::vector<float> z32(static_cast<std::size_t>(n) *
-                           static_cast<std::size_t>(k));
-    for (index_t cidx = 0; cidx < k; ++cidx) {
-      for (index_t c = 0; c < n; ++c) {
-        z32[static_cast<std::size_t>(
-                reorder_.col_perm[static_cast<std::size_t>(c)]) *
-                static_cast<std::size_t>(k) +
-            static_cast<std::size_t>(cidx)] =
-            static_cast<float>(
-                reorder_.col_scale[static_cast<std::size_t>(c)] * b(c, cidx));
-      }
-    }
-    Status ss = block_upper_transpose_solve_multi(factors32_, solve_plan_,
-                                                  z32.data(), k, k,
-                                                  opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_lower_transpose_solve_multi(factors32_, solve_plan_,
-                                           z32.data(), k, k, opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t cidx = 0; cidx < k; ++cidx) {
-      for (index_t row = 0; row < n; ++row) {
-        (*x)(row, cidx) =
-            reorder_.row_scale[static_cast<std::size_t>(row)] *
-            static_cast<value_t>(
-                z32[static_cast<std::size_t>(
-                        reorder_.row_perm[static_cast<std::size_t>(row)]) *
-                        static_cast<std::size_t>(k) +
-                    static_cast<std::size_t>(cidx)]);
-      }
-    }
-    return Status::ok();
-  }
-  // Row-interleaved work panel, as in solve_multi's panel_direct.
-  std::vector<value_t> z(static_cast<std::size_t>(n) *
-                         static_cast<std::size_t>(k));
-  for (index_t cidx = 0; cidx < k; ++cidx) {
-    for (index_t c = 0; c < n; ++c) {
-      z[static_cast<std::size_t>(
-            reorder_.col_perm[static_cast<std::size_t>(c)]) *
-            static_cast<std::size_t>(k) +
-        static_cast<std::size_t>(cidx)] =
-          reorder_.col_scale[static_cast<std::size_t>(c)] * b(c, cidx);
-    }
-  }
-  Status ss = block_upper_transpose_solve_multi(factors_, solve_plan_,
-                                                z.data(), k, k, opts_.cancel);
-  if (!ss.is_ok()) return ss;
-  ss = block_lower_transpose_solve_multi(factors_, solve_plan_, z.data(), k, k,
-                                         opts_.cancel);
-  if (!ss.is_ok()) return ss;
-  for (index_t cidx = 0; cidx < k; ++cidx) {
-    for (index_t row = 0; row < n; ++row) {
-      (*x)(row, cidx) =
-          reorder_.row_scale[static_cast<std::size_t>(row)] *
-          z[static_cast<std::size_t>(
-                reorder_.row_perm[static_cast<std::size_t>(row)]) *
-                static_cast<std::size_t>(k) +
-            static_cast<std::size_t>(cidx)];
-    }
-  }
-  return Status::ok();
+  Dense xi(stats_.n, b.n_cols());
+  Status s = solve_panel(b.col(0), b.n_cols(), true, xi.col(0), nullptr,
+                         opts_.cancel);
+  if (publishes(s)) *x = std::move(xi);
+  return s;
 }
 
 Status Solver::solve_transpose(std::span<const value_t> b,
                                std::span<value_t> x) const {
   if (!factorized_) return Status::failed_precondition("factorize() first");
-  const index_t n = stats_.n;
-  if (static_cast<index_t>(b.size()) != n || static_cast<index_t>(x.size()) != n)
+  const auto n = static_cast<std::size_t>(stats_.n);
+  if (b.size() != n || x.size() != n)
     return Status::invalid_argument("solve_transpose: size mismatch");
-  // A^T x = b with Ap = P_R (D_r A D_c) P_C^T = L U:
-  //   z(col_perm[c]) = col_scale[c] * b(c);  U^T y = z;  L^T w = y;
-  //   x(r) = row_scale[r] * w(row_perm[r]).
-  if (kernels::stores_fp32(opts_.precision)) {
-    // FP32 transposed sweeps on the FP32 factors (no refinement here, as in
-    // the FP64 path).
-    std::vector<float> z32(static_cast<std::size_t>(n));
-    for (index_t c = 0; c < n; ++c) {
-      z32[static_cast<std::size_t>(
-          reorder_.col_perm[static_cast<std::size_t>(c)])] =
-          static_cast<float>(
-              reorder_.col_scale[static_cast<std::size_t>(c)] *
-              b[static_cast<std::size_t>(c)]);
-    }
-    Status ss =
-        block_upper_transpose_solve(factors32_, solve_plan_, z32, opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    ss = block_lower_transpose_solve(factors32_, solve_plan_, z32,
-                                     opts_.cancel);
-    if (!ss.is_ok()) return ss;
-    for (index_t r = 0; r < n; ++r) {
-      x[static_cast<std::size_t>(r)] =
-          reorder_.row_scale[static_cast<std::size_t>(r)] *
-          static_cast<value_t>(z32[static_cast<std::size_t>(
-              reorder_.row_perm[static_cast<std::size_t>(r)])]);
-    }
-    return Status::ok();
-  }
-  std::vector<value_t> z(static_cast<std::size_t>(n));
-  for (index_t c = 0; c < n; ++c) {
-    z[static_cast<std::size_t>(reorder_.col_perm[static_cast<std::size_t>(c)])] =
-        reorder_.col_scale[static_cast<std::size_t>(c)] *
-        b[static_cast<std::size_t>(c)];
-  }
-  Status ss =
-      block_upper_transpose_solve(factors_, solve_plan_, z, opts_.cancel);
-  if (!ss.is_ok()) return ss;
-  ss = block_lower_transpose_solve(factors_, solve_plan_, z, opts_.cancel);
-  if (!ss.is_ok()) return ss;
-  for (index_t r = 0; r < n; ++r) {
-    x[static_cast<std::size_t>(r)] =
-        reorder_.row_scale[static_cast<std::size_t>(r)] *
-        z[static_cast<std::size_t>(reorder_.row_perm[static_cast<std::size_t>(r)])];
-  }
-  return Status::ok();
+  std::vector<value_t> xi(n);
+  Status s = solve_panel(b.data(), 1, true, xi.data(), nullptr, opts_.cancel);
+  if (publishes(s)) std::copy(xi.begin(), xi.end(), x.begin());
+  return s;
 }
 
 Status Solver::model_triangular_solve(runtime::SimResult* forward,
@@ -1742,20 +1307,15 @@ Status Solver::model_triangular_solve(runtime::SimResult* forward,
   opts.n_ranks = opts_.n_ranks;
   opts.execute_numerics = false;
   // The schedules were built at factorise time; repeat calls only replay the
-  // event simulation. Under FP32 storage the replay runs against the FP32
-  // twin, whose plans carry the FP32 message payload sizes.
-  if (kernels::stores_fp32(opts_.precision)) {
-    std::vector<float> dummy(static_cast<std::size_t>(stats_.n), 0.0f);
-    Status s =
-        runtime::simulate_trsv(factors32_, trsv_fwd_, dummy, opts, forward);
+  // event simulation, against the twin the solves run on (under FP32
+  // storage its plans carry the FP32 message payload sizes).
+  return with_factors(*this, [&](const auto& f) -> Status {
+    using V = typename std::decay_t<decltype(f)>::value_type;
+    std::vector<V> dummy(static_cast<std::size_t>(stats_.n), V(0));
+    Status s = runtime::simulate_trsv(f, trsv_fwd_, dummy, opts, forward);
     if (!s.is_ok()) return s;
-    return runtime::simulate_trsv(factors32_, trsv_bwd_, dummy, opts,
-                                  backward);
-  }
-  std::vector<value_t> dummy(static_cast<std::size_t>(stats_.n), value_t(0));
-  Status s = runtime::simulate_trsv(factors_, trsv_fwd_, dummy, opts, forward);
-  if (!s.is_ok()) return s;
-  return runtime::simulate_trsv(factors_, trsv_bwd_, dummy, opts, backward);
+    return runtime::simulate_trsv(f, trsv_bwd_, dummy, opts, backward);
+  });
 }
 
 Status Solver::condest(value_t* cond_1) const {

@@ -49,6 +49,8 @@ struct Options {
   /// error rather than silently running on defaults.
   std::string thresholds_file;
   value_t pivot_tol = 1e-14;
+  /// Fixed refinement budget of kDouble/kSingle solves; a negative value
+  /// fails factorize()/resume_from() with kInvalidArgument.
   int refine_iters = 3;
   /// Numeric-phase storage precision (DESIGN.md §14). kDouble is the
   /// historical FP64 pipeline. kSingle factors and solves entirely in FP32
@@ -133,10 +135,10 @@ struct Options {
   /// levels and refinement iterations. Expiry fails typed (kCancelled /
   /// kDeadlineExceeded) and never publishes a partial factor: a cancelled
   /// factorize() leaves the solver un-factorised, a cancelled refactorize()
-  /// rolls back to the previous factors (the solver stays solvable), and a
-  /// cancelled solve() never publishes a partially-swept vector — the output
-  /// is untouched, or (when refinement had already begun) holds the last
-  /// fully-refined iterate, itself a complete solution.
+  /// rolls back to the previous factors (the solver stays solvable). Every
+  /// solve, single-RHS or panel, forward or transposed, works on internal
+  /// buffers and writes the caller's output only on success or on
+  /// kNumericBreakdown, so a cancelled solve leaves it bitwise untouched.
   const CancelToken* cancel = nullptr;
 };
 
@@ -177,9 +179,9 @@ struct SolveStats {
 /// Cached host-side solve schedule: flat per-block-row / per-block-column
 /// block lists for the four triangular sweeps, plus the diagonal block
 /// positions. Built once per factorisation so repeat solves skip the
-/// find_block() probes and the branchy row/column filtering; each list
-/// preserves the traversal order of the original sweep, so plan-based solves
-/// are bitwise identical to the direct ones.
+/// find_block() probes and the branchy row/column filtering. Row lists keep
+/// the block-row order of the factor store and column lists its
+/// block-column order, so every solve visits blocks in one fixed order.
 struct SolvePlan {
   std::vector<nnz_t> diag_pos;  // [nb] position of each diagonal block
 
@@ -251,8 +253,10 @@ class Solver {
   Status refactorize_values(std::span<const value_t> values);
 
   /// Solve A x = b using the stored factors + iterative refinement against
-  /// the original matrix. `solve_stats` (optional) reports the refinement
-  /// iterations taken and the final backward error.
+  /// the original matrix: the k = 1 case of solve_multi(). `solve_stats`
+  /// (optional) reports the refinement iterations taken and the final
+  /// backward error. Like every solve entry point, `x` (and the stats) are
+  /// written only on success or on kNumericBreakdown (the best iterate).
   Status solve(std::span<const value_t> b, std::span<value_t> x,
                SolveStats* solve_stats = nullptr) const;
 
@@ -281,7 +285,8 @@ class Solver {
   Status log_abs_determinant(value_t* log_abs, int* sign) const;
 
   /// Solve A^T x = b with the same factors: (LU)^T w = z via a U^T forward
-  /// sweep and an L^T backward sweep.
+  /// sweep and an L^T backward sweep; the k = 1 case of
+  /// solve_multi_transpose().
   Status solve_transpose(std::span<const value_t> b, std::span<value_t> x) const;
 
   /// Hager-Higham 1-norm condition estimate: cond_1(A) ~ ||A||_1 ||A^-1||_1,
@@ -335,12 +340,27 @@ class Solver {
   /// Build the pattern-only scatter maps refactorize_reuse() consumes
   /// (lazily, on the first refactorisation after an analysis).
   void build_reuse_maps();
-  /// FP32-storage solve paths (kSingle and kMixedIR): the direct pass runs
-  /// the FP32 sweeps on factors32_; kMixedIR then refines in FP64 until
-  /// Options::ir_tolerance or fails with kNumericBreakdown on a stall.
-  Status solve_fp32(std::span<const value_t> b, std::span<value_t> x,
-                    SolveStats* solve_stats, const CancelToken* cancel) const;
-  Status solve_multi_fp32(const Dense& b, Dense* x, SolveStats* worst) const;
+  /// The one solve driver behind solve/solve_multi/solve_transpose/
+  /// solve_multi_transpose (DESIGN.md §13): `b` and `x` are n x k
+  /// column-major panels, `x` an internal buffer the entry point publishes
+  /// only on OK or kNumericBreakdown. Forward solves run the direct pass
+  /// then refine(); transposed solves run the direct pass alone.
+  Status solve_panel(const value_t* b, index_t k, bool transpose, value_t* x,
+                     SolveStats* worst, const CancelToken* cancel) const;
+  /// FP64 iterative refinement on the factor twin of value type V, over the
+  /// shrinking set of not-yet-stopped columns: a fixed refine_iters budget
+  /// under kDouble/kSingle, the ir_tolerance / stall / ir_max_iters rule
+  /// under kMixedIR. Each column runs exactly its single-RHS loop.
+  template <class V>
+  Status refine(const block::BlockMatrixT<V>& f, const value_t* b, index_t k,
+                value_t* x, SolveStats* worst,
+                const CancelToken* cancel) const;
+  /// The one precision dispatch outside the numeric phase (solves, plan
+  /// building, checkpoint encode, the refactorize rollback): fn(factors32_)
+  /// under FP32 storage (kSingle/kMixedIR), fn(factors_) under kDouble.
+  /// `Self` carries the constness through to the twin.
+  template <class Self, class Fn>
+  static auto with_factors(Self& self, Fn&& fn);
 
   Options opts_;
   Csc original_;
@@ -378,32 +398,16 @@ class Solver {
   bool factorized_ = false;
 };
 
-/// Block-level forward/backward substitution on a factorised BlockMatrixT
-/// (exposed for the distributed triangular-solve benchmarks and tests).
-/// Every sweep is templated on the value type: the FP32 instantiation runs
-/// the identical traversal in FP32 arithmetic, which is what the mixed-IR
-/// correction solves execute (DESIGN.md §14).
-template <class V>
-void block_lower_solve(const block::BlockMatrixT<V>& f,
-                       std::type_identity_t<std::span<V>> x);
-template <class V>
-void block_upper_solve(const block::BlockMatrixT<V>& f,
-                       std::type_identity_t<std::span<V>> x);
-
-/// Transposed sweeps: U^T y = z (forward) and L^T w = y (backward), used by
-/// solve_transpose and the condition estimator.
-template <class V>
-void block_upper_transpose_solve(const block::BlockMatrixT<V>& f,
-                                 std::type_identity_t<std::span<V>> x);
-template <class V>
-void block_lower_transpose_solve(const block::BlockMatrixT<V>& f,
-                                 std::type_identity_t<std::span<V>> x);
-
-/// Plan-based variants of the four sweeps: same traversal, same bits, no
-/// per-call schedule discovery. Each polls the optional CancelToken at every
-/// sweep level (one block row/column) and stops typed on expiry — the
-/// caller's working vector is then partial and must be discarded, which
-/// Solver::solve does by never copying it into the output.
+/// Block-level forward/backward substitution on a factorised BlockMatrixT,
+/// driven by its SolvePlan (exposed for the distributed triangular-solve
+/// benchmarks and tests): L y = z and U x = y, then the transposed U^T and
+/// L^T sweeps used by solve_transpose and the condition estimator. Every
+/// sweep is templated on the value type: the FP32 instantiation runs the
+/// identical traversal in FP32 arithmetic, which is what the mixed-IR
+/// correction solves execute (DESIGN.md §14). Each polls the optional
+/// CancelToken at every sweep level (one block row/column) and stops typed
+/// on expiry — the caller's working vector is then partial and must be
+/// discarded, which Solver's solve driver does by never publishing it.
 template <class V>
 Status block_lower_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
                          std::type_identity_t<std::span<V>> x,

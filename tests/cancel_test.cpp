@@ -19,6 +19,7 @@
 #include "runtime/threaded.hpp"
 #include "solver/session.hpp"
 #include "solver/solver.hpp"
+#include "sparse/dense.hpp"
 #include "sparse/ops.hpp"
 #include "symbolic/fill.hpp"
 #include "util/cancel.hpp"
@@ -262,6 +263,54 @@ TEST(CancelSweep, SolveMidRefinementPublishesOnlyCompleteIterates) {
     }
   }
   FAIL() << "solve never completed within " << kMaxSafePoints
+         << " free checks";
+}
+
+// Panel sweep: a k = 3 solve_multi cancelled at any safe point (sweep level
+// or refinement iteration) leaves the caller's panel bitwise untouched, and
+// the first un-cancelled run is bitwise the undisturbed answer.
+TEST(CancelSweep, SolveMultiLeavesCallerPanelUntouched) {
+  const Csc a = matgen::circuit(200, 2.0, 2.2, 7);
+  const index_t n = a.n_cols();
+  const index_t k = 3;
+  CancelToken tok;  // disarmed: every poll passes until armed below
+  Options opts = cancel_sweep_options();
+  opts.cancel = &tok;
+  Solver s;
+  ASSERT_TRUE(s.factorize(a, opts).is_ok());
+  Rng rng(17);
+  Dense b(n, k);
+  for (index_t j = 0; j < k; ++j)
+    for (index_t i = 0; i < n; ++i)
+      b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
+  Dense want;
+  ASSERT_TRUE(s.solve_multi(b, &want).is_ok());
+
+  const value_t sentinel = static_cast<value_t>(-12345.5);
+  long long cancelled_runs = 0;
+  for (long long c = 0; c <= kMaxSafePoints; ++c) {
+    tok.cancel_after_checks(c);
+    Dense x(n, k);
+    for (index_t j = 0; j < k; ++j)
+      for (index_t i = 0; i < n; ++i) x(i, j) = sentinel;
+    const Status st = s.solve_multi(b, &x);
+    if (st.is_ok()) {
+      for (index_t j = 0; j < k; ++j)
+        for (index_t i = 0; i < n; ++i)
+          ASSERT_EQ(x(i, j), want(i, j)) << "col " << j << " row " << i;
+      EXPECT_GT(cancelled_runs, 0) << "the sweep never fired";
+      return;
+    }
+    SCOPED_TRACE("cancelled after " + std::to_string(c) + " checks");
+    ASSERT_TRUE(is_cancel_code(st)) << st.message();
+    ++cancelled_runs;
+    ASSERT_EQ(x.n_rows(), n);
+    ASSERT_EQ(x.n_cols(), k);
+    for (index_t j = 0; j < k; ++j)
+      for (index_t i = 0; i < n; ++i)
+        ASSERT_EQ(x(i, j), sentinel) << "cancelled panel solve published";
+  }
+  FAIL() << "solve_multi never completed within " << kMaxSafePoints
          << " free checks";
 }
 

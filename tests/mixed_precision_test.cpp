@@ -15,6 +15,7 @@
 #include "block/layout.hpp"
 #include "block/mapping.hpp"
 #include "block/tasks.hpp"
+#include "io/snapshot.hpp"
 #include "kernels/precision.hpp"
 #include "matgen/generators.hpp"
 #include "runtime/sim.hpp"
@@ -355,6 +356,62 @@ TEST(MixedPrecision, MultiRhsPanelsRefineEveryColumn) {
       ASSERT_NEAR(x.col(j)[i], static_cast<value_t>(j + 1), 1e-6)
           << "column " << j;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Refinement controls are validated where they enter the solver.
+// ---------------------------------------------------------------------------
+
+TEST(MixedPrecision, NegativeRefinementControlsFailInvalidArgument) {
+  // refine_iters = -1 used to make the kSingle refinement loop spin (it
+  // stopped only on it == refine_iters or a 1e-16 residual) and the kDouble
+  // one skip refinement and report a residual it never computed.
+  const Csc a = matgen::shifted_illcond(12, 12, 1e9);
+  for (const Precision prec :
+       {Precision::kDouble, Precision::kSingle, Precision::kMixedIR}) {
+    SCOPED_TRACE("precision=" + std::to_string(static_cast<int>(prec)));
+    solver::Options opts;
+    opts.precision = prec;
+    solver::Options bad_iters = opts;
+    bad_iters.refine_iters = -1;
+    solver::Options bad_ir_iters = opts;
+    bad_ir_iters.ir_max_iters = -1;
+    solver::Options bad_tol = opts;
+    bad_tol.ir_tolerance = -1e-12;
+    for (const solver::Options& bad : {bad_iters, bad_ir_iters, bad_tol}) {
+      solver::Solver s;
+      EXPECT_EQ(s.factorize(a, bad).code(), StatusCode::kInvalidArgument);
+    }
+  }
+
+  // resume_from(): refine_iters comes from the snapshot file, the IR
+  // controls from `base`; both are checked before anything runs.
+  const std::string path =
+      ::testing::TempDir() + "/negative_refine_checkpoint.bin";
+  solver::Options opts;
+  opts.n_ranks = 2;
+  opts.precision = Precision::kSingle;
+  opts.checkpoint_path = path;
+  opts.checkpoint_interval_tasks = 5;
+  const Csc g = matgen::grid2d_laplacian(10, 10);
+  solver::Solver w;
+  ASSERT_TRUE(w.factorize(g, opts).is_ok());
+  io::Snapshot snap;
+  ASSERT_TRUE(io::read_snapshot_file(path, &snap).is_ok());
+  snap.meta.refine_iters = -1;
+  ASSERT_TRUE(io::write_snapshot_file(path, snap).is_ok());
+  solver::Solver r;
+  EXPECT_EQ(r.resume_from(path).code(), StatusCode::kInvalidArgument);
+  snap.meta.refine_iters = 3;
+  ASSERT_TRUE(io::write_snapshot_file(path, snap).is_ok());
+  solver::Options base;
+  base.ir_max_iters = -1;
+  EXPECT_EQ(r.resume_from(path, base).code(), StatusCode::kInvalidArgument);
+  base.ir_max_iters = 30;
+  base.ir_tolerance = -1;
+  EXPECT_EQ(r.resume_from(path, base).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(r.resume_from(path).is_ok());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "kernels/precision.hpp"
 #include "matgen/generators.hpp"
 #include "runtime/trsv_sim.hpp"
 #include "solver/session.hpp"
@@ -168,41 +169,54 @@ TEST(Session, FingerprintIsValueBlind) {
   EXPECT_NE(h, pattern_fingerprint(matgen::grid2d_laplacian(9, 8)));
 }
 
+// Every Precision runs through the one solve driver: the FP32 panel sweeps
+// and the kMixedIR active-set refinement must match per-column solves bit
+// for bit, as the FP64 ones do.
+constexpr kernels::Precision kAllPrecisions[] = {
+    kernels::Precision::kDouble, kernels::Precision::kSingle,
+    kernels::Precision::kMixedIR};
+
 TEST(SessionMultiRhs, MatchesSingleSolveColumnForColumn) {
   const Csc mats[] = {matgen::grid2d_laplacian(15, 15),
                       matgen::circuit(200, 2.0, 2.2, 11)};
   for (const Csc& a : mats) {
-    const index_t n = a.n_cols();
-    Solver s;
-    ASSERT_TRUE(s.factorize(a, Options{}).is_ok());
-    for (index_t k : {index_t(1), index_t(3), index_t(8)}) {
-      SCOPED_TRACE("k=" + std::to_string(k));
-      Rng rng(42u + static_cast<unsigned>(k));
-      Dense b(n, k);
-      for (index_t j = 0; j < k; ++j)
-        for (index_t i = 0; i < n; ++i)
-          b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
-      Dense x;
-      SolveStats worst;
-      ASSERT_TRUE(s.solve_multi(b, &x, &worst).is_ok());
-      std::vector<value_t> bc(static_cast<std::size_t>(n));
-      std::vector<value_t> xc(static_cast<std::size_t>(n));
-      int max_iters = 0;
-      value_t max_resid = 0;
-      for (index_t j = 0; j < k; ++j) {
-        for (index_t i = 0; i < n; ++i) bc[static_cast<std::size_t>(i)] = b(i, j);
-        SolveStats ss;
-        ASSERT_TRUE(s.solve(bc, xc, &ss).is_ok());
-        for (index_t i = 0; i < n; ++i) {
-          // Bitwise: the panel sweep runs each column's exact op sequence.
-          EXPECT_EQ(x(i, j), xc[static_cast<std::size_t>(i)])
-              << "col " << j << " row " << i;
+    for (const kernels::Precision prec : kAllPrecisions) {
+      SCOPED_TRACE("precision=" + std::to_string(static_cast<int>(prec)));
+      const index_t n = a.n_cols();
+      Solver s;
+      Options opts;
+      opts.precision = prec;
+      ASSERT_TRUE(s.factorize(a, opts).is_ok());
+      for (index_t k : {index_t(1), index_t(3), index_t(8)}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        Rng rng(42u + static_cast<unsigned>(k));
+        Dense b(n, k);
+        for (index_t j = 0; j < k; ++j)
+          for (index_t i = 0; i < n; ++i)
+            b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
+        Dense x;
+        SolveStats worst;
+        ASSERT_TRUE(s.solve_multi(b, &x, &worst).is_ok());
+        std::vector<value_t> bc(static_cast<std::size_t>(n));
+        std::vector<value_t> xc(static_cast<std::size_t>(n));
+        int max_iters = 0;
+        value_t max_resid = 0;
+        for (index_t j = 0; j < k; ++j) {
+          for (index_t i = 0; i < n; ++i)
+            bc[static_cast<std::size_t>(i)] = b(i, j);
+          SolveStats ss;
+          ASSERT_TRUE(s.solve(bc, xc, &ss).is_ok());
+          for (index_t i = 0; i < n; ++i) {
+            // Bitwise: the panel sweep runs each column's exact op sequence.
+            EXPECT_EQ(x(i, j), xc[static_cast<std::size_t>(i)])
+                << "col " << j << " row " << i;
+          }
+          max_iters = std::max(max_iters, ss.refine_iterations);
+          max_resid = std::max(max_resid, ss.final_residual);
         }
-        max_iters = std::max(max_iters, ss.refine_iterations);
-        max_resid = std::max(max_resid, ss.final_residual);
+        EXPECT_EQ(worst.refine_iterations, max_iters);
+        EXPECT_EQ(worst.final_residual, max_resid);
       }
-      EXPECT_EQ(worst.refine_iterations, max_iters);
-      EXPECT_EQ(worst.final_residual, max_resid);
     }
   }
 }
@@ -210,23 +224,28 @@ TEST(SessionMultiRhs, MatchesSingleSolveColumnForColumn) {
 TEST(SessionMultiRhs, TransposeMatchesSingleColumnForColumn) {
   Csc a = matgen::cage_style(160, 3, 7);
   const index_t n = a.n_cols();
-  Solver s;
-  ASSERT_TRUE(s.factorize(a, Options{}).is_ok());
-  const index_t k = 5;
-  Rng rng(7);
-  Dense b(n, k);
-  for (index_t j = 0; j < k; ++j)
-    for (index_t i = 0; i < n; ++i)
-      b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
-  Dense x;
-  ASSERT_TRUE(s.solve_multi_transpose(b, &x).is_ok());
-  std::vector<value_t> bc(static_cast<std::size_t>(n));
-  std::vector<value_t> xc(static_cast<std::size_t>(n));
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) bc[static_cast<std::size_t>(i)] = b(i, j);
-    ASSERT_TRUE(s.solve_transpose(bc, xc).is_ok());
-    for (index_t i = 0; i < n; ++i)
-      EXPECT_EQ(x(i, j), xc[static_cast<std::size_t>(i)]);
+  for (const kernels::Precision prec : kAllPrecisions) {
+    SCOPED_TRACE("precision=" + std::to_string(static_cast<int>(prec)));
+    Solver s;
+    Options opts;
+    opts.precision = prec;
+    ASSERT_TRUE(s.factorize(a, opts).is_ok());
+    const index_t k = 5;
+    Rng rng(7);
+    Dense b(n, k);
+    for (index_t j = 0; j < k; ++j)
+      for (index_t i = 0; i < n; ++i)
+        b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
+    Dense x;
+    ASSERT_TRUE(s.solve_multi_transpose(b, &x).is_ok());
+    std::vector<value_t> bc(static_cast<std::size_t>(n));
+    std::vector<value_t> xc(static_cast<std::size_t>(n));
+    for (index_t j = 0; j < k; ++j) {
+      for (index_t i = 0; i < n; ++i) bc[static_cast<std::size_t>(i)] = b(i, j);
+      ASSERT_TRUE(s.solve_transpose(bc, xc).is_ok());
+      for (index_t i = 0; i < n; ++i)
+        EXPECT_EQ(x(i, j), xc[static_cast<std::size_t>(i)]);
+    }
   }
 }
 

@@ -64,8 +64,8 @@ INSTANTIATE_TEST_SUITE_P(Ranks, TrsvP, ::testing::Values<rank_t>(1, 2, 4, 8));
 
 TEST(Trsv, MatchesSerialBlockSolve) {
   Csc a = matgen::circuit(300, 2.0, 2.2, 7);
-  // Use the solver's serial block solves as the reference on the same
-  // factors (no reordering: compare raw triangular sweeps).
+  // Use the solver's serial plan-based block solves as the reference on the
+  // same factors (no reordering: compare raw triangular sweeps).
   Factored f = factorize_blocks(a, 32, 4);
 
   std::vector<value_t> rhs(static_cast<std::size_t>(a.n_cols()));
@@ -73,8 +73,9 @@ TEST(Trsv, MatchesSerialBlockSolve) {
     rhs[static_cast<std::size_t>(i)] = 0.01 * i - 1.0;
 
   std::vector<value_t> serial = rhs;
-  solver::block_lower_solve(f.bm, serial);
-  solver::block_upper_solve(f.bm, serial);
+  const solver::SolvePlan plan = solver::SolvePlan::build(f.bm);
+  ASSERT_TRUE(solver::block_lower_solve(f.bm, plan, serial).is_ok());
+  ASSERT_TRUE(solver::block_upper_solve(f.bm, plan, serial).is_ok());
 
   std::vector<value_t> distributed = rhs;
   TrsvOptions opts;

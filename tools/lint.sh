@@ -79,27 +79,43 @@ ban 'std::(cout|cerr)' \
 # spell a concrete floating-point type. A raw `double` anywhere else under
 # src/kernels/ re-hardwires FP64 behind the template's back — new code must
 # use the template parameter V or the control-data aliases (flops_t,
-# seconds_t, metric_t, tolerance_t). Lines containing `template` are exempt
-# (explicit instantiations must name both widths), and a multi-line explicit
+# seconds_t, metric_t, tolerance_t). Likewise a raw `float` in
+# src/solver/solver.cpp: its one solve driver is templated on the factor
+# value type, so a spelled-out FP32 type there is the start of a second,
+# FP32-only solve body. Lines containing `template` are exempt (explicit
+# instantiations must name both widths), and a multi-line explicit
 # instantiation (`template Status f<double>(...` wrapped by clang-format)
 # stays exempt until its closing `;`.
-prec_hits=""
-for f in $(find src/kernels -name '*.hpp' -o -name '*.cpp' | sort); do
-  [ "$f" = "src/kernels/precision.hpp" ] && continue
-  h=$(strip_noise "$f" | awk '
-    skip { if (index($0, ";")) skip = 0; next }
-    /template/ {
-      if ($0 ~ /^template [^<]/ && !index($0, ";")) skip = 1
-      next
-    }
-    /(^|[^_[:alnum:]])double([^_[:alnum:]]|$)/ { printf "%d:%s\n", FNR, $0 }
-  ' | sed "s|^|$f:|") || true
-  [ -n "$h" ] && prec_hits="$prec_hits$h"$'\n'
-done
+raw_type_hits() {  # raw_type_hits TYPE FILE...
+  local type="$1" f h
+  shift
+  for f in "$@"; do
+    h=$(strip_noise "$f" | awk -v t="$type" '
+      skip { if (index($0, ";")) skip = 0; next }
+      /template/ {
+        if ($0 ~ /^template [^<]/ && !index($0, ";")) skip = 1
+        next
+      }
+      $0 ~ ("(^|[^_[:alnum:]])" t "([^_[:alnum:]]|$)") {
+        printf "%d:%s\n", FNR, $0
+      }
+    ' | sed "s|^|$f:|") || true
+    [ -n "$h" ] && printf '%s\n' "$h"
+  done
+}
+prec_hits=$(raw_type_hits double $(find src/kernels -name '*.hpp' -o \
+              -name '*.cpp' | grep -v '^src/kernels/precision.hpp$' | sort))
 if [ -n "$prec_hits" ]; then
   echo "LINT: raw double in src/kernels/ outside precision.hpp (use the" \
        "value-type template parameter or the control-data aliases):"
-  printf '%s' "$prec_hits"
+  printf '%s\n' "$prec_hits"
+  fail=1
+fi
+fp32_hits=$(raw_type_hits float src/solver/solver.cpp)
+if [ -n "$fp32_hits" ]; then
+  echo "LINT: raw float in src/solver/solver.cpp (route FP32 work through" \
+       "the value-type-generic solve driver, not an FP32 twin):"
+  printf '%s\n' "$fp32_hits"
   fail=1
 fi
 
