@@ -1,14 +1,25 @@
-// Numeric hot-path regression harness: times an SSSSM-dominated workload
-// with the pre-PR Direct-addressing accumulator (dense scratch column,
-// reproduced locally below) against the stamped sparse accumulator that
-// replaced it, plus the bin-search and merge kernels for context. Prints a
-// table, writes BENCH_numeric_hotpath.json, and exits non-zero when the
-// stamped/legacy speedup falls below the guard (PANGULU_PERF_GUARD, default
-// 1.05 — generous so the ctest `perf` label only trips on real regressions;
-// the PR's acceptance target on a quiet machine is >= 1.3x).
+// Numeric hot-path regression harness, two sections.
+//
+// 1. Kernel: times an SSSSM-dominated workload with the legacy
+//    Direct-addressing accumulator (dense scratch column, reproduced locally
+//    below) against the stamped sparse accumulator that replaced it, plus
+//    the bin-search and merge kernels for context. Exits non-zero when the
+//    stamped/legacy speedup falls below the guard (PANGULU_PERF_GUARD,
+//    default 1.05 — generous so the ctest `perf` label only trips on real
+//    regressions; the stamped accumulator's target on a quiet machine is
+//    >= 1.3x).
+// 2. Engine scaling: wall-clock numeric factorisation (simulate_factorization
+//    with execute_numerics, DES replay included) of the three perfbench
+//    matrices at SimOptions::numeric_threads 1, 2 and 4, interleaved, min of
+//    5 runs each. Exits non-zero when any thread count's factors are not
+//    bitwise those of one worker, or — only on hosts with at least 4
+//    hardware threads — when fem3d at 4 workers is below 1.5x of 1 worker.
+//
+// Both sections land in BENCH_numeric_hotpath.json.
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -56,6 +67,55 @@ double guard_value() {
     if (v > 0) return v;
   }
   return 1.05;
+}
+
+/// One engine-scaling matrix, preprocessed like Solver::factorize with
+/// default options at 4 simulated ranks.
+struct ScalingCase {
+  std::string name;
+  bool fp32 = false;
+  block::BlockMatrix blocks;
+  std::vector<block::Task> tasks;
+  block::Mapping mapping;
+};
+
+ScalingCase prepare_scaling(const std::string& name, const Csc& a, bool fp32) {
+  ScalingCase c;
+  c.name = name;
+  c.fp32 = fp32;
+  ordering::ReorderResult r;
+  ordering::reorder(a, {}, &r).check();
+  symbolic::SymbolicResult sym;
+  symbolic::symbolic_symmetric(r.permuted, &sym).check();
+  c.blocks = block::BlockMatrix::from_filled(
+      sym.filled, block::choose_block_size(a.n_cols(), sym.nnz_lu));
+  c.tasks = block::enumerate_tasks(c.blocks);
+  const auto grid = block::ProcessGrid::make(4);
+  c.mapping = block::balanced_mapping(c.blocks, c.tasks, grid,
+                                      block::cyclic_mapping(c.blocks, grid));
+  return c;
+}
+
+/// Factorise a fresh copy at `threads` workers: wall seconds of the call,
+/// and the raw bytes of the factors in `bytes`.
+template <class V>
+double time_factor(const ScalingCase& c, int threads,
+                   std::vector<unsigned char>* bytes) {
+  auto bm = block::BlockMatrixT<V>::converted_from(c.blocks);
+  runtime::SimOptions opts;
+  opts.n_ranks = 4;
+  opts.numeric_threads = threads;
+  runtime::SimResult res;
+  Timer t;
+  runtime::simulate_factorization(bm, c.tasks, c.mapping, opts, &res).check();
+  const double seconds = t.seconds();
+  bytes->clear();
+  for (nnz_t pos = 0; pos < static_cast<nnz_t>(bm.n_blocks()); ++pos) {
+    const auto vals = bm.block(pos).values();
+    const auto* b = reinterpret_cast<const unsigned char*>(vals.data());
+    bytes->insert(bytes->end(), b, b + vals.size() * sizeof(V));
+  }
+  return seconds;
 }
 
 }  // namespace
@@ -143,6 +203,58 @@ int main() {
   std::cout << "  stamped speedup over legacy : " << speedup << "x (guard "
             << guard << "x)\n";
 
+  // --- Engine scaling ------------------------------------------------------
+  const std::vector<int> thread_counts = {1, 2, 4};
+  const int scaling_runs = 5;
+  std::vector<ScalingCase> cases;
+  cases.push_back(
+      prepare_scaling("fem3d_12x3_fp64", matgen::fem3d(12, 12, 12, 3, 101),
+                      false));
+  cases.push_back(prepare_scaling(
+      "circuit_6000_fp64", matgen::circuit(6000, 3.0, 2.1, 680), false));
+  cases.push_back(prepare_scaling(
+      "grid2d_200_fp32", matgen::grid2d_laplacian(200, 200), true));
+
+  struct ScalingRow {
+    std::string name;
+    std::vector<double> best;  // per thread count
+    bool bitwise = true;
+  };
+  std::vector<ScalingRow> scaling;
+  for (const ScalingCase& c : cases) {
+    ScalingRow row{c.name,
+                   std::vector<double>(thread_counts.size(),
+                                       std::numeric_limits<double>::infinity()),
+                   true};
+    std::vector<unsigned char> want, got;
+    for (int run = 0; run < scaling_runs; ++run) {
+      for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+        const double s =
+            c.fp32 ? time_factor<float>(c, thread_counts[i], &got)
+                   : time_factor<double>(c, thread_counts[i], &got);
+        row.best[i] = std::min(row.best[i], s);
+        if (want.empty())
+          want = got;
+        else if (got != want)
+          row.bitwise = false;
+      }
+    }
+    scaling.push_back(row);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  const double fem_guard = 1.5;
+  const double fem_speedup4 = scaling[0].best[0] / scaling[0].best[2];
+
+  std::cout << "numeric engine scaling (wall s, min of " << scaling_runs
+            << " interleaved runs, " << hw << " hardware threads)\n";
+  for (const ScalingRow& r : scaling) {
+    std::cout << "  " << r.name << ":";
+    for (std::size_t i = 0; i < thread_counts.size(); ++i)
+      std::cout << "  " << thread_counts[i] << "w " << r.best[i] << " s ("
+                << r.best[0] / r.best[i] << "x)";
+    std::cout << (r.bitwise ? "  bitwise" : "  NOT BITWISE") << "\n";
+  }
+
   pangulu::bench::JsonReporter json;
   json.meta("bench", "numeric_hotpath");
   json.meta("n", static_cast<double>(n));
@@ -153,8 +265,13 @@ int main() {
   json.meta("density_c", dc);
   json.meta("speedup_stamped_over_legacy", speedup);
   json.meta("guard", guard);
+  json.meta("hardware_threads", static_cast<double>(hw));
+  json.meta("scaling_runs", static_cast<double>(scaling_runs));
+  json.meta("fem3d_speedup_4_workers", fem_speedup4);
+  json.meta("fem3d_guard_4_workers", fem_guard);
   auto row = [&](const std::string& name, double seconds) {
     json.begin_row();
+    json.field("section", "kernel");
     json.field("kernel", name);
     json.field("seconds", seconds);
   };
@@ -162,15 +279,39 @@ int main() {
   row("stamped_direct_cv1", stamped_s);
   row("binsearch_cv2", binsearch_s);
   row("merge_cv3", merge_s);
+  for (const ScalingRow& r : scaling) {
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      json.begin_row();
+      json.field("section", "engine_scaling");
+      json.field("matrix", r.name);
+      json.field("numeric_threads", static_cast<double>(thread_counts[i]));
+      json.field("seconds", r.best[i]);
+      json.field("speedup", r.best[0] / r.best[i]);
+      json.field("bitwise", r.bitwise ? 1.0 : 0.0);
+    }
+  }
   if (!json.write_file("BENCH_numeric_hotpath.json")) {
     std::cerr << "FAIL: could not write BENCH_numeric_hotpath.json\n";
     return 2;
   }
 
+  int rc = 0;
   if (speedup < guard) {
     std::cerr << "FAIL: stamped accumulator speedup " << speedup
               << "x below guard " << guard << "x\n";
-    return 1;
+    rc = 1;
   }
-  return 0;
+  for (const ScalingRow& r : scaling) {
+    if (!r.bitwise) {
+      std::cerr << "FAIL: " << r.name
+                << " factors differ across numeric_threads\n";
+      rc = 1;
+    }
+  }
+  if (hw >= 4 && fem_speedup4 < fem_guard) {
+    std::cerr << "FAIL: fem3d engine speedup at 4 workers " << fem_speedup4
+              << "x below guard " << fem_guard << "x\n";
+    rc = 1;
+  }
+  return rc;
 }

@@ -142,12 +142,13 @@ TaskAdjacency TaskAdjacency::build(const BM& bm,
   const auto nt = static_cast<index_t>(tasks.size());
   g.dep.assign(static_cast<std::size_t>(nt), 0);
   g.out_ptr.assign(static_cast<std::size_t>(nt) + 1, 0);
-  g.finalizer_of_block.assign(static_cast<std::size_t>(bm.n_blocks()), -1);
+  // The finalising task (GETRF/GESSM/TSTRF) of each block position.
+  std::vector<index_t> finalizer(static_cast<std::size_t>(bm.n_blocks()), -1);
 
   for (index_t t = 0; t < nt; ++t) {
     const Task& task = tasks[static_cast<std::size_t>(t)];
     if (task.kind != TaskKind::kSsssm)
-      g.finalizer_of_block[static_cast<std::size_t>(task.target)] = t;
+      finalizer[static_cast<std::size_t>(task.target)] = t;
   }
   // Pass 1: out-degree of every task (one counter bump per edge).
   auto count_edge = [&](index_t from) {
@@ -160,16 +161,15 @@ TaskAdjacency TaskAdjacency::build(const BM& bm,
         break;  // depends only on incoming SSSSM updates (edges added below)
       case TaskKind::kGessm:
       case TaskKind::kTstrf: {
-        count_edge(g.finalizer_of_block[static_cast<std::size_t>(task.src_a)]);
+        count_edge(finalizer[static_cast<std::size_t>(task.src_a)]);
         g.dep[static_cast<std::size_t>(t)]++;
         break;
       }
       case TaskKind::kSsssm: {
-        count_edge(g.finalizer_of_block[static_cast<std::size_t>(task.src_a)]);
-        count_edge(g.finalizer_of_block[static_cast<std::size_t>(task.src_b)]);
+        count_edge(finalizer[static_cast<std::size_t>(task.src_a)]);
+        count_edge(finalizer[static_cast<std::size_t>(task.src_b)]);
         g.dep[static_cast<std::size_t>(t)] += 2;
-        const index_t fin =
-            g.finalizer_of_block[static_cast<std::size_t>(task.target)];
+        const index_t fin = finalizer[static_cast<std::size_t>(task.target)];
         PANGULU_CHECK(fin >= 0, "every block has a finalising task");
         count_edge(t);
         g.dep[static_cast<std::size_t>(fin)]++;
@@ -196,13 +196,12 @@ TaskAdjacency TaskAdjacency::build(const BM& bm,
         break;
       case TaskKind::kGessm:
       case TaskKind::kTstrf:
-        add_edge(g.finalizer_of_block[static_cast<std::size_t>(task.src_a)], t);
+        add_edge(finalizer[static_cast<std::size_t>(task.src_a)], t);
         break;
       case TaskKind::kSsssm: {
-        add_edge(g.finalizer_of_block[static_cast<std::size_t>(task.src_a)], t);
-        add_edge(g.finalizer_of_block[static_cast<std::size_t>(task.src_b)], t);
-        add_edge(t,
-                 g.finalizer_of_block[static_cast<std::size_t>(task.target)]);
+        add_edge(finalizer[static_cast<std::size_t>(task.src_a)], t);
+        add_edge(finalizer[static_cast<std::size_t>(task.src_b)], t);
+        add_edge(t, finalizer[static_cast<std::size_t>(task.target)]);
         break;
       }
     }

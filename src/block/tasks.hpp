@@ -39,7 +39,7 @@ std::vector<index_t> sync_free_array(const BM& bm,
                                      const std::vector<Task>& tasks);
 
 /// Flattened (CSR) dependency graph over a task list, shared by the DES and
-/// threaded executors. `dep[t]` is the number of prerequisite completions
+/// the numeric engine. `dep[t]` is the number of prerequisite completions
 /// before task t is ready; the dependents released by t's completion are
 /// `out_adj[out_ptr[t] .. out_ptr[t+1])`. Built in one counting pass plus a
 /// prefix sum — no per-task vector allocations, and traversal is a single
@@ -52,7 +52,6 @@ struct TaskAdjacency {
   std::vector<index_t> dep;
   std::vector<nnz_t> out_ptr;   // size n_tasks + 1
   std::vector<index_t> out_adj;
-  std::vector<index_t> finalizer_of_block;  // -1 if none
 
   template <class BM>
   static TaskAdjacency build(const BM& bm, const std::vector<Task>& tasks);
@@ -60,10 +59,10 @@ struct TaskAdjacency {
 
 /// True when executing `tasks` front to back never consumes a block before
 /// the tasks producing it have run — i.e. enumeration order is a valid
-/// topological order of the dependency DAG. The DES runtime relies on this
-/// to execute numerics canonically (independent of the simulated schedule,
-/// so fault injection can never change the computed factors); this verifies
-/// the contract in tests.
+/// topological order of the dependency DAG. The numeric engine relies on
+/// this: its dispatch fences admit canonical prefixes, which must drain, and
+/// its per-target SSSSM chain follows enumeration order; this verifies the
+/// contract in tests.
 template <class BM>
 bool is_topological_order(const BM& bm, const std::vector<Task>& tasks);
 

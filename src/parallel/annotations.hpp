@@ -1,5 +1,5 @@
 // Clang thread-safety annotations (-Wthread-safety) for the concurrency
-// discipline of the thread pool and the threaded sync-free executor.
+// discipline of the thread pool and the numeric engine.
 //
 // Under Clang the macros expand to the static-analysis attributes, so a
 // guarded member touched without its mutex, a lock released twice, or a

@@ -1,7 +1,7 @@
 // Fixed-size worker pool. The "G_" kernel variants in src/kernels are
 // structured like their GPU counterparts (chunks of work ~ warps); on this
-// host they execute on this pool. The pool is also the backbone of the
-// ThreadedExecutor runtime backend.
+// host they execute on this pool. Its size is also the numeric engine's
+// default worker count (runtime/sim.hpp).
 //
 // Concurrency discipline is compiler-enforced where the toolchain allows:
 // every shared member is PANGULU_GUARDED_BY(mu_) and the build turns

@@ -1,10 +1,12 @@
 // Algorithm-based fault tolerance for the numeric phase: per-block value
 // checksums, audited at task-completion boundaries.
 //
-// The canonical execution order (runtime/sim.cpp) makes silent-corruption
-// recovery tractable: every block's current value state is a deterministic
-// function of (its state when the guard was armed) and (the canonical tasks
-// targeting it that have committed since). The guard records a checksum for
+// The numeric engine gives every block its canonical kernel sequence
+// (runtime/sim.cpp), which makes silent-corruption recovery tractable: every
+// block's current value state is a deterministic function of (its state
+// when the guard was armed) and (the canonical tasks targeting it that have
+// committed since). The engine runs one task per dispatch fence while the
+// guard is armed, so before_task/after_task see a serial canonical run. The guard records a checksum for
 // every block when armed and re-records a block's checksum each time a task
 // commits into it. An audit that finds a mismatched block — a bit flipped
 // under us between the commit and the read — restores the block's armed-time

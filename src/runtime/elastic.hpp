@@ -9,8 +9,8 @@
 // Mapping::rebalance (bounded movement, not a full remap), replays each
 // migrated block's state to its new owner, and re-proves the mapping with
 // analysis::verify_rebalance before continuing. Numerics run on the
-// canonical execution path, so any valid plan yields bitwise-identical LU
-// factors to the static-grid run; only makespan, traffic, and the final
+// numeric engine, independent of the simulated cluster, so any valid plan
+// yields bitwise-identical LU factors to the static-grid run; only makespan, traffic, and the final
 // owner map change.
 //
 // Graceful degradation is part of the contract: a drain that would leave

@@ -11,9 +11,10 @@
 // per-message ack/timeout/retransmit with exponential backoff, duplicate
 // suppression on the receiver, and crash detection followed by re-mapping
 // the dead rank's blocks onto the survivors (Mapping::remap_failed_rank).
-// Numerics are unaffected by construction — the DES executes them in
-// canonical task order — so any recoverable plan yields bitwise-identical
-// LU factors to the fault-free run; only makespan and traffic change.
+// Numerics are unaffected by construction — the numeric engine runs before
+// the DES replay and gives every block its canonical kernel sequence — so
+// any recoverable plan yields bitwise-identical LU factors to the
+// fault-free run; only makespan and traffic change.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +65,9 @@ struct FaultPlan {
   // --- Data/process faults (canonical-execution clock) -----------------
   // These are pinned to canonical task indices, not virtual time: they model
   // what happens to the *numeric state* (a silent bit flip in stored values,
-  // a whole-process death mid-factorisation), which lives on the canonical
-  // execution path shared by every schedule.
+  // a whole-process death mid-factorisation). The numeric engine fires them
+  // at dispatch fences, where the committed tasks are exactly the canonical
+  // prefix, whatever the schedule or worker count.
   struct BitFlip {
     index_t after_task = 0;  // injected right after this task commits
     nnz_t block_pos = 0;     // stored-block position in the BlockMatrix

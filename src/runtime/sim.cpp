@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <queue>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <tuple>
 
 #include "analysis/verify.hpp"
@@ -14,6 +19,8 @@
 #include "kernels/gessm.hpp"
 #include "kernels/ssssm.hpp"
 #include "kernels/tstrf.hpp"
+#include "parallel/annotations.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -102,28 +109,32 @@ TaskPlan plan_task(const Task& t, const block::BlockMatrixT<V>& bm,
   return p;
 }
 
-/// Execute the task's numerics on the host.
+/// Execute the task's numerics on the host. `pool` backs the parallel
+/// kernel variants (nullptr: their default, see kernels/). Each of them
+/// computes every output column in one fixed order on whichever thread runs
+/// it, so the bits do not depend on the pool.
 template <class V>
 Status run_numerics(const Task& t, const TaskPlan& p,
                     block::BlockMatrixT<V>& bm, kernels::Workspace& ws,
-                    kernels::PivotStats* pivots, kernels::tolerance_t pivot_tol) {
+                    kernels::PivotStats* pivots, kernels::tolerance_t pivot_tol,
+                    ThreadPool* pool) {
   switch (t.kind) {
     case TaskKind::kGetrf: {
       kernels::GetrfOptions go;
       go.pivot_tol = pivot_tol;
       return kernels::getrf(static_cast<kernels::GetrfVariant>(p.variant),
-                            bm.block(t.target), ws, pivots, go, nullptr);
+                            bm.block(t.target), ws, pivots, go, pool);
     }
     case TaskKind::kGessm:
       return kernels::gessm(static_cast<kernels::PanelVariant>(p.variant),
-                            bm.block(t.src_a), bm.block(t.target), ws, nullptr);
+                            bm.block(t.src_a), bm.block(t.target), ws, pool);
     case TaskKind::kTstrf:
       return kernels::tstrf(static_cast<kernels::PanelVariant>(p.variant),
-                            bm.block(t.src_a), bm.block(t.target), ws, nullptr);
+                            bm.block(t.src_a), bm.block(t.target), ws, pool);
     case TaskKind::kSsssm:
       return kernels::ssssm(static_cast<kernels::SsssmVariant>(p.variant),
                             bm.block(t.src_a), bm.block(t.src_b),
-                            bm.block(t.target), ws, nullptr);
+                            bm.block(t.target), ws, pool);
   }
   return Status::internal("run_numerics: unhandled TaskKind " +
                           to_string(t.kind));
@@ -967,6 +978,398 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
   return Status::ok();
 }
 
+/// One-worker pool handed to the kernels while the engine runs several
+/// tasks at once: every parallel_for over a pool of size 1 runs inline on
+/// the calling thread, so an engine worker never queues nested chunks
+/// behind the other workers.
+ThreadPool& inline_pool() {
+  static ThreadPool pool(1);
+  return pool;
+}
+
+/// Flip one bit of a stored value at its native width; bit indices past the
+/// FP32 word wrap so FP64-era fault plans stay usable.
+template <class V>
+void flip_bit(block::BlockMatrixT<V>& bm, const FaultPlan::BitFlip& f) {
+  if (f.block_pos >= static_cast<nnz_t>(bm.n_blocks())) return;
+  auto vals = bm.block(f.block_pos).values_mut();
+  if (f.value_index >= static_cast<nnz_t>(vals.size())) return;
+  V& v = vals[static_cast<std::size_t>(f.value_index)];
+  if constexpr (sizeof(V) == 4) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    bits ^= std::uint32_t(1) << (f.bit % 32);
+    std::memcpy(&v, &bits, sizeof bits);
+  } else {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    bits ^= std::uint64_t(1) << f.bit;
+    std::memcpy(&v, &bits, sizeof bits);
+  }
+}
+
+/// The numeric engine (DESIGN.md §8): executes canonical tasks
+/// [resume_from_task, nt) on the calling thread plus `workers - 1` spawned
+/// ones, sharing one ready queue ordered by bottom level (the longest
+/// Task::weight path to the sink, ties to the lower canonical index).
+///
+/// Determinism: the dependency graph is TaskAdjacency plus one chain edge
+/// from each SSSSM to the next SSSSM on the same target, in canonical order.
+/// Every block therefore sees exactly its canonical sequence of kernels,
+/// each with its plan_task variant, so the factors are bitwise those of a
+/// one-task-at-a-time canonical run at any worker count.
+///
+/// Dispatch fences: only tasks with a canonical index below `fence_` are
+/// dispatched. Canonical order is topological, so that prefix always
+/// drains; with nothing in flight the fence hooks run (ABFT after/before,
+/// bit flips, the checkpoint sink, the simulated kill) and the fence moves
+/// on. Hooks therefore observe exactly the state of a canonical prefix.
+template <class V>
+class NumericEngine {
+ public:
+  NumericEngine(block::BlockMatrixT<V>& bm, const std::vector<Task>& tasks,
+                const std::vector<TaskPlan>& plans, const SimOptions& o,
+                index_t ckpt_interval, AbftGuardT<V>* guard,
+                SimResult* result)
+      : bm_(bm), tasks_(tasks), plans_(plans), o_(o),
+        nt_(static_cast<index_t>(tasks.size())),
+        first_(o.resume_from_task), ckpt_interval_(ckpt_interval),
+        guard_(guard), result_(result),
+        ready_(ReadyOrder{&bottom_level_}) {
+    // ABFT audits keep their serial semantics: one task per fence, so one
+    // worker, and its kernels keep the global pool's parallelism. No more
+    // workers than tasks to run.
+    const index_t want =
+        o.numeric_threads > 0
+            ? o.numeric_threads
+            : static_cast<index_t>(ThreadPool::global().size());
+    workers_ = guard ? 1
+                     : static_cast<int>(std::max<index_t>(
+                           1, std::min(want, nt_ - first_)));
+    flips_ = o.faults.bitflips;
+    std::stable_sort(flips_.begin(), flips_.end(),
+                     [](const FaultPlan::BitFlip& a,
+                        const FaultPlan::BitFlip& b) {
+                       return a.after_task < b.after_task;
+                     });
+    // Flips at indices before the resume point already happened in the
+    // killed run.
+    while (next_flip_ < flips_.size() &&
+           flips_[next_flip_].after_task < first_)
+      ++next_flip_;
+  }
+
+  NumericEngine(const NumericEngine&) = delete;
+  NumericEngine& operator=(const NumericEngine&) = delete;
+
+  Status run() {
+    build_graph();
+    std::vector<std::thread> crew;
+    try {
+      for (int w = 1; w < workers_; ++w)
+        crew.emplace_back([this] { guarded_work(); });
+    } catch (const std::system_error&) {
+      // Fewer workers only cost speed: the bits do not depend on the count.
+    }
+    guarded_work();
+    for (std::thread& th : crew) th.join();
+    MutexLock lk(mu_);
+    result_->perturbed_pivots = perturbed_;
+    // A halt (cancel or failed hook) wins over a kernel failure; a kernel
+    // failure is the lowest canonical index that failed, as a canonical run
+    // would have reported it.
+    const Failure& f = halted_ ? halt_ : kernel_failure_;
+    if (f.exc) std::rethrow_exception(f.exc);
+    return f.status;
+  }
+
+ private:
+  struct Failure {
+    Status status = Status::ok();
+    std::exception_ptr exc;
+  };
+  /// Max-heap order: larger bottom level first, then lower canonical index.
+  struct ReadyOrder {
+    const std::vector<double>* bl;
+    bool operator()(index_t a, index_t b) const {
+      const double la = (*bl)[static_cast<std::size_t>(a)];
+      const double lb = (*bl)[static_cast<std::size_t>(b)];
+      return la != lb ? la < lb : a > b;
+    }
+  };
+
+  /// Prerequisite counts with the per-target SSSSM chain, the bottom-level
+  /// keys, and the initial ready set (tasks before the resume point count
+  /// as committed). Runs before any worker starts.
+  void build_graph() PANGULU_NO_THREAD_SAFETY_ANALYSIS {
+    adj_ = TaskAdjacency::build(bm_, tasks_);
+    std::vector<index_t> dep = adj_.dep;
+    chain_next_.assign(static_cast<std::size_t>(nt_), -1);
+    std::vector<index_t> last(static_cast<std::size_t>(bm_.n_blocks()), -1);
+    for (index_t t = 0; t < nt_; ++t) {
+      const Task& task = tasks_[static_cast<std::size_t>(t)];
+      if (task.kind != TaskKind::kSsssm) continue;
+      index_t& prev = last[static_cast<std::size_t>(task.target)];
+      if (prev >= 0) {
+        chain_next_[static_cast<std::size_t>(prev)] = t;
+        ++dep[static_cast<std::size_t>(t)];
+      }
+      prev = t;
+    }
+    bottom_level_.assign(static_cast<std::size_t>(nt_), 0.0);
+    for (index_t t = nt_ - 1; t >= 0; --t) {
+      double tail = 0;
+      for_each_successor(t, [&](index_t d) {
+        tail = std::max(tail, bottom_level_[static_cast<std::size_t>(d)]);
+      });
+      bottom_level_[static_cast<std::size_t>(t)] =
+          tasks_[static_cast<std::size_t>(t)].weight + tail;
+    }
+    for (index_t t = 0; t < first_; ++t)
+      for_each_successor(
+          t, [&](index_t d) { --dep[static_cast<std::size_t>(d)]; });
+    for (index_t t = first_; t < nt_; ++t)
+      if (dep[static_cast<std::size_t>(t)] == 0) parked_.push(t);
+    dep_ = std::move(dep);
+    fence_ = committed_ = first_;
+    limit_ = nt_;
+  }
+
+  template <class F>
+  void for_each_successor(index_t t, F&& f) const {
+    for (nnz_t e = adj_.out_ptr[static_cast<std::size_t>(t)];
+         e < adj_.out_ptr[static_cast<std::size_t>(t) + 1]; ++e)
+      f(adj_.out_adj[static_cast<std::size_t>(e)]);
+    const index_t c = chain_next_[static_cast<std::size_t>(t)];
+    if (c >= 0) f(c);
+  }
+
+  /// A worker's entry point: an exception outside the kernel (which work()
+  /// catches per task) halts the run and is rethrown by run().
+  void guarded_work() {
+    try {
+      work();
+    } catch (...) {
+      MutexLock lk(mu_);
+      halt({Status::ok(), std::current_exception()});
+      finish();
+    }
+  }
+
+  /// One worker: commit the previous task and take the next under one lock
+  /// acquisition, run the kernel outside it.
+  void work() {
+    kernels::Workspace ws;
+    kernels::PivotStats pivots;
+    ThreadPool* pool = workers_ > 1 ? &inline_pool() : nullptr;
+    index_t t = -1;
+    Failure ran;
+    for (;;) {
+      {
+        MutexLock lk(mu_);
+        if (t >= 0) commit(t, std::move(ran));
+        t = next_task(lk);
+        if (t < 0) {
+          perturbed_ += pivots.perturbed;
+          return;
+        }
+      }
+      ran = Failure{};
+      try {
+        ran.status = run_numerics(tasks_[static_cast<std::size_t>(t)],
+                                  plans_[static_cast<std::size_t>(t)], bm_,
+                                  ws, &pivots, o_.pivot_tol, pool);
+      } catch (...) {
+        ran.exc = std::current_exception();
+      }
+    }
+  }
+
+  void commit(index_t t, Failure ran) PANGULU_REQUIRES(mu_) {
+    --in_flight_;
+    if (!ran.status.is_ok() || ran.exc) {
+      // Stop dispatching at and past t, but drain the tasks below it: the
+      // lowest failure is then the one a canonical run hits first.
+      if (t < limit_) {
+        limit_ = t;
+        kernel_failure_ = std::move(ran);
+      }
+      return;
+    }
+    ++committed_;
+    for_each_successor(t, [&](index_t d) {
+      mu_.assert_held();  // the analysis checks lambda bodies in isolation
+      if (--dep_[static_cast<std::size_t>(d)] != 0) return;
+      if (d < fence_) {
+        ready_.push(d);
+        if (idle_ > 0) cv_.notify_one();
+      } else {
+        parked_.push(d);
+      }
+    });
+  }
+
+  /// The next task to run, or -1 once the engine is finished.
+  index_t next_task(MutexLock& lk) PANGULU_REQUIRES(mu_) {
+    for (;;) {
+      if (finished_) return -1;
+      if (!halted_ && limit_ == nt_ && committed_ == fence_) {
+        at_fence();
+        continue;
+      }
+      if (!ready_.empty()) {
+        const index_t t = ready_.top();
+        ready_.pop();
+        if (halted_ || t >= limit_) continue;  // dropped: the run is failing
+        if (o_.cancel) {
+          Status s = o_.cancel->check(
+              ("numeric engine dispatch of canonical task " +
+               std::to_string(t))
+                  .c_str());
+          if (!s.is_ok()) {
+            halt({std::move(s), nullptr});
+            continue;
+          }
+        }
+        ++in_flight_;
+        return t;
+      }
+      if (in_flight_ == 0) {
+        // Nothing running and nothing dispatchable below the fence: only a
+        // failing run may end here.
+        if (!halted_ && limit_ == nt_)
+          halt({Status::internal("numeric engine stalled at " +
+                                 std::to_string(committed_) + " of " +
+                                 std::to_string(nt_) + " tasks"),
+                nullptr});
+        finish();
+        continue;
+      }
+      ++idle_;
+      cv_.wait(lk);
+      --idle_;
+    }
+  }
+
+  void halt(Failure f) PANGULU_REQUIRES(mu_) {
+    if (halted_) return;
+    halted_ = true;
+    halt_ = std::move(f);
+  }
+
+  void finish() PANGULU_REQUIRES(mu_) {
+    finished_ = true;
+    cv_.notify_all();
+  }
+
+  /// Tasks [0, fence_) have committed and nothing is in flight: run the
+  /// hooks of this safe point, then move the fence. The hooks run under mu_
+  /// on purpose: nothing is dispatchable until the fence moves, and the
+  /// lock keeps a second worker from entering the same fence.
+  void at_fence() PANGULU_REQUIRES(mu_) {
+    const index_t f = fence_;
+    Status s = Status::ok();
+    try {
+      if (f > first_) s = after_commit(f);
+      if (s.is_ok() && f == nt_) {
+        finish();
+        return;
+      }
+      if (s.is_ok() && guard_) s = guard_->before_task(f);
+    } catch (...) {
+      halt({Status::ok(), std::current_exception()});
+      return;
+    }
+    if (!s.is_ok()) {
+      halt({std::move(s), nullptr});
+      return;
+    }
+    fence_ = next_fence(f);
+    while (!parked_.empty() && parked_.top() < fence_) {
+      ready_.push(parked_.top());
+      parked_.pop();
+    }
+    cv_.notify_all();
+  }
+
+  /// Hooks that follow the commit of task done - 1, in canonical-run order.
+  Status after_commit(index_t done) PANGULU_REQUIRES(mu_) {
+    if (guard_) guard_->after_task(done - 1);
+    // The flip lands after the commit's checksum is recorded: between a
+    // legitimate write and the next read, the window real bit flips occupy.
+    for (; next_flip_ < flips_.size() &&
+           flips_[next_flip_].after_task == done - 1;
+         ++next_flip_)
+      flip_bit(bm_, flips_[next_flip_]);
+    if (ckpt_interval_ > 0 && o_.checkpoint_sink &&
+        done % ckpt_interval_ == 0 && done < nt_ &&
+        (o_.checkpoint_min_elapsed_seconds <= 0 ||
+         ckpt_elapsed_.seconds() >= o_.checkpoint_min_elapsed_seconds)) {
+      Status cs = o_.checkpoint_sink(done);
+      if (!cs.is_ok()) return cs;
+      ++result_->checkpoints_written;
+      ckpt_elapsed_.reset();
+    }
+    if (o_.faults.kill_after_task >= 0 && done == o_.faults.kill_after_task)
+      return Status::unavailable(
+          "simulated process kill after canonical task " +
+          std::to_string(done) + " of " + std::to_string(nt_));
+    return Status::ok();
+  }
+
+  /// The next safe point after `f` that has a hook (nt_ if none).
+  index_t next_fence(index_t f) const PANGULU_REQUIRES(mu_) {
+    index_t next = nt_;
+    if (guard_) next = std::min(next, f + 1);
+    if (ckpt_interval_ > 0 && o_.checkpoint_sink)
+      next = std::min(next, (f / ckpt_interval_ + 1) * ckpt_interval_);
+    if (o_.faults.kill_after_task > f)
+      next = std::min(next, o_.faults.kill_after_task);
+    if (next_flip_ < flips_.size())
+      next = std::min(next, flips_[next_flip_].after_task + 1);
+    return next;
+  }
+
+  block::BlockMatrixT<V>& bm_;
+  const std::vector<Task>& tasks_;
+  const std::vector<TaskPlan>& plans_;
+  const SimOptions& o_;
+  const index_t nt_;
+  const index_t first_;
+  const index_t ckpt_interval_;
+  AbftGuardT<V>* const guard_;
+  SimResult* const result_;
+  int workers_ = 1;
+
+  // Immutable once build_graph has run.
+  TaskAdjacency adj_;
+  std::vector<index_t> chain_next_;
+  std::vector<double> bottom_level_;
+
+  Mutex mu_;
+  std::condition_variable_any cv_;
+  std::vector<index_t> dep_ PANGULU_GUARDED_BY(mu_);
+  std::priority_queue<index_t, std::vector<index_t>, ReadyOrder> ready_
+      PANGULU_GUARDED_BY(mu_);  // dispatchable: index < fence_
+  std::priority_queue<index_t, std::vector<index_t>, std::greater<>> parked_
+      PANGULU_GUARDED_BY(mu_);  // ready but at or past the fence
+  index_t fence_ PANGULU_GUARDED_BY(mu_) = 0;
+  index_t committed_ PANGULU_GUARDED_BY(mu_) = 0;
+  index_t limit_ PANGULU_GUARDED_BY(mu_) = 0;  // lowest failed task, else nt
+  int in_flight_ PANGULU_GUARDED_BY(mu_) = 0;
+  int idle_ PANGULU_GUARDED_BY(mu_) = 0;
+  bool halted_ PANGULU_GUARDED_BY(mu_) = false;
+  bool finished_ PANGULU_GUARDED_BY(mu_) = false;
+  Failure halt_ PANGULU_GUARDED_BY(mu_);
+  Failure kernel_failure_ PANGULU_GUARDED_BY(mu_);
+  index_t perturbed_ PANGULU_GUARDED_BY(mu_) = 0;
+  std::vector<FaultPlan::BitFlip> flips_;
+  std::size_t next_flip_ PANGULU_GUARDED_BY(mu_) = 0;
+  // Worthiness floor for the default cadence: wall-clock work since the
+  // last snapshot (or the phase start). Only read at safe points.
+  Timer ckpt_elapsed_ PANGULU_GUARDED_BY(mu_);
+};
+
 }  // namespace
 
 index_t young_daly_interval_tasks(double mtbf_seconds,
@@ -1045,15 +1448,14 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
     forced = rr;
   }
 
-  // Numerics run once, in canonical (enumeration) order — a fixed
-  // topological order of the dependency DAG — before the virtual-time
-  // replay. The factors therefore never depend on the simulated schedule:
-  // rank count, scheduling mode, stragglers, retransmissions, and crash
-  // recovery change only the clock, so any recoverable fault plan is
-  // guaranteed to reproduce the fault-free factors bit for bit. The same
-  // canonical clock carries the robustness machinery: every commit boundary
-  // is a task-graph safe point, so checkpoints, ABFT audits, injected bit
-  // flips and simulated process kills all key off the task index.
+  // Numerics run on the parallel engine before the virtual-time replay.
+  // Every block sees its canonical kernel sequence (see NumericEngine), so
+  // the factors never depend on the simulated schedule or on the worker
+  // count: rank count, scheduling mode, stragglers, retransmissions and
+  // crash recovery change only the clock, and any recoverable fault plan
+  // reproduces the fault-free factors bit for bit. Checkpoints, ABFT
+  // audits, injected bit flips and simulated process kills run at dispatch
+  // fences, where the committed tasks are exactly a canonical prefix.
   if (opts.execute_numerics) {
     PANGULU_CHECK(block::is_topological_order(bm, tasks),
                   "task enumeration order must be topological");
@@ -1061,6 +1463,8 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
       return Status::invalid_argument("resume_from_task out of range");
     if (opts.checkpoint_interval_tasks < 0)
       return Status::invalid_argument("checkpoint interval must be >= 0");
+    if (opts.numeric_threads < 0)
+      return Status::invalid_argument("numeric_threads must be >= 0");
     // Young/Daly cadence: with an MTBF configured but no explicit interval,
     // derive the optimum from the snapshot cost (bytes at the device's
     // checkpoint-write rate) and the mean virtual task cost.
@@ -1081,8 +1485,6 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
           opts.mtbf_seconds, ckpt_cost,
           total_cost / static_cast<double>(nt), nt);
     }
-    kernels::Workspace ws;
-    kernels::PivotStats pivots;
 
     // The ABFT repair path replays tasks with the *same* resolved plan as
     // the original execution (and a scratch workspace/pivot counter, so a
@@ -1097,113 +1499,19 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
                       return run_numerics(tasks[static_cast<std::size_t>(u)],
                                           plans[static_cast<std::size_t>(u)],
                                           bm, replay_ws, &scratch,
-                                          opts.pivot_tol);
+                                          opts.pivot_tol, nullptr);
                     });
     }
-    auto finish_abft = [&] {
-      if (!guard) return;
+    Status s = NumericEngine<V>(bm, tasks, plans, opts, ckpt_interval,
+                                guard ? &*guard : nullptr, result)
+                   .run();
+    if (guard) {
+      if (s.is_ok()) s = guard->final_sweep();
       result->abft_audits = guard->stats().audits;
       result->abft_detected = guard->stats().detected;
       result->abft_recomputed = guard->stats().recomputed;
-    };
-
-    // Bit flips keyed to commit indices, in injection order. Flips at
-    // indices before the resume point already happened in the killed run.
-    std::vector<FaultPlan::BitFlip> flips = opts.faults.bitflips;
-    std::stable_sort(flips.begin(), flips.end(),
-                     [](const FaultPlan::BitFlip& a,
-                        const FaultPlan::BitFlip& b) {
-                       return a.after_task < b.after_task;
-                     });
-    std::size_t fi = 0;
-    while (fi < flips.size() &&
-           flips[fi].after_task < opts.resume_from_task)
-      ++fi;
-
-    // Worthiness floor for the default cadence: wall-clock work since the
-    // last snapshot (or the phase start). Only read at safe points.
-    Timer ckpt_elapsed;
-
-    for (index_t t = opts.resume_from_task; t < nt; ++t) {
-      // Cooperative cancellation at the commit safe point: nothing from
-      // task t onward has been committed, the factor arrays are simply
-      // abandoned with the run (the caller never flips its published flag).
-      if (opts.cancel) {
-        Status s = opts.cancel->check(
-            ("factorization commit safe point " + std::to_string(t)).c_str());
-        if (!s.is_ok()) {
-          finish_abft();
-          return s;
-        }
-      }
-      if (guard) {
-        Status s = guard->before_task(t);
-        if (!s.is_ok()) {
-          finish_abft();
-          return s;
-        }
-      }
-      Status s = run_numerics(tasks[static_cast<std::size_t>(t)],
-                              plans[static_cast<std::size_t>(t)], bm, ws,
-                              &pivots, opts.pivot_tol);
-      if (!s.is_ok()) {
-        finish_abft();
-        return s;
-      }
-      if (guard) guard->after_task(t);
-      // Inject silent corruption *after* the commit's checksum is recorded:
-      // the flip lands between a legitimate write and the next read, which
-      // is exactly the window real bit flips occupy.
-      for (; fi < flips.size() && flips[fi].after_task == t; ++fi) {
-        const FaultPlan::BitFlip& f = flips[fi];
-        if (f.block_pos >= static_cast<nnz_t>(bm.n_blocks())) continue;
-        auto vals = bm.block(f.block_pos).values_mut();
-        if (f.value_index >= static_cast<nnz_t>(vals.size())) continue;
-        // Flip one bit of the stored value at its native width; bit indices
-        // past the FP32 word wrap so FP64-era fault plans stay usable.
-        if constexpr (sizeof(V) == 4) {
-          std::uint32_t bits;
-          std::memcpy(&bits, &vals[static_cast<std::size_t>(f.value_index)],
-                      sizeof bits);
-          bits ^= std::uint32_t(1) << (f.bit % 32);
-          std::memcpy(&vals[static_cast<std::size_t>(f.value_index)], &bits,
-                      sizeof bits);
-        } else {
-          std::uint64_t bits;
-          std::memcpy(&bits, &vals[static_cast<std::size_t>(f.value_index)],
-                      sizeof bits);
-          bits ^= std::uint64_t(1) << f.bit;
-          std::memcpy(&vals[static_cast<std::size_t>(f.value_index)], &bits,
-                      sizeof bits);
-        }
-      }
-      const index_t done = t + 1;
-      if (ckpt_interval > 0 && opts.checkpoint_sink &&
-          done % ckpt_interval == 0 && done < nt &&
-          (opts.checkpoint_min_elapsed_seconds <= 0 ||
-           ckpt_elapsed.seconds() >= opts.checkpoint_min_elapsed_seconds)) {
-        Status cs = opts.checkpoint_sink(done);
-        if (!cs.is_ok()) {
-          finish_abft();
-          return cs;
-        }
-        ++result->checkpoints_written;
-        ckpt_elapsed.reset();
-      }
-      if (opts.faults.kill_after_task >= 0 &&
-          done == opts.faults.kill_after_task) {
-        finish_abft();
-        return Status::unavailable(
-            "simulated process kill after canonical task " +
-            std::to_string(done) + " of " + std::to_string(nt));
-      }
     }
-    if (guard) {
-      Status s = guard->final_sweep();
-      finish_abft();
-      if (!s.is_ok()) return s;
-    }
-    result->perturbed_pivots = pivots.perturbed;
+    if (!s.is_ok()) return s;
   }
 
   if (forced) {

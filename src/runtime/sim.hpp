@@ -2,11 +2,15 @@
 //
 // Ranks are simulated processes with virtual clocks; kernels cost time from
 // the DeviceModel; inter-rank block transfers cost latency + bytes/bandwidth.
-// The numerics really execute on the host, in *canonical task order* (a
-// fixed topological order of the dependency DAG), so the factorisation a
-// simulation produces is the real one — the same blocks a physical cluster
-// would compute — and is bit-identical for every rank count, schedule, and
-// fault plan; only makespan/sync/communication vary.
+// The numerics really execute on the host, on a parallel task engine over
+// every core (SimOptions::numeric_threads), before the DES replays the
+// schedule. The engine chains the SSSSM updates of each target block in
+// canonical order (a fixed topological order of the dependency DAG), so
+// every block sees exactly its canonical kernel sequence: the factorisation
+// a simulation produces is the real one — the same blocks a physical
+// cluster would compute — and is bit-identical for every rank count,
+// schedule, fault plan and engine worker count; only makespan/sync/
+// communication vary.
 //
 // Fault tolerance: SimOptions::faults injects message drops/duplicates/
 // reordering, stragglers, stalls, and rank crashes (runtime/fault.hpp).
@@ -79,19 +83,21 @@ struct SimOptions {
   /// violated invariant aborts the run with StatusCode::kInvariantViolation
   /// instead of letting the scheduler hang on an orphaned block.
   analysis::VerifyLevel verify_level = analysis::VerifyLevel::kCheap;
-  /// Silent-corruption audits on the canonical execution (runtime/abft.hpp):
+  /// Silent-corruption audits on the numeric engine (runtime/abft.hpp):
   /// kCheap audits a task's source blocks before each kernel, kFull adds the
   /// target and a final sweep. Detected corruption is recomputed from live
   /// inputs when possible; otherwise the run fails with
   /// StatusCode::kDataCorruption.
   AbftLevel abft = AbftLevel::kOff;
   /// Canonical tasks [0, resume_from_task) are assumed already committed
-  /// into `bm` (restored from a snapshot); numerics start from this index.
-  /// The DES replay still models the whole schedule.
+  /// into `bm` (restored from a snapshot): the engine counts them as done
+  /// and runs the rest. The DES replay still models the whole schedule.
   index_t resume_from_task = 0;
-  /// > 0 with a sink set: after every `checkpoint_interval_tasks` canonical
-  /// commits (a task-graph safe point), call `checkpoint_sink(tasks_done)`.
-  /// A failing sink aborts the run with its status.
+  /// > 0 with a sink set: each multiple of `checkpoint_interval_tasks` is a
+  /// dispatch fence — the engine drains canonical tasks [0, tasks_done),
+  /// calls `checkpoint_sink(tasks_done)` with nothing in flight, then moves
+  /// on, so every snapshot is a canonical prefix. A failing sink aborts the
+  /// run with its status.
   index_t checkpoint_interval_tasks = 0;
   std::function<Status(index_t)> checkpoint_sink;
   /// > 0: worthiness floor for the default cadence — a safe point is skipped
@@ -114,7 +120,7 @@ struct SimOptions {
   /// event fails with kInvalidArgument, a violated protocol property with
   /// kInvariantViolation naming the property (before any numerics run), and
   /// an incomplete schedule (tasks left uncommitted) with kInvalidArgument.
-  /// On success the numerics execute canonically as usual and SimResult's
+  /// On success the numerics run on the engine as usual and SimResult's
   /// protocol counters come from the replay; makespan is the serial sum of
   /// task costs (the replay has no virtual clock).
   std::vector<analysis::ProtoEvent> forced_schedule;
@@ -123,11 +129,18 @@ struct SimOptions {
   /// violation here. Never enable outside tests.
   analysis::ProtocolMutations protocol_mutations;
   /// Optional cooperative cancellation (util/cancel.hpp). Not owned. Polled
-  /// at every canonical commit safe point (manual cancel / wall deadline)
-  /// and at every scheduler event pop against the DES virtual clock
-  /// (virtual deadline). Expiry fails typed with kCancelled /
-  /// kDeadlineExceeded; the factorisation publishes nothing partial.
+  /// by the numeric engine before every task dispatch (manual cancel / wall
+  /// deadline) and at every scheduler event pop against the DES virtual
+  /// clock (virtual deadline). After an expiry the engine lets the tasks in
+  /// flight finish, then fails typed with kCancelled / kDeadlineExceeded;
+  /// the factorisation publishes nothing partial.
   const CancelToken* cancel = nullptr;
+  /// Workers of the numeric engine: 0 = ThreadPool::global().size(). With
+  /// more than one, kernels run serially inside each worker; with one (and
+  /// always under ABFT, whose audits run one task per fence) they keep the
+  /// global pool's parallelism. The factors are bitwise identical at every
+  /// value. Internal: tests and benches pin it, production leaves it 0.
+  int numeric_threads = 0;
 };
 
 struct RankStats {
@@ -210,10 +223,12 @@ index_t young_daly_interval_tasks(double mtbf_seconds,
 /// Run the factorisation. When `opts.execute_numerics`, `bm`'s blocks are
 /// overwritten with the LU factors (diagonal blocks hold L\U, off-diagonal
 /// blocks the panel-solve results). Templated on the block value type
-/// (DESIGN.md §14): the DES schedulers read only block structure, and the
-/// numerics execute once in canonical order, so the FP32 instantiation
-/// inherits the same schedule-independence guarantee as FP64 — identical
-/// factors bit for bit across rank counts, scheduling modes and fault plans.
+/// (DESIGN.md §14): the DES schedulers read only block structure, and each
+/// block sees its canonical kernel sequence on the engine, so the FP32
+/// instantiation inherits the same guarantee as FP64 — identical factors bit
+/// for bit across rank counts, scheduling modes, fault plans and
+/// `numeric_threads`. A kernel error is reported for the lowest canonical
+/// task that failed.
 template <class V>
 Status simulate_factorization(block::BlockMatrixT<V>& bm,
                               const std::vector<block::Task>& tasks,

@@ -1,17 +1,17 @@
 // Cooperative cancellation and deadlines (DESIGN.md §15). A CancelToken is
 // shared between a caller and a running operation; the operation polls it at
-// its safe points — canonical commit boundaries in the factorisation DES,
-// task boundaries in the threaded executor, sweep levels in the
-// SolvePlan/TrsvPlan solves — and fails typed (kCancelled /
-// kDeadlineExceeded) without publishing partial results.
+// its safe points — every task dispatch of the numeric engine, every event
+// pop of the factorisation DES, sweep levels in the SolvePlan/TrsvPlan
+// solves — and fails typed (kCancelled / kDeadlineExceeded) without
+// publishing partial results.
 //
 // Two clocks, one token. Simulated runs live on the DES virtual clock, so a
 // deadline there is a virtual-seconds budget checked with check_virtual();
-// the threaded executor and SessionPool admission live on
+// the numeric engine, the solves and SessionPool admission live on
 // std::chrono::steady_clock, checked with check(). A token may arm both; a
 // wall check never consults the virtual deadline and vice versa.
 //
-// All state is atomic: the threaded executor polls from many rank threads
+// All state is atomic: the numeric engine's workers poll concurrently
 // while the caller cancels from outside. Deadlines and the check-countdown
 // are mutable so every poll entry point takes `const CancelToken*` — the
 // token is logically read-only to the operation that polls it.
@@ -36,7 +36,8 @@ class CancelToken {
   }
 
   /// Arm a wall-clock deadline `seconds` from now (steady_clock). Checked by
-  /// check(); used by the threaded executor and SessionPool admission.
+  /// check(); used by the numeric engine, the solves and SessionPool
+  /// admission.
   void set_wall_deadline_after(double seconds) {
     const auto now = std::chrono::steady_clock::now().time_since_epoch();
     const auto ns =
@@ -74,7 +75,8 @@ class CancelToken {
   }
 
   /// Poll at a wall-clock safe point. `where` names the safe point for the
-  /// diagnostic ("threaded task boundary", "solve sweep level 12", ...).
+  /// diagnostic ("numeric engine dispatch of canonical task 7", "solve sweep
+  /// level 12", ...).
   Status check(const char* where) const {
     if (consume_budget() || cancel_requested())
       return Status::cancelled(std::string("request cancelled at ") + where);

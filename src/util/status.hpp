@@ -43,8 +43,9 @@ enum class StatusCode {
   /// retry at Precision::kDouble.
   kNumericBreakdown,
   /// A request's deadline expired before the work finished — either the
-  /// wall-clock deadline of a CancelToken (threaded executor, SessionPool
-  /// admission) or its virtual deadline on the DES clock (simulated runs).
+  /// wall-clock deadline of a CancelToken (numeric engine, plan-based
+  /// solves, SessionPool admission) or its virtual deadline on the DES
+  /// clock (simulated runs).
   /// The operation stopped at the next safe point without publishing a
   /// partial factor; sessions remain usable. Retrying with a larger budget
   /// is safe. Distinct from kCancelled (an explicit caller decision).

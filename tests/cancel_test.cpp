@@ -1,7 +1,7 @@
 // Cancellation sweep (DESIGN.md §15): arm a CancelToken's deterministic
 // check-countdown at every safe point of seeded factorize / refactorize /
-// solve runs — every canonical commit in the DES, every task boundary in
-// the threaded executor, every sweep level of the plan-based solves — and
+// solve runs — every task dispatch of the numeric engine, at one and at
+// several workers, every sweep level of the plan-based solves — and
 // prove the overload contract at each one: the failure is typed, nothing
 // partial is published, and the solver stays usable afterwards. Labeled
 // "faults" (with the cancel x solve stress) so it runs under the TSan build.
@@ -16,7 +16,6 @@
 #include "block/tasks.hpp"
 #include "matgen/generators.hpp"
 #include "runtime/sim.hpp"
-#include "runtime/threaded.hpp"
 #include "solver/session.hpp"
 #include "solver/solver.hpp"
 #include "sparse/dense.hpp"
@@ -154,10 +153,10 @@ TEST(CancelSweep, FactorizeEveryCommitSafePoint) {
          << " free checks";
 }
 
-// Same sweep on the threaded executor: rank-threads poll at task
-// boundaries; a cancelled crew quiesces with a typed error, and a fresh
-// run commits the same canonical factors as the DES bit for bit.
-TEST(CancelSweep, ThreadedFactorizeEveryTaskBoundary) {
+// Same sweep directly on a four-worker engine: workers poll before every
+// dispatch; a cancelled crew drains its in-flight tasks and fails typed,
+// and a fresh run commits the one-worker factors bit for bit.
+TEST(CancelSweep, EngineFactorizeEveryDispatch) {
   const Csc a = matgen::grid2d_laplacian(8, 8);
   symbolic::SymbolicResult sym;
   symbolic::symbolic_symmetric(a, &sym).check();
@@ -169,21 +168,23 @@ TEST(CancelSweep, ThreadedFactorizeEveryTaskBoundary) {
   block::BlockMatrix want = pre;
   runtime::SimOptions des;
   des.n_ranks = 4;
+  des.numeric_threads = 1;
   runtime::SimResult res;
   runtime::simulate_factorization(want, tasks, map, des, &res).check();
 
-  runtime::ThreadedOptions topts;
-  topts.n_ranks = 4;
+  runtime::SimOptions opts = des;
+  opts.numeric_threads = 4;
   long long cancelled_runs = 0;
   for (long long n = 0; n <= kMaxSafePoints; ++n) {
     CancelToken tok;
     tok.cancel_after_checks(n);
-    topts.cancel = &tok;
+    opts.cancel = &tok;
     block::BlockMatrix bm = pre;
-    const Status st = runtime::threaded_factorize(bm, tasks, map, topts);
+    const Status st =
+        runtime::simulate_factorization(bm, tasks, map, opts, &res);
     if (st.is_ok()) {
       EXPECT_EQ(block_bits(bm), block_bits(want))
-          << "threaded factors must stay bitwise identical to the DES";
+          << "four-worker factors must stay bitwise identical to one worker";
       EXPECT_GT(cancelled_runs, 0) << "the sweep never fired";
       return;
     }
@@ -191,7 +192,7 @@ TEST(CancelSweep, ThreadedFactorizeEveryTaskBoundary) {
     ASSERT_TRUE(is_cancel_code(st)) << st.message();
     ++cancelled_runs;
   }
-  FAIL() << "threaded factorize never completed within " << kMaxSafePoints
+  FAIL() << "engine factorize never completed within " << kMaxSafePoints
          << " free checks";
 }
 

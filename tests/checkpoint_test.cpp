@@ -2,9 +2,8 @@
 // reject corruption with typed errors; a factorisation killed mid-flight and
 // resumed from its last checkpoint produces bitwise-identical factors and
 // solutions to the uninterrupted run; injected silent bit flips are detected
-// by the checksum audits and repaired by canonical replay; and the threaded
-// executor repairs a flip under stop-the-world replay, finishing with the
-// same bits as a clean run.
+// by the checksum audits and repaired by canonical replay, at every numeric
+// engine worker count, finishing with the same bits as a clean run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,7 +20,6 @@
 #include "matgen/generators.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/sim.hpp"
-#include "runtime/threaded.hpp"
 #include "solver/solver.hpp"
 #include "symbolic/fill.hpp"
 
@@ -457,60 +455,58 @@ TEST(Abft, CleanRunsAuditWithoutFiring) {
 }
 
 // ---------------------------------------------------------------------------
-// ABFT under true concurrency: stop-the-world replay repair.
+// ABFT on the multi-worker numeric engine: audits keep their serial
+// semantics (one task per dispatch fence), so replay repair restores the
+// exact bits at any numeric_threads.
 // ---------------------------------------------------------------------------
 
-TEST(Abft, ThreadedExecutorRepairsCorruption) {
+TEST(Abft, EngineRepairsCorruptionAtEveryThreadCount) {
   const rank_t ranks = 2;
   Csc a = matgen::grid2d_laplacian(9, 9);
 
-  // Reference factors from a clean threaded run.
+  // Reference factors from a clean one-worker run.
   Prepared clean = prepare(a, 16, ranks);
-  runtime::ThreadedOptions clean_opts;
-  clean_opts.n_ranks = ranks;
-  clean_opts.abft = AbftLevel::kCheap;
-  ASSERT_TRUE(
-      runtime::threaded_factorize(clean.bm, clean.tasks, clean.mapping,
-                                  clean_opts)
-          .is_ok());
+  SimOptions clean_opts;
+  clean_opts.numeric_threads = 1;
+  SimResult clean_res;
+  ASSERT_TRUE(run(clean, ranks, clean_opts, &clean_res).is_ok());
 
-  Prepared p = prepare(a, 16, ranks);
-  const index_t t0 = first_read_getrf(p);
-  ASSERT_GE(t0, 0);
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Prepared p = prepare(a, 16, ranks);
+    const index_t t0 = first_read_getrf(p);
+    ASSERT_GE(t0, 0);
+    SimOptions opts;
+    opts.numeric_threads = threads;
+    opts.abft = AbftLevel::kCheap;
+    FaultPlan::BitFlip flip;
+    flip.after_task = t0;
+    flip.block_pos = p.tasks[static_cast<std::size_t>(t0)].target;
+    flip.value_index = 0;
+    flip.bit = 52;
+    opts.faults.bitflips.push_back(flip);
+    SimResult res;
+    Status s = run(p, ranks, opts, &res);
+    ASSERT_TRUE(s.is_ok()) << s.message();
+    // The flip lands after the target's checksum was recorded, so the first
+    // reader detects it and the replay repair restores the exact bits — the
+    // corrupted run ends bitwise identical to clean.
+    EXPECT_GE(res.abft_detected, 1);
+    EXPECT_GE(res.abft_recomputed, 1);
+    EXPECT_GT(res.abft_audits, 0);
+    EXPECT_TRUE(bitwise_equal(clean.bm, p.bm));
 
-  runtime::ThreadedOptions topts;
-  topts.n_ranks = ranks;
-  topts.abft = AbftLevel::kCheap;
-  runtime::AbftStats stats;
-  topts.abft_stats = &stats;
-  FaultPlan::BitFlip flip;
-  flip.after_task = t0;
-  flip.block_pos = p.tasks[static_cast<std::size_t>(t0)].target;
-  flip.value_index = 0;
-  flip.bit = 52;
-  topts.bitflips.push_back(flip);
-  Status s = runtime::threaded_factorize(p.bm, p.tasks, p.mapping, topts);
-  ASSERT_TRUE(s.is_ok()) << s.message();
-  // The flip lands after the target's finaliser published its checksum, so
-  // the first reader detects it and the replay repair restores the exact
-  // published bits — the corrupted run ends bitwise identical to clean.
-  EXPECT_GE(stats.detected, 1);
-  EXPECT_GE(stats.recomputed, 1);
-  EXPECT_GT(stats.audits, 0);
-  EXPECT_TRUE(bitwise_equal(clean.bm, p.bm));
-
-  // A clean run audits without ever firing the repair path.
-  Prepared q = prepare(a, 16, ranks);
-  runtime::AbftStats qstats;
-  runtime::ThreadedOptions qopts;
-  qopts.n_ranks = ranks;
-  qopts.abft = AbftLevel::kCheap;
-  qopts.abft_stats = &qstats;
-  ASSERT_TRUE(
-      runtime::threaded_factorize(q.bm, q.tasks, q.mapping, qopts).is_ok());
-  EXPECT_EQ(qstats.detected, 0);
-  EXPECT_EQ(qstats.recomputed, 0);
-  EXPECT_TRUE(bitwise_equal(clean.bm, q.bm));
+    // A clean run audits without ever firing the repair path.
+    Prepared q = prepare(a, 16, ranks);
+    SimOptions qopts;
+    qopts.numeric_threads = threads;
+    qopts.abft = AbftLevel::kCheap;
+    SimResult qres;
+    ASSERT_TRUE(run(q, ranks, qopts, &qres).is_ok());
+    EXPECT_EQ(qres.abft_detected, 0);
+    EXPECT_EQ(qres.abft_recomputed, 0);
+    EXPECT_TRUE(bitwise_equal(clean.bm, q.bm));
+  }
 }
 
 }  // namespace

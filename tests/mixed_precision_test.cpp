@@ -19,7 +19,6 @@
 #include "kernels/precision.hpp"
 #include "matgen/generators.hpp"
 #include "runtime/sim.hpp"
-#include "runtime/threaded.hpp"
 #include "solver/session.hpp"
 #include "solver/solver.hpp"
 #include "symbolic/fill.hpp"
@@ -72,7 +71,7 @@ std::vector<value_t> ones_rhs(const Csc& a) {
 // Determinism contract at FP32.
 // ---------------------------------------------------------------------------
 
-TEST(MixedPrecision, Fp32FactorsBitwiseIdenticalAcrossSchedulersAndExecutors) {
+TEST(MixedPrecision, Fp32FactorsBitwiseIdenticalAcrossSchedulersAndWorkers) {
   Csc a = matgen::grid2d_laplacian(12, 12);
 
   std::vector<float> reference;
@@ -101,15 +100,18 @@ TEST(MixedPrecision, Fp32FactorsBitwiseIdenticalAcrossSchedulersAndExecutors) {
     }
   }
 
-  // True-concurrency threaded executor.
-  for (rank_t threads : {2, 4}) {
+  // Multi-worker numeric engine.
+  for (int threads : {2, 4}) {
     Prepared p = prepare(a, 16, threads);
     auto bm = block::BlockMatrixT<float>::converted_from(p.bm);
-    runtime::ThreadedOptions topts;
-    topts.n_ranks = threads;
-    Status s = runtime::threaded_factorize(bm, p.tasks, p.mapping, topts);
+    SimOptions opts;
+    opts.n_ranks = threads;
+    opts.numeric_threads = threads;
+    SimResult res;
+    Status s =
+        runtime::simulate_factorization(bm, p.tasks, p.mapping, opts, &res);
     ASSERT_TRUE(s.is_ok()) << s.message();
-    check(fp32_values(bm), "threaded executor");
+    check(fp32_values(bm), "multi-worker engine");
   }
 }
 

@@ -1,14 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "block/layout.hpp"
 #include "block/mapping.hpp"
 #include "block/tasks.hpp"
+#include "io/snapshot.hpp"
 #include "kernels/getrf.hpp"
 #include "matgen/generators.hpp"
+#include "ordering/reorder.hpp"
 #include "runtime/device_model.hpp"
 #include "runtime/sim.hpp"
-#include "runtime/threaded.hpp"
 #include "symbolic/fill.hpp"
+#include "util/cancel.hpp"
 
 namespace pangulu::runtime {
 namespace {
@@ -217,55 +226,373 @@ TEST(Sim, RejectsBadRankCounts) {
       simulate_factorization(p.bm, p.tasks, p.mapping, opts, &res).is_ok());
 }
 
-class ThreadedP : public ::testing::TestWithParam<rank_t> {};
-
-TEST_P(ThreadedP, ConcurrentRanksMatchReference) {
-  Csc a = matgen::grid2d_laplacian(8, 8);
-  Csc ref = reference_factor(a);
-  Prepared p = prepare(a, 12, GetParam());
-  ThreadedOptions opts;
-  opts.n_ranks = GetParam();
-  ASSERT_TRUE(threaded_factorize(p.bm, p.tasks, p.mapping, opts).is_ok());
-  EXPECT_TRUE(p.bm.to_csc().approx_equal(ref, 1e-9));
+/// Raw bytes of every stored factor value, block by block: the bitwise
+/// witness of the determinism contract.
+template <class V>
+std::vector<unsigned char> factor_bytes(const block::BlockMatrixT<V>& bm) {
+  std::vector<unsigned char> out;
+  for (nnz_t pos = 0; pos < static_cast<nnz_t>(bm.n_blocks()); ++pos) {
+    const auto vals = bm.block(pos).values();
+    const auto* b = reinterpret_cast<const unsigned char*>(vals.data());
+    out.insert(out.end(), b, b + vals.size() * sizeof(V));
+  }
+  return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(RankCounts, ThreadedP,
-                         ::testing::Values<rank_t>(1, 2, 4, 7));
+/// Factorise a fresh copy of `p.bm` (or its FP32 twin) on the engine.
+template <class V>
+block::BlockMatrixT<V> engine_factor(const Prepared& p, int threads,
+                                     SimOptions opts = {},
+                                     SimResult* res_out = nullptr) {
+  auto bm = block::BlockMatrixT<V>::converted_from(p.bm);
+  opts.n_ranks = p.mapping.n_ranks;
+  opts.numeric_threads = threads;
+  SimResult res;
+  const Status s =
+      simulate_factorization(bm, p.tasks, p.mapping, opts, &res);
+  EXPECT_TRUE(s.is_ok()) << s.message();
+  if (res_out) *res_out = res;
+  return bm;
+}
 
-TEST(Threaded, RepeatedRunsAreConsistent) {
-  // Stress interleavings: several concurrent runs must agree bit-for-bit in
-  // pattern and to rounding in values (updates into a block serialise
-  // through its per-block busy flag; stealing may reorder commuting
-  // updates, which only moves rounding).
+class EngineThreadsP : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineThreadsP, ConcurrentWorkersMatchReference) {
+  Csc a = matgen::grid2d_laplacian(8, 8);
+  Csc ref = reference_factor(a);
+  Prepared p = prepare(a, 12, 4);
+  const auto one = engine_factor<value_t>(p, 1);
+  const auto bm = engine_factor<value_t>(p, GetParam());
+  EXPECT_TRUE(bm.to_csc().approx_equal(ref, 1e-9));
+  EXPECT_EQ(factor_bytes(bm), factor_bytes(one));
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, EngineThreadsP,
+                         ::testing::Values(1, 2, 4, 7));
+
+TEST(Engine, RepeatedRunsAreBitwiseIdentical) {
+  // Stress interleavings: every concurrent run commits each block's
+  // canonical kernel sequence, so all agree with one worker bit for bit.
   Csc a = matgen::circuit(150, 2.0, 2.2, 21);
-  Csc first;
-  for (int trial = 0; trial < 3; ++trial) {
-    Prepared p = prepare(a, 24, 4);
-    ThreadedOptions opts;
-    opts.n_ranks = 4;
-    ASSERT_TRUE(threaded_factorize(p.bm, p.tasks, p.mapping, opts).is_ok());
-    Csc f = p.bm.to_csc();
-    if (first.n_rows() == 0)
-      first = f;
-    else
-      EXPECT_TRUE(first.approx_equal(f, 1e-9));
+  Prepared p = prepare(a, 24, 4);
+  const auto want = factor_bytes(engine_factor<value_t>(p, 1));
+  for (int trial = 0; trial < 3; ++trial)
+    EXPECT_EQ(factor_bytes(engine_factor<value_t>(p, 4)), want)
+        << "trial " << trial;
+}
+
+TEST(Engine, ThreadCountSweepMatchesReference) {
+  Csc a = matgen::grid2d_laplacian(8, 8);
+  Csc ref = reference_factor(a);
+  Prepared p = prepare(a, 12, 4);
+  const auto want = factor_bytes(engine_factor<value_t>(p, 1));
+  for (int threads : {1, 2, 3, 4, 8}) {
+    const auto bm = engine_factor<value_t>(p, threads);
+    EXPECT_TRUE(bm.to_csc().approx_equal(ref, 1e-9)) << threads << " threads";
+    EXPECT_EQ(factor_bytes(bm), want) << threads << " threads";
   }
 }
 
-TEST(Threaded, WorkStealingTogglesAndMatchesReference) {
-  Csc a = matgen::grid2d_laplacian(8, 8);
-  Csc ref = reference_factor(a);
-  for (bool steal : {false, true}) {
-    Prepared p = prepare(a, 12, 4);
-    ThreadedOptions opts;
-    opts.n_ranks = 4;
-    opts.work_stealing = steal;
-    std::uint64_t steals = 0;
-    opts.steal_count = &steals;
-    ASSERT_TRUE(threaded_factorize(p.bm, p.tasks, p.mapping, opts).is_ok());
-    EXPECT_TRUE(p.bm.to_csc().approx_equal(ref, 1e-9)) << "stealing=" << steal;
-    if (!steal) EXPECT_EQ(steals, 0u);
+// Regression: the removed rank-thread executor let SSSSM updates into one
+// block land in any order, so on these two matrices (after the default
+// MC64 + nested-dissection reordering) its factors differed from the
+// canonical ones in every run. The engine's per-target chain keeps them
+// bitwise.
+TEST(Engine, SsssmChainKeepsUpdateOrderBitwise) {
+  struct Case {
+    Csc a;
+    index_t block_size;
+  };
+  auto reordered = [](const Csc& a) {
+    ordering::ReorderResult r;
+    ordering::reorder(a, {}, &r).check();
+    return r.permuted;
+  };
+  const Case cases[] = {{reordered(matgen::grid2d_laplacian(30, 30)), 32},
+                        {reordered(matgen::circuit(150, 2.0, 2.2, 21)), 24}};
+  for (const Case& c : cases) {
+    for (rank_t ranks : {2, 4}) {
+      Prepared p = prepare(c.a, c.block_size, ranks);
+      const auto want = factor_bytes(engine_factor<value_t>(p, 1));
+      for (int threads : {2, 4})
+        EXPECT_EQ(factor_bytes(engine_factor<value_t>(p, threads)), want)
+            << "n=" << c.a.n_cols() << " ranks=" << ranks
+            << " threads=" << threads;
+    }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Engine determinism gate: bitwise factors and identical virtual statistics
+// at every worker count, on every matgen family, at both precisions, and
+// across every dispatch-fence hook.
+// ---------------------------------------------------------------------------
+
+struct Family {
+  const char* name;
+  Csc a;
+  index_t block_size;
+};
+
+std::vector<Family> gate_families() {
+  return {{"grid2d", matgen::grid2d_laplacian(16, 16), 16},
+          {"grid3d", matgen::grid3d_laplacian(6, 6, 6), 16},
+          {"fem3d", matgen::fem3d(3, 3, 3, 3, 7), 16},
+          {"circuit", matgen::circuit(300, 2.0, 2.2, 7), 24},
+          {"kkt", matgen::kkt(3, 3, 3, 5), 16},
+          {"banded", matgen::banded_random(200, 12, 0.5, 2, 3), 24},
+          {"cage", matgen::cage_style(200, 3, 5), 24},
+          {"illcond", matgen::shifted_illcond(14, 14, 1e5), 16},
+          {"random", matgen::random_sparse(200, 4, 11), 24}};
+}
+
+template <class V>
+void expect_bitwise_across_thread_counts(const Family& f) {
+  Prepared p = prepare(f.a, f.block_size, 4);
+  SimResult want_res;
+  const auto want = factor_bytes(engine_factor<V>(p, 1, {}, &want_res));
+  for (int threads : {1, 2, 3, 4, 8}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      SimResult res;
+      const auto got = factor_bytes(engine_factor<V>(p, threads, {}, &res));
+      SCOPED_TRACE(std::string(f.name) + " fp" +
+                   std::to_string(8 * sizeof(V)) + " threads=" +
+                   std::to_string(threads) + " rep=" + std::to_string(rep));
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(res.perturbed_pivots, want_res.perturbed_pivots);
+    }
+  }
+}
+
+TEST(NumericEngine, FactorsBitwiseAcrossThreadCountsFp64) {
+  for (const Family& f : gate_families())
+    expect_bitwise_across_thread_counts<double>(f);
+}
+
+TEST(NumericEngine, FactorsBitwiseAcrossThreadCountsFp32) {
+  for (const Family& f : gate_families())
+    expect_bitwise_across_thread_counts<float>(f);
+}
+
+TEST(NumericEngine, VirtualStatisticsIdenticalAcrossThreadCounts) {
+  Csc a = matgen::circuit(300, 2.0, 2.2, 7);
+  for (ScheduleMode mode : {ScheduleMode::kSyncFree, ScheduleMode::kLevelSet}) {
+    Prepared p = prepare(a, 24, 4);
+    SimOptions opts;
+    opts.schedule = mode;
+    SimResult want;
+    engine_factor<value_t>(p, 1, opts, &want);
+    for (int threads : {2, 3, 4, 8}) {
+      SimResult res;
+      engine_factor<value_t>(p, threads, opts, &res);
+      EXPECT_EQ(res.makespan, want.makespan) << threads << " threads";
+      EXPECT_EQ(res.messages, want.messages);
+      EXPECT_EQ(res.bytes, want.bytes);
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(res.kind_count[k], want.kind_count[k]);
+        EXPECT_EQ(res.kind_busy[k], want.kind_busy[k]);
+      }
+    }
+  }
+}
+
+TEST(NumericEngine, CheckpointFilesByteIdenticalAcrossThreadCounts) {
+  // The sink writes the live blocks as a snapshot file at every safe point;
+  // at 4 workers each file must be byte-identical to the one-worker run's.
+  Csc a = matgen::circuit(300, 2.0, 2.2, 7);
+  Prepared p = prepare(a, 24, 4);
+  auto checkpoint_files = [&](int threads) {
+    block::BlockMatrix bm = p.bm;
+    std::vector<std::string> files;
+    SimOptions opts;
+    opts.n_ranks = 4;
+    opts.numeric_threads = threads;
+    opts.checkpoint_interval_tasks = static_cast<index_t>(p.tasks.size() / 5);
+    opts.checkpoint_sink = [&](index_t done) {
+      io::Snapshot snap;
+      snap.meta.n_tasks = static_cast<std::int64_t>(p.tasks.size());
+      snap.meta.tasks_done = done;
+      for (nnz_t pos = 0; pos < static_cast<nnz_t>(bm.n_blocks()); ++pos) {
+        const auto vals = bm.block(pos).values();
+        snap.block_nnz.push_back(bm.block(pos).nnz());
+        snap.block_values.insert(snap.block_values.end(), vals.begin(),
+                                 vals.end());
+      }
+      const std::string path = ::testing::TempDir() + "engine_ckpt_" +
+                               std::to_string(threads) + "_" +
+                               std::to_string(done) + ".pglu";
+      Status ws = io::write_snapshot_file(path, snap);
+      if (!ws.is_ok()) return ws;
+      std::ifstream in(path, std::ios::binary);
+      files.emplace_back(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+      std::remove(path.c_str());
+      return Status::ok();
+    };
+    SimResult res;
+    EXPECT_TRUE(
+        simulate_factorization(bm, p.tasks, p.mapping, opts, &res).is_ok());
+    EXPECT_EQ(res.checkpoints_written, static_cast<std::int64_t>(files.size()));
+    return files;
+  };
+  const auto want = checkpoint_files(1);
+  ASSERT_GE(want.size(), 4u);
+  EXPECT_TRUE(checkpoint_files(4) == want);
+}
+
+TEST(NumericEngine, KillAndResumeMatchUndisturbedRun) {
+  Csc a = matgen::circuit(300, 2.0, 2.2, 7);
+  Prepared p = prepare(a, 24, 4);
+  const auto want = factor_bytes(engine_factor<value_t>(p, 1));
+  const auto kill = static_cast<index_t>(p.tasks.size() * 2 / 5);
+
+  // The killed one-worker run leaves exactly the canonical prefix state.
+  auto killed_state = [&](int threads) {
+    block::BlockMatrix bm = p.bm;
+    SimOptions opts;
+    opts.n_ranks = 4;
+    opts.numeric_threads = threads;
+    opts.faults.kill_after_task = kill;
+    SimResult res;
+    EXPECT_EQ(simulate_factorization(bm, p.tasks, p.mapping, opts, &res)
+                  .code(),
+              StatusCode::kUnavailable);
+    return bm;
+  };
+  const auto prefix1 = killed_state(1);
+  block::BlockMatrix bm = killed_state(4);
+  EXPECT_EQ(factor_bytes(bm), factor_bytes(prefix1));
+
+  SimOptions resume;
+  resume.n_ranks = 4;
+  resume.numeric_threads = 4;
+  resume.resume_from_task = kill;
+  SimResult res;
+  ASSERT_TRUE(
+      simulate_factorization(bm, p.tasks, p.mapping, resume, &res).is_ok());
+  EXPECT_EQ(factor_bytes(bm), want);
+}
+
+TEST(NumericEngine, BitFlipRepairedByAbftAtFourThreads) {
+  Csc a = matgen::grid2d_laplacian(9, 9);
+  Prepared p = prepare(a, 16, 2);
+  const auto want = factor_bytes(engine_factor<value_t>(p, 1));
+  // Flip a finalised diagonal block that a later task still reads.
+  index_t t0 = -1;
+  for (std::size_t t = 0; t < p.tasks.size() && t0 < 0; ++t) {
+    if (p.tasks[t].kind != block::TaskKind::kGetrf) continue;
+    for (std::size_t u = t + 1; u < p.tasks.size(); ++u)
+      if (p.tasks[u].src_a == p.tasks[t].target) {
+        t0 = static_cast<index_t>(t);
+        break;
+      }
+  }
+  ASSERT_GE(t0, 0);
+  FaultPlan::BitFlip flip;
+  flip.after_task = t0;
+  flip.block_pos = p.tasks[static_cast<std::size_t>(t0)].target;
+  flip.bit = 52;
+  for (AbftLevel lvl : {AbftLevel::kCheap, AbftLevel::kFull}) {
+    SimOptions opts;
+    opts.abft = lvl;
+    opts.faults.bitflips.push_back(flip);
+    SimResult res;
+    const auto got = factor_bytes(engine_factor<value_t>(p, 4, opts, &res));
+    EXPECT_GE(res.abft_detected, 1);
+    EXPECT_GE(res.abft_recomputed, 1);
+    EXPECT_EQ(got, want) << "abft level " << static_cast<int>(lvl);
+  }
+}
+
+TEST(NumericEngine, CancelAtEverySafePointIsTypedAndCountsMatch) {
+  // Sweep the token's check-countdown over every poll (one per engine
+  // dispatch, plus the DES event pops). Each cancelled run fails typed;
+  // the first un-cancelled run is bitwise the canonical one, and the
+  // number of polls it took is the same at one and four workers.
+  Csc a = matgen::grid2d_laplacian(8, 8);
+  Prepared p = prepare(a, 8, 4);
+  const auto want = factor_bytes(engine_factor<value_t>(p, 1));
+  auto sweep = [&](int threads) -> long long {
+    for (long long n = 0; n <= 100000; ++n) {
+      CancelToken tok;
+      tok.cancel_after_checks(n);
+      block::BlockMatrix bm = p.bm;
+      SimOptions opts;
+      opts.n_ranks = 4;
+      opts.numeric_threads = threads;
+      opts.cancel = &tok;
+      SimResult res;
+      const Status s =
+          simulate_factorization(bm, p.tasks, p.mapping, opts, &res);
+      if (s.is_ok()) {
+        EXPECT_EQ(factor_bytes(bm), want);
+        return n;
+      }
+      EXPECT_EQ(s.code(), StatusCode::kCancelled) << "n=" << n;
+    }
+    ADD_FAILURE() << "the sweep never completed";
+    return -1;
+  };
+  const long long polls = sweep(1);
+  EXPECT_GT(polls, static_cast<long long>(p.tasks.size()));
+  EXPECT_EQ(sweep(4), polls);
+}
+
+TEST(NumericEngine, KernelErrorReportsLowestCanonicalTask) {
+  // Point one GESSM and a later TSTRF of the same elimination step at a
+  // non-square "diagonal" (an already-finalised edge block), so both fail
+  // with their own message. A huge weight puts the TSTRF's path first in
+  // the bottom-level order, so the TSTRF fails first; the engine then
+  // drains the tasks below it, and the GESSM's error — the one a canonical
+  // run hits first — is the one reported.
+  Csc a = matgen::circuit(300, 2.0, 2.2, 7);  // n = 300: edge blocks of 12
+  Prepared p = prepare(a, 24, 4);
+  nnz_t edge = -1;
+  for (const block::Task& task : p.tasks)
+    if (task.k == 0 && task.kind != block::TaskKind::kSsssm &&
+        p.bm.block(task.target).n_rows() != p.bm.block(task.target).n_cols())
+      edge = task.target;
+  ASSERT_GE(edge, 0);
+  index_t gessm = -1, tstrf = -1;
+  for (std::size_t t = 0; t < p.tasks.size(); ++t) {
+    const block::Task& task = p.tasks[t];
+    if (task.k != 1) continue;
+    if (task.kind == block::TaskKind::kGessm && gessm < 0)
+      gessm = static_cast<index_t>(t);
+    if (task.kind == block::TaskKind::kTstrf)
+      tstrf = static_cast<index_t>(t);  // the last one of the step
+  }
+  ASSERT_GE(gessm, 0);
+  ASSERT_GT(tstrf, gessm);
+  p.tasks[static_cast<std::size_t>(gessm)].src_a = edge;
+  p.tasks[static_cast<std::size_t>(tstrf)].src_a = edge;
+  p.tasks[static_cast<std::size_t>(tstrf)].weight = 1e30;
+  for (int threads : {1, 2, 4, 8}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      block::BlockMatrix bm = p.bm;
+      SimOptions opts;
+      opts.n_ranks = 4;
+      opts.numeric_threads = threads;
+      SimResult res;
+      const Status s =
+          simulate_factorization(bm, p.tasks, p.mapping, opts, &res);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << threads;
+      EXPECT_NE(s.message().find("gessm"), std::string::npos)
+          << threads << " threads: " << s.message();
+    }
+  }
+}
+
+TEST(NumericEngine, RejectsNegativeThreadCount) {
+  Csc a = matgen::grid2d_laplacian(4, 4);
+  Prepared p = prepare(a, 8, 2);
+  SimOptions opts;
+  opts.n_ranks = 2;
+  opts.numeric_threads = -1;
+  SimResult res;
+  EXPECT_EQ(simulate_factorization(p.bm, p.tasks, p.mapping, opts, &res)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
