@@ -14,17 +14,18 @@ namespace {
 /// Dense-column fast path shared by every addressing strategy: when B's
 /// column holds every row of the block, a row IS its value position (jb + r)
 /// — no slot map, search or merge needed — and a fully dense strictly-lower
-/// tail of L's pivot column turns the update into a contiguous axpy, the
-/// vectorizable bandwidth-bound loop where the FP32 instantiation moves half
-/// the bytes of FP64 (DESIGN.md §14). The floating-point operation sequence
-/// is identical to the addressing variants', so results stay bitwise equal.
-/// Returns false when B(:,j) is not dense.
+/// tail of L's pivot column turns the update into a contiguous axpy
+/// (axpy_sub), the vectorized bandwidth-bound loop where the FP32
+/// instantiation moves half the bytes of FP64 (DESIGN.md §8, §14). The
+/// floating-point operation sequence is identical to the addressing
+/// variants', so results stay bitwise equal. Returns false when B(:,j) is
+/// not dense.
 template <class V>
 bool solve_column_dense(const CscT<V>& l, CscT<V>& b, index_t j) {
   const nnz_t jb = b.col_begin(j), je = b.col_end(j);
   const index_t n = b.n_rows();
   if (je - jb != static_cast<nnz_t>(n)) return false;
-  V* PANGULU_RESTRICT bv = b.values_mut().data() + static_cast<std::size_t>(jb);
+  V* bv = b.values_mut().data() + static_cast<std::size_t>(jb);
   auto lrows = l.row_idx();
   const V* lvals = l.values().data();
   for (index_t k = 0; k < n; ++k) {
@@ -34,11 +35,8 @@ bool solve_column_dense(const CscT<V>& l, CscT<V>& b, index_t j) {
     const nnz_t lend = l.col_end(k);
     while (lq < lend && lrows[static_cast<std::size_t>(lq)] <= k) ++lq;
     if (lend - lq == static_cast<nnz_t>(n - k - 1)) {
-      const V* PANGULU_RESTRICT lc = lvals + static_cast<std::size_t>(lq);
-      V* PANGULU_RESTRICT bt = bv + static_cast<std::size_t>(k) + 1;
-      const index_t m = n - k - 1;
-      for (index_t i = 0; i < m; ++i)
-        bt[static_cast<std::size_t>(i)] -= lc[static_cast<std::size_t>(i)] * xk;
+      axpy_sub(bv + static_cast<std::size_t>(k) + 1,
+               lvals + static_cast<std::size_t>(lq), xk, n - k - 1);
     } else {
       for (; lq < lend; ++lq)
         bv[static_cast<std::size_t>(lrows[static_cast<std::size_t>(lq)])] -=

@@ -24,10 +24,10 @@ V perturb_pivot(V pivot, V threshold, PivotStats* stats) {
 /// j holds every row of the block, a row IS its value position (jb + r) and
 /// every earlier column k < j is present in the upper pattern, so the
 /// left-looking sweep needs no slot map or search — and a dense strictly-
-/// lower source tail turns each update into a contiguous axpy, the
-/// vectorizable bandwidth-bound loop where FP32 moves half the bytes of
-/// FP64 (DESIGN.md §14). Identical floating-point operation sequence to the
-/// addressing variants. Returns false when the column is not dense.
+/// lower source tail turns each update into a contiguous axpy (axpy_sub),
+/// the vectorized bandwidth-bound loop where FP32 moves half the bytes of
+/// FP64 (DESIGN.md §8, §14). Identical floating-point operation sequence to
+/// the addressing variants. Returns false when the column is not dense.
 template <class V>
 bool factor_column_dense(CscT<V>& a, index_t j, V threshold,
                          PivotStats* stats) {
@@ -36,7 +36,7 @@ bool factor_column_dense(CscT<V>& a, index_t j, V threshold,
   const nnz_t jb = a.col_begin(j), je = a.col_end(j);
   const index_t n = a.n_rows();
   if (je - jb != static_cast<nnz_t>(n)) return false;
-  V* PANGULU_RESTRICT cv = vals.data() + static_cast<std::size_t>(jb);
+  V* cv = vals.data() + static_cast<std::size_t>(jb);
   for (index_t k = 0; k < j; ++k) {
     const V xk = cv[static_cast<std::size_t>(k)];  // evolving in place
     if (xk == V(0)) continue;
@@ -44,11 +44,8 @@ bool factor_column_dense(CscT<V>& a, index_t j, V threshold,
     const nnz_t qe = a.col_end(k);
     while (q < qe && rows[static_cast<std::size_t>(q)] <= k) ++q;
     if (qe - q == static_cast<nnz_t>(n - k - 1)) {
-      const V* PANGULU_RESTRICT lc = vals.data() + static_cast<std::size_t>(q);
-      V* PANGULU_RESTRICT bt = cv + static_cast<std::size_t>(k) + 1;
-      const index_t m = n - k - 1;
-      for (index_t i = 0; i < m; ++i)
-        bt[static_cast<std::size_t>(i)] -= lc[static_cast<std::size_t>(i)] * xk;
+      axpy_sub(cv + static_cast<std::size_t>(k) + 1,
+               vals.data() + static_cast<std::size_t>(q), xk, n - k - 1);
     } else {
       for (; q < qe; ++q)
         cv[static_cast<std::size_t>(rows[static_cast<std::size_t>(q)])] -=

@@ -1,6 +1,32 @@
 #include "kernels/kernel_common.hpp"
 
+/// Function multiversioning for the dense axpy: GCC emits an AVX2 clone
+/// (x86-64-v3) next to the baseline one and an ifunc resolver picks one at
+/// load time, so the default -march build runs 256-bit vectors wherever the
+/// host has them. pangulu_kernels compiles with -ffp-contract=off, so the
+/// v3 clone cannot fuse the multiply-subtract into an FMA: every clone
+/// performs the same IEEE operations and factors never depend on the host
+/// CPU. Elsewhere (other compilers, targets without ifunc) the macro is
+/// empty and the loop is compiled once for the target ISA. ThreadSanitizer
+/// builds also get the plain loop: GCC instruments the ifunc resolver, which
+/// runs during relocation, before the TSan runtime exists, and crashes.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && \
+    defined(__x86_64__) && defined(__ELF__) && !defined(__SANITIZE_THREAD__)
+#define PANGULU_AXPY_CLONES \
+  __attribute__((target_clones("arch=x86-64-v3", "default")))
+#else
+#define PANGULU_AXPY_CLONES
+#endif
+
 namespace pangulu::kernels {
+
+template <class V>
+PANGULU_AXPY_CLONES void axpy_sub(V* PANGULU_RESTRICT y,
+                                  const V* PANGULU_RESTRICT x, V a,
+                                  index_t n) {
+  for (index_t i = 0; i < n; ++i)
+    y[static_cast<std::size_t>(i)] -= x[static_cast<std::size_t>(i)] * a;
+}
 
 std::string to_string(GetrfVariant v) {
   switch (v) {
@@ -207,6 +233,8 @@ flops_t ssssm_flops(const CscT<V>& a, const CscT<V>& b) {
   return f;
 }
 
+template void axpy_sub<float>(float*, const float*, float, index_t);
+template void axpy_sub<double>(double*, const double*, double, index_t);
 template RowView RowView::build<float>(const CscT<float>&);
 template RowView RowView::build<double>(const CscT<double>&);
 template void spmm_sub_panel<float>(const CscT<float>&, const float*, index_t,

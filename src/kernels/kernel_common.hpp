@@ -33,9 +33,10 @@ namespace pangulu {
 class ThreadPool;
 }
 
-/// No-alias hint for the contiguous dense fast paths: the compiler can only
-/// vectorise the axpy loops when it knows source and target values do not
-/// overlap (they never do — kernels write C, read A/B).
+/// No-alias hint for the contiguous dense fast path: the compiler can only
+/// vectorise axpy_sub without runtime overlap checks when it knows source
+/// and target values do not overlap (they never do — kernels write C, read
+/// A/B).
 #if defined(__GNUC__) || defined(__clang__)
 #define PANGULU_RESTRICT __restrict__
 #else
@@ -170,6 +171,17 @@ class Workspace {
   std::vector<std::unique_ptr<Workspace>> children_ PANGULU_GUARDED_BY(pool_mu_);
   std::vector<Workspace*> free_ PANGULU_GUARDED_BY(pool_mu_);
 };
+
+/// y[i] -= x[i] * a for i in [0, n): the contiguous dense axpy that every
+/// kernel family's dense-mapping fast path reduces to (a dense source column
+/// updating a dense target column). It is the bandwidth-bound inner loop of
+/// the numeric phase, so it is compiled once per ISA level and picked at
+/// load time (DESIGN.md §8); each y[i] still sees exactly one rounded
+/// multiply and one rounded subtract, so every clone is bitwise the scalar
+/// loop. x and y must not overlap.
+template <class V>
+void axpy_sub(V* PANGULU_RESTRICT y, const V* PANGULU_RESTRICT x, V a,
+              index_t n);
 
 /// Panel SpMM accumulate for the multi-RHS triangular-solve sweeps:
 /// Y[:, c] -= Block * X[:, c] for c in [0, k). X/Y are row-interleaved

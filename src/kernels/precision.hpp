@@ -101,8 +101,13 @@ class ScopedSubnormalFlush {
 /// Per-value-type guard: flushes subnormals for FP32 kernels, a no-op for
 /// FP64 (whose subnormal range the factorisations here never reach, and
 /// whose semantics must stay exactly IEEE for the reference results).
+/// The user-provided constructor makes the no-op guard non-trivial, so the
+/// FP64 instantiations of the kernels' `SubnormalGuard<V> ftz;` locals read
+/// as the scoped guards they are, not as unused variables.
 template <class V>
-struct SubnormalGuard {};
+struct SubnormalGuard {
+  SubnormalGuard() {}
+};
 template <>
 struct SubnormalGuard<float> : ScopedSubnormalFlush {};
 

@@ -10,24 +10,19 @@ namespace pangulu::kernels {
 
 namespace {
 
-/// Column j of C -= A * B(:,j), Direct addressing via the stamped sparse
-/// accumulator: C(:,j)'s rows are registered in the workspace slot map under
-/// a fresh generation, then every product entry addresses its CSC slot in
-/// O(1). Entries whose row carries a stale stamp are outside C's pattern
-/// (structurally zero in the global factorisation) and are skipped — no
-/// scatter, gather or O(n_rows) reset ever happens.
 /// Column j of C -= A * B(:,j) when C(:,j) is fully dense (every row of the
 /// block present). A dense target column needs no slot map at all: row r
 /// lives at cb + r, so sparse A columns scatter by row index directly, and
-/// fully dense A columns reduce to a contiguous axpy — the vectorizable,
-/// bandwidth-bound loop where the FP32 instantiation pays half the memory
-/// traffic of FP64 (DESIGN.md §14). Returns false when C(:,j) is not dense.
+/// fully dense A columns reduce to a contiguous axpy (axpy_sub) — the
+/// vectorized, bandwidth-bound loop where the FP32 instantiation pays half
+/// the memory traffic of FP64 (DESIGN.md §8, §14). Returns false when C(:,j)
+/// is not dense.
 template <class V>
 bool column_dense(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j) {
   const nnz_t cb = c.col_begin(j), ce = c.col_end(j);
   const index_t nrows = a.n_rows();
   if (ce - cb != static_cast<nnz_t>(nrows)) return false;
-  V* PANGULU_RESTRICT cv = c.values_mut().data() + static_cast<std::size_t>(cb);
+  V* cv = c.values_mut().data() + static_cast<std::size_t>(cb);
   const auto arows = a.row_idx();
   const V* av = a.values().data();
   for (nnz_t q = b.col_begin(j); q < b.col_end(j); ++q) {
@@ -36,9 +31,7 @@ bool column_dense(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j) {
     if (bkj == V(0)) continue;
     const nnz_t ab = a.col_begin(k), ae = a.col_end(k);
     if (ae - ab == static_cast<nnz_t>(nrows)) {
-      const V* PANGULU_RESTRICT ac = av + static_cast<std::size_t>(ab);
-      for (index_t i = 0; i < nrows; ++i)
-        cv[static_cast<std::size_t>(i)] -= ac[static_cast<std::size_t>(i)] * bkj;
+      axpy_sub(cv, av + static_cast<std::size_t>(ab), bkj, nrows);
     } else {
       for (nnz_t p = ab; p < ae; ++p)
         cv[static_cast<std::size_t>(arows[static_cast<std::size_t>(p)])] -=
@@ -48,6 +41,12 @@ bool column_dense(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j) {
   return true;
 }
 
+/// Column j of C -= A * B(:,j), Direct addressing via the stamped sparse
+/// accumulator: C(:,j)'s rows are registered in the workspace slot map under
+/// a fresh generation, then every product entry addresses its CSC slot in
+/// O(1). Entries whose row carries a stale stamp are outside C's pattern
+/// (structurally zero in the global factorisation) and are skipped — no
+/// scatter, gather or O(n_rows) reset ever happens.
 template <class V>
 void column_direct(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j,
                    Workspace& ws) {

@@ -15,21 +15,20 @@ namespace {
 /// Dense-target fast path shared by Merge and Bin-search addressing: when
 /// B's target column holds every row, a source row IS its value position, so
 /// the update scatters directly — and a dense source column makes it a
-/// contiguous axpy, the vectorizable loop where FP32 halves the traffic
-/// (DESIGN.md §14). Same subtraction order as the addressing variants, so
-/// results stay bitwise equal. Returns false when B(:,j) is not dense.
+/// contiguous axpy (axpy_sub), the vectorized loop where FP32 halves the
+/// traffic (DESIGN.md §8, §14). Same subtraction order as the addressing
+/// variants, so results stay bitwise equal. Returns false when B(:,j) is not
+/// dense.
 template <class V>
 bool axpy_dense(CscT<V>& b, index_t k, index_t j, V ukj) {
   const nnz_t tb = b.col_begin(j), te = b.col_end(j);
   const auto n = static_cast<nnz_t>(b.n_rows());
   if (te - tb != n) return false;
   const nnz_t sb = b.col_begin(k), se = b.col_end(k);
-  V* PANGULU_RESTRICT tv = b.values_mut().data() + static_cast<std::size_t>(tb);
+  V* tv = b.values_mut().data() + static_cast<std::size_t>(tb);
   const V* sv = b.values().data();
   if (se - sb == n) {
-    const V* PANGULU_RESTRICT sc = sv + static_cast<std::size_t>(sb);
-    for (nnz_t i = 0; i < n; ++i)
-      tv[static_cast<std::size_t>(i)] -= sc[static_cast<std::size_t>(i)] * ukj;
+    axpy_sub(tv, sv + static_cast<std::size_t>(sb), ukj, b.n_rows());
   } else {
     auto brows = b.row_idx();
     for (nnz_t q = sb; q < se; ++q)

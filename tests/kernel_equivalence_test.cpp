@@ -129,9 +129,10 @@ TEST(Autotune, ProducesMonotonePositiveChains) {
   for (int c = 0; c < 4; ++c) {
     for (int i = 0; i < lens[c]; ++i) {
       EXPECT_GE(chains[c][i], 1.0) << "chain " << c << " cut " << i;
-      if (i > 0)
+      if (i > 0) {
         EXPECT_GE(chains[c][i], chains[c][i - 1])
             << "chain " << c << " cut " << i << " not monotone";
+      }
     }
   }
   // 2 + 5 + 5 + 4 fitted boundaries.

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "kernels/getrf.hpp"
 #include "kernels/gessm.hpp"
@@ -10,6 +14,7 @@
 #include "matgen/generators.hpp"
 #include "sparse/dense.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace pangulu::kernels {
 namespace {
@@ -260,6 +265,124 @@ TEST(Ssssm, EmptyOperandsLeaveTargetUnchanged) {
   Workspace ws;
   ASSERT_TRUE(ssssm(SsssmVariant::kGV1, a, b, c, ws).is_ok());
   EXPECT_TRUE(c.approx_equal(before, 0.0));
+}
+
+// ------------------------------------------------------------- axpy_sub ----
+//
+// The dense fast paths of all four kernel families run through
+// kernels::axpy_sub, which is built once per ISA level (an AVX2 clone next to
+// the baseline). Whichever clone this host resolves to must be bitwise the
+// plain scalar loop below, or factor bits would depend on the CPU.
+
+/// Scalar y[i] -= x[i] * a with the product forced through memory, so this
+/// TU's compiler cannot fuse it into an FMA whatever its flags.
+template <class V>
+void scalar_axpy_sub(V* y, const V* x, V a, index_t n) {
+  for (index_t i = 0; i < n; ++i) {
+    volatile V prod = x[i] * a;
+    y[i] = y[i] - prod;
+  }
+}
+
+template <class V>
+bool same_bits(V p, V q) {
+  return std::memcmp(&p, &q, sizeof(V)) == 0;
+}
+
+/// Runs axpy_sub and the scalar loop on copies of `y` (n entries starting at
+/// y_off) and `x` (from x_off) and expects every entry of the target buffer —
+/// including the untouched guard entries around the range — bitwise equal.
+template <class V>
+void expect_axpy_matches_scalar(const std::vector<V>& y, const std::vector<V>& x,
+                                V a, index_t n, index_t y_off, index_t x_off) {
+  std::vector<V> got = y, want = y;
+  axpy_sub(got.data() + y_off, x.data() + x_off, a, n);
+  scalar_axpy_sub(want.data() + y_off, x.data() + x_off, a, n);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(same_bits(got[i], want[i]))
+        << "n=" << n << " y_off=" << y_off << " x_off=" << x_off
+        << " entry " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+template <class V>
+class AxpySub : public ::testing::Test {};
+using AxpyTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(AxpySub, AxpyTypes);
+
+TYPED_TEST(AxpySub, EveryLengthAndAlignment) {
+  using V = TypeParam;
+  Rng rng(20231017);
+  constexpr index_t kMaxN = 67, kMaxOff = 3, kLen = kMaxN + kMaxOff + 4;
+  for (index_t n = 0; n <= kMaxN; ++n) {
+    for (index_t y_off = 0; y_off <= kMaxOff; ++y_off) {
+      for (index_t x_off = 0; x_off <= kMaxOff; ++x_off) {
+        std::vector<V> y(kLen), x(kLen);
+        for (auto& v : y) v = static_cast<V>(rng.uniform(-4.0, 4.0));
+        for (auto& v : x) v = static_cast<V>(rng.uniform(-4.0, 4.0));
+        const auto a = static_cast<V>(rng.uniform(-2.0, 2.0));
+        expect_axpy_matches_scalar(y, x, a, n, y_off, x_off);
+      }
+    }
+  }
+}
+
+TYPED_TEST(AxpySub, NeverFusesMultiplySubtract) {
+  // With x = a = 1 + e, x*a = 1 + 2e + e^2 rounds to 1 + 2e, so the separate
+  // multiply-then-subtract gives 1 - (1 + 2e) = -2e exactly, while a fused
+  // multiply-subtract keeps e^2 and gives -2e - e^2.
+  using V = TypeParam;
+  const int mant = std::numeric_limits<V>::digits;  // 24 or 53
+  const V e = std::ldexp(V(1), -(mant / 2 + 1));
+  const V xa = V(1) + e;
+  for (index_t n : {1, 7, 8, 16, 33, 64}) {
+    std::vector<V> y(static_cast<std::size_t>(n), V(1));
+    std::vector<V> x(static_cast<std::size_t>(n), xa);
+    expect_axpy_matches_scalar(y, x, xa, n, 0, 0);
+    axpy_sub(y.data(), x.data(), xa, n);
+    for (index_t i = 0; i < n; ++i)
+      ASSERT_EQ(y[static_cast<std::size_t>(i)], -2 * e) << "n=" << n << " i=" << i;
+  }
+}
+
+TYPED_TEST(AxpySub, SignedZerosInfinitiesAndNaNs) {
+  using V = TypeParam;
+  const V inf = std::numeric_limits<V>::infinity();
+  const V nan = std::numeric_limits<V>::quiet_NaN();
+  // Each (y, x) pair below is repeated across a vector-sized run so both the
+  // vector body and the scalar tail see it.
+  const std::vector<std::pair<V, V>> cases = {
+      {V(0), V(0)},  {-V(0), V(0)}, {V(0), -V(0)}, {-V(0), -V(0)},
+      {V(1), inf},   {inf, V(1)},   {inf, inf},    {-inf, -inf},
+      {nan, V(1)},   {V(1), nan},   {V(0), inf},   {inf, V(0)}};
+  for (V a : {V(1), -V(1), V(0), -V(0), inf}) {
+    std::vector<V> y, x;
+    for (int rep = 0; rep < 3; ++rep) {
+      for (auto [yv, xv] : cases) {
+        y.push_back(yv);
+        x.push_back(xv);
+      }
+    }
+    const auto n = static_cast<index_t>(y.size());
+    expect_axpy_matches_scalar(y, x, a, n, 0, 0);
+  }
+}
+
+TEST(AxpySubFp32, SubnormalsFlushUnderTheGuard) {
+  // The FP32 kernels run under SubnormalGuard<float>; every clone must flush
+  // (FTZ on results, DAZ on inputs) exactly as the scalar loop does.
+  SubnormalGuard<float> ftz;
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float fmin = std::numeric_limits<float>::min();
+  std::vector<float> y, x;
+  for (index_t i = 0; i < 45; ++i) {
+    const auto k = static_cast<float>(i % 9);
+    y.push_back((i % 2 ? -1.0f : 1.0f) * tiny * k);
+    x.push_back(fmin * (0.25f + 0.125f * k));
+  }
+  for (float a : {0.5f, -0.75f, 1.0f, tiny}) {
+    expect_axpy_matches_scalar(y, x, a, static_cast<index_t>(y.size()), 0, 0);
+  }
 }
 
 // ---------------------------------------------------------------- FLOPs ----
