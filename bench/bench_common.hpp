@@ -87,11 +87,21 @@ inline PreparedMatrix prepare(const std::string& name, double scale,
 }
 
 /// Minimal JSON result writer so bench binaries can emit machine-readable
-/// results next to their stdout tables: one flat `meta` object plus an array
-/// of flat `rows`. Doubles print with round-trip precision; NaN/Inf (not
-/// representable in JSON) become null.
+/// results beside their stdout tables, as BENCH_*.json files in the
+/// repository root: one flat `meta` object plus an array of flat `rows`.
+/// Doubles print with round-trip precision; NaN/Inf (not representable in
+/// JSON) become null.
 class JsonReporter {
  public:
+  /// Every record opens with its provenance, set at configure time
+  /// (bench/CMakeLists.txt): compiler, flags, host and git sha.
+  JsonReporter() {
+    meta("compiler", PANGULU_BENCH_COMPILER);
+    meta("flags", PANGULU_BENCH_FLAGS);
+    meta("host", PANGULU_BENCH_HOST);
+    meta("git_sha", PANGULU_BENCH_GIT_SHA);
+  }
+
   void meta(const std::string& key, const std::string& v) {
     meta_.emplace_back(key, quote(v));
   }
@@ -116,8 +126,10 @@ class JsonReporter {
     return os.str();
   }
 
-  bool write_file(const std::string& path) const {
-    std::ofstream out(path);
+  /// Writes `name` (a bare BENCH_*.json file name) to the repository
+  /// root, where the trajectory is kept.
+  bool write_file(const std::string& name) const {
+    std::ofstream out(std::string(PANGULU_BENCH_OUT_DIR) + "/" + name);
     if (!out) return false;
     out << str();
     return static_cast<bool>(out);

@@ -11,6 +11,7 @@
 #include "kernels/calibrate.hpp"
 #include "kernels/gessm.hpp"
 #include "kernels/tstrf.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/trsv_sim.hpp"
 #include "sparse/ops.hpp"
@@ -1088,11 +1089,12 @@ constexpr SweepPair<V> kTransposeSweeps{
     {&block_upper_transpose_solve_multi<V>,
      &block_lower_transpose_solve_multi<V>}};
 
-/// The direct pass (DESIGN.md §13): pack k column-major right-hand sides
-/// into the row-interleaved work panel `z` through `in` (rounding to V
-/// once), run the two sweeps, and unpack the result through `out`
-/// (widening exactly). k = 1 runs the single-vector sweeps: bitwise the
-/// k = 1 panel sweeps' result, and measurably faster.
+/// The direct pass (DESIGN.md §13) of one column group: pack its k
+/// column-major right-hand sides into the group's own row-interleaved work
+/// panel `z` through `in` (rounding to V once), run the two sweeps, and
+/// unpack the result through `out` (widening exactly). k = 1 runs the
+/// single-vector sweeps: bitwise the k = 1 panel sweeps' result, and
+/// measurably faster.
 template <class V>
 Status direct_pass(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
                    const SweepPair<V>& sweeps, PermScale in, PermScale out,
@@ -1117,6 +1119,29 @@ Status direct_pass(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
   return Status::ok();
 }
 
+/// Split the k columns of a solve into min(k, pool size) contiguous groups
+/// and run group(c0, c1) on each over the global pool. The calling thread
+/// takes part, so concurrent solves cannot deadlock each other, and a
+/// one-column solve runs inline. Every column is independent, so a column's
+/// bits do not depend on its group. Returns the lowest-index failing
+/// group's status, whatever order the groups failed in.
+template <class Group>
+Status for_each_column_group(index_t k, Group group) {
+  ThreadPool& pool = ThreadPool::global();
+  const index_t groups = std::min(k, static_cast<index_t>(pool.size()));
+  std::vector<Status> status(static_cast<std::size_t>(groups));
+  parallel_for(
+      pool, 0, groups,
+      [&](index_t g) {
+        status[static_cast<std::size_t>(g)] =
+            group(k * g / groups, k * (g + 1) / groups);
+      },
+      1);
+  for (Status& s : status)
+    if (!s.is_ok()) return std::move(s);
+  return Status::ok();
+}
+
 /// The publication rule shared by every solve entry point: the caller's
 /// output is written on success or on kNumericBreakdown (its iterate is the
 /// best the refinement reached), never on a cancel.
@@ -1128,7 +1153,7 @@ bool publishes(const Status& s) {
 
 template <class V>
 Status Solver::refine(const block::BlockMatrixT<V>& f, const value_t* b,
-                      index_t k, value_t* x, SolveStats* worst,
+                      index_t k, value_t* x, int* iters, value_t* resid,
                       const CancelToken* cancel) const {
   const index_t n = stats_.n;
   const auto nn = static_cast<std::size_t>(n);
@@ -1146,24 +1171,26 @@ Status Solver::refine(const block::BlockMatrixT<V>& f, const value_t* b,
   // Iterative refinement against the original matrix (the GESP recipe),
   // on the shrinking set of active columns: a column leaves the panel the
   // moment its own single-RHS loop would stop, and the panel sweeps are
-  // per-column independent, so every column sees exactly that loop. Under
-  // kDouble/kSingle a column stops after refine_iters sweeps or at FP64
-  // roundoff, never as an error. Under kMixedIR it converges at
-  // ir_tolerance and fails on an exhausted ir_max_iters budget or on a
-  // stall: a sweep that no longer shrinks the residual will not start
-  // shrinking it later, the FP32 factors have hit their preconditioning
-  // limit.
+  // per-column independent, so every column sees exactly that loop. A
+  // column stops at its target, after `budget` sweeps, or once a sweep
+  // fails to shrink its residual below `shrink` times the last one. Under
+  // kDouble/kSingle that is the LAPACK xGERFS rule: FP64 roundoff, or a
+  // sweep that fails to halve the residual, and stopping is never an error.
+  // Under kMixedIR the target is ir_tolerance and a column that stops short
+  // of it fails (solve_panel): a sweep that no longer shrinks the residual
+  // by 10% will not start shrinking it later, the FP32 factors have hit
+  // their preconditioning limit.
   const bool mixed = opts_.precision == kernels::Precision::kMixedIR;
   const int budget = mixed ? opts_.ir_max_iters : opts_.refine_iters;
-  const value_t target = mixed ? opts_.ir_tolerance : value_t(1e-16);
+  const value_t target =
+      mixed ? opts_.ir_tolerance : std::numeric_limits<value_t>::epsilon();
+  const value_t shrink = mixed ? value_t(0.9) : value_t(0.5);
   const value_t norm_a = norm1(original_);
   std::vector<value_t> ax(nn);
   std::vector<value_t> rp(nn * kk);
   std::vector<value_t> dx(nn * kk);
-  std::vector<int> iters(kk, 0);
-  std::vector<value_t> resid(kk, 0);
+  std::fill(iters, iters + k, 0);
   std::vector<value_t> prev(kk, std::numeric_limits<value_t>::infinity());
-  index_t n_failed = 0;
   std::vector<index_t> active(kk);
   std::iota(active.begin(), active.end(), index_t(0));
   for (int it = 0; !active.empty(); ++it) {
@@ -1182,11 +1209,8 @@ Status Solver::refine(const block::BlockMatrixT<V>& f, const value_t* b,
       for (std::size_t i = 0; i < nn; ++i) r[i] = bc[i] - ax[i];
       resid[j] = norm_inf(r) /
                  std::max<value_t>(norm_a * norm_inf(xc) + norm_inf(bc), 1);
-      if (resid[j] <= target) continue;
-      if (it >= budget || (mixed && resid[j] >= prev[j] * value_t(0.9))) {
-        if (mixed) ++n_failed;
+      if (resid[j] <= target || it >= budget || resid[j] >= prev[j] * shrink)
         continue;
-      }
       prev[j] = resid[j];
       next.push_back(col);
     }
@@ -1201,27 +1225,7 @@ Status Solver::refine(const block::BlockMatrixT<V>& f, const value_t* b,
     }
     active = std::move(next);
   }
-  if (worst) {
-    *worst = SolveStats{};
-    for (std::size_t j = 0; j < kk; ++j) {
-      worst->refine_iterations = std::max(worst->refine_iterations, iters[j]);
-      worst->final_residual = std::max(worst->final_residual, resid[j]);
-    }
-  }
-  if (n_failed == 0) return Status::ok();
-  // std::to_string would print these as fixed-point zeros.
-  auto sci = [](value_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3e", static_cast<double>(v));
-    return std::string(buf);
-  };
-  return Status::numeric_breakdown(
-      "mixed-precision refinement stalled or spent its " +
-      std::to_string(budget) + "-sweep budget above relative residual " +
-      sci(target) + " on " + std::to_string(n_failed) + " of " +
-      std::to_string(k) + " right-hand sides (worst " +
-      sci(*std::max_element(resid.begin(), resid.end())) +
-      ") — retry at Precision::kDouble");
+  return Status::ok();
 }
 
 Status Solver::solve_panel(const value_t* b, index_t k, bool transpose,
@@ -1231,19 +1235,52 @@ Status Solver::solve_panel(const value_t* b, index_t k, bool transpose,
     if (worst) *worst = SolveStats{};
     return Status::ok();
   }
-  return with_factors(*this, [&](const auto& f) -> Status {
-    if (!transpose) return refine(f, b, k, x, worst, cancel);
-    // A^T x = b with Ap = P_R (D_r A D_c) P_C^T = L U:
-    //   z(col_perm[c]) = col_scale[c] * b(c);  U^T y = z;  L^T w = y;
-    //   x(r) = row_scale[r] * w(row_perm[r]).  No refinement.
+  const auto nn = static_cast<std::size_t>(stats_.n);
+  const auto kk = static_cast<std::size_t>(k);
+  std::vector<int> iters(kk, 0);
+  std::vector<value_t> resid(kk, 0);
+  const Status s = with_factors(*this, [&](const auto& f) -> Status {
     using V = typename std::decay_t<decltype(f)>::value_type;
-    std::vector<V> z(static_cast<std::size_t>(stats_.n) *
-                     static_cast<std::size_t>(k));
-    return direct_pass(f, solve_plan_, kTransposeSweeps<V>,
-                       {reorder_.col_perm, reorder_.col_scale},
-                       {reorder_.row_perm, reorder_.row_scale}, b, x, stats_.n,
-                       k, z, cancel);
+    return for_each_column_group(k, [&](index_t c0, index_t c1) -> Status {
+      const auto c = static_cast<std::size_t>(c0);
+      if (!transpose)
+        return refine(f, b + c * nn, c1 - c0, x + c * nn, iters.data() + c,
+                      resid.data() + c, cancel);
+      // A^T x = b with Ap = P_R (D_r A D_c) P_C^T = L U:
+      //   z(col_perm[c]) = col_scale[c] * b(c);  U^T y = z;  L^T w = y;
+      //   x(r) = row_scale[r] * w(row_perm[r]).  No refinement.
+      std::vector<V> z(nn * static_cast<std::size_t>(c1 - c0));
+      return direct_pass(f, solve_plan_, kTransposeSweeps<V>,
+                         {reorder_.col_perm, reorder_.col_scale},
+                         {reorder_.row_perm, reorder_.row_scale}, b + c * nn,
+                         x + c * nn, stats_.n, c1 - c0, z, cancel);
+    });
   });
+  if (!s.is_ok() || transpose) return s;
+  const value_t worst_resid = *std::max_element(resid.begin(), resid.end());
+  if (worst) {
+    *worst = SolveStats{};
+    worst->refine_iterations = *std::max_element(iters.begin(), iters.end());
+    worst->final_residual = worst_resid;
+  }
+  if (opts_.precision != kernels::Precision::kMixedIR) return Status::ok();
+  const value_t target = opts_.ir_tolerance;
+  const auto n_failed = std::count_if(
+      resid.begin(), resid.end(), [&](value_t r) { return !(r <= target); });
+  if (n_failed == 0) return Status::ok();
+  // std::to_string would print these as fixed-point zeros.
+  auto sci = [](value_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.3e", static_cast<double>(v));
+    return std::string(buf);
+  };
+  return Status::numeric_breakdown(
+      "mixed-precision refinement stalled or spent its " +
+      std::to_string(opts_.ir_max_iters) +
+      "-sweep budget above relative residual " + sci(target) + " on " +
+      std::to_string(n_failed) + " of " + std::to_string(k) +
+      " right-hand sides (worst " + sci(worst_resid) +
+      ") — retry at Precision::kDouble");
 }
 
 Status Solver::solve(std::span<const value_t> b, std::span<value_t> x,

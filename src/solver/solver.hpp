@@ -49,8 +49,10 @@ struct Options {
   /// error rather than silently running on defaults.
   std::string thresholds_file;
   value_t pivot_tol = 1e-14;
-  /// Fixed refinement budget of kDouble/kSingle solves; a negative value
-  /// fails factorize()/resume_from() with kInvalidArgument.
+  /// Refinement sweep cap of kDouble/kSingle solves. A column stops earlier
+  /// at FP64 roundoff (relative residual <= epsilon) or once a sweep fails
+  /// to halve its residual. A negative value fails
+  /// factorize()/resume_from() with kInvalidArgument.
   int refine_iters = 3;
   /// Numeric-phase storage precision (DESIGN.md §14). kDouble is the
   /// historical FP64 pipeline. kSingle factors and solves entirely in FP32
@@ -170,7 +172,9 @@ struct FactorStats {
 };
 
 struct SolveStats {
-  /// Refinement passes actually taken. Under kMixedIR these are the FP32
+  /// Refinement passes actually taken (the most any column took). Under
+  /// kDouble/kSingle at most Options::refine_iters, fewer once the residual
+  /// reaches FP64 roundoff or stops halving; under kMixedIR the FP32
   /// correction solves the FP64 loop needed to reach Options::ir_tolerance.
   int refine_iterations = 0;
   value_t final_residual = 0;    // ||b - Ax||_inf / (||A||_1||x||_inf+||b||_inf)
@@ -343,17 +347,22 @@ class Solver {
   /// The one solve driver behind solve/solve_multi/solve_transpose/
   /// solve_multi_transpose (DESIGN.md §13): `b` and `x` are n x k
   /// column-major panels, `x` an internal buffer the entry point publishes
-  /// only on OK or kNumericBreakdown. Forward solves run the direct pass
-  /// then refine(); transposed solves run the direct pass alone.
+  /// only on OK or kNumericBreakdown. The k columns split into at most
+  /// ThreadPool::global().size() contiguous groups run on the pool; per
+  /// group, forward solves run refine() and transposed solves the direct
+  /// pass alone.
   Status solve_panel(const value_t* b, index_t k, bool transpose, value_t* x,
                      SolveStats* worst, const CancelToken* cancel) const;
-  /// FP64 iterative refinement on the factor twin of value type V, over the
-  /// shrinking set of not-yet-stopped columns: a fixed refine_iters budget
-  /// under kDouble/kSingle, the ir_tolerance / stall / ir_max_iters rule
-  /// under kMixedIR. Each column runs exactly its single-RHS loop.
+  /// One column group of a forward solve on the factor twin of value type
+  /// V: the direct pass, then FP64 iterative refinement over the shrinking
+  /// set of not-yet-stopped columns. Under kDouble/kSingle a column stops at
+  /// FP64 roundoff, when a sweep fails to halve its residual, or after
+  /// refine_iters sweeps; under kMixedIR at ir_tolerance, on a stall or
+  /// after ir_max_iters. Each column runs exactly its single-RHS loop and
+  /// reports its sweeps and final relative residual in iters[j]/resid[j].
   template <class V>
   Status refine(const block::BlockMatrixT<V>& f, const value_t* b, index_t k,
-                value_t* x, SolveStats* worst,
+                value_t* x, int* iters, value_t* resid,
                 const CancelToken* cancel) const;
   /// The one precision dispatch outside the numeric phase (solves, plan
   /// building, checkpoint encode, the refactorize rollback): fn(factors32_)

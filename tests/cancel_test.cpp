@@ -7,7 +7,9 @@
 // "faults" (with the cancel x solve stress) so it runs under the TSan build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "block/mapping.hpp"
 #include "block/tasks.hpp"
 #include "matgen/generators.hpp"
+#include "parallel/thread_pool.hpp"
 #include "runtime/sim.hpp"
 #include "solver/session.hpp"
 #include "solver/solver.hpp"
@@ -267,52 +270,89 @@ TEST(CancelSweep, SolveMidRefinementPublishesOnlyCompleteIterates) {
          << " free checks";
 }
 
-// Panel sweep: a k = 3 solve_multi cancelled at any safe point (sweep level
-// or refinement iteration) leaves the caller's panel bitwise untouched, and
-// the first un-cancelled run is bitwise the undisturbed answer.
+// Panel sweep: a solve_multi cancelled at any safe point (sweep level or
+// refinement iteration) leaves the caller's panel bitwise untouched, and
+// the first un-cancelled run is bitwise the undisturbed answer. At k = 8
+// the columns split into several groups that poll the token at once, so
+// the trigger lands in whichever group polls next.
 TEST(CancelSweep, SolveMultiLeavesCallerPanelUntouched) {
   const Csc a = matgen::circuit(200, 2.0, 2.2, 7);
   const index_t n = a.n_cols();
-  const index_t k = 3;
   CancelToken tok;  // disarmed: every poll passes until armed below
   Options opts = cancel_sweep_options();
   opts.cancel = &tok;
   Solver s;
   ASSERT_TRUE(s.factorize(a, opts).is_ok());
-  Rng rng(17);
-  Dense b(n, k);
-  for (index_t j = 0; j < k; ++j)
-    for (index_t i = 0; i < n; ++i)
-      b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
-  Dense want;
-  ASSERT_TRUE(s.solve_multi(b, &want).is_ok());
-
-  const value_t sentinel = static_cast<value_t>(-12345.5);
-  long long cancelled_runs = 0;
-  for (long long c = 0; c <= kMaxSafePoints; ++c) {
-    tok.cancel_after_checks(c);
-    Dense x(n, k);
-    for (index_t j = 0; j < k; ++j)
-      for (index_t i = 0; i < n; ++i) x(i, j) = sentinel;
-    const Status st = s.solve_multi(b, &x);
-    if (st.is_ok()) {
-      for (index_t j = 0; j < k; ++j)
-        for (index_t i = 0; i < n; ++i)
-          ASSERT_EQ(x(i, j), want(i, j)) << "col " << j << " row " << i;
-      EXPECT_GT(cancelled_runs, 0) << "the sweep never fired";
-      return;
-    }
-    SCOPED_TRACE("cancelled after " + std::to_string(c) + " checks");
-    ASSERT_TRUE(is_cancel_code(st)) << st.message();
-    ++cancelled_runs;
-    ASSERT_EQ(x.n_rows(), n);
-    ASSERT_EQ(x.n_cols(), k);
+  for (const index_t k : {index_t(3), index_t(8)}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    tok.cancel_after_checks(-1);
+    Rng rng(17);
+    Dense b(n, k);
     for (index_t j = 0; j < k; ++j)
       for (index_t i = 0; i < n; ++i)
-        ASSERT_EQ(x(i, j), sentinel) << "cancelled panel solve published";
+        b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
+    Dense want;
+    ASSERT_TRUE(s.solve_multi(b, &want).is_ok());
+
+    const value_t sentinel = static_cast<value_t>(-12345.5);
+    long long cancelled_runs = 0;
+    bool completed = false;
+    for (long long c = 0; c <= kMaxSafePoints && !completed; ++c) {
+      tok.cancel_after_checks(c);
+      Dense x(n, k);
+      for (index_t j = 0; j < k; ++j)
+        for (index_t i = 0; i < n; ++i) x(i, j) = sentinel;
+      const Status st = s.solve_multi(b, &x);
+      if (st.is_ok()) {
+        for (index_t j = 0; j < k; ++j)
+          for (index_t i = 0; i < n; ++i)
+            ASSERT_EQ(x(i, j), want(i, j)) << "col " << j << " row " << i;
+        EXPECT_GT(cancelled_runs, 0) << "the sweep never fired";
+        completed = true;
+        continue;
+      }
+      SCOPED_TRACE("cancelled after " + std::to_string(c) + " checks");
+      ASSERT_TRUE(is_cancel_code(st)) << st.message();
+      ++cancelled_runs;
+      ASSERT_EQ(x.n_rows(), n);
+      ASSERT_EQ(x.n_cols(), k);
+      for (index_t j = 0; j < k; ++j)
+        for (index_t i = 0; i < n; ++i)
+          ASSERT_EQ(x(i, j), sentinel) << "cancelled panel solve published";
+    }
+    EXPECT_TRUE(completed) << "solve_multi never completed within "
+                           << kMaxSafePoints << " free checks";
   }
-  FAIL() << "solve_multi never completed within " << kMaxSafePoints
-         << " free checks";
+  tok.cancel_after_checks(-1);
+}
+
+// A panel cancelled before it starts fails in every column group at once.
+// At k = 5 on a 4-worker pool the groups are 1, 1, 1 and 2 columns wide, so
+// they fail at different safe points (a one-column group runs the
+// single-vector sweeps). The driver reports the lowest-index group, so the
+// message is the same on every run.
+TEST(CancelSweep, SolveMultiReportsTheFirstGroupsCancel) {
+  const Csc a = matgen::circuit(200, 2.0, 2.2, 7);
+  const index_t n = a.n_cols();
+  CancelToken tok;
+  Options opts = cancel_sweep_options();
+  opts.cancel = &tok;
+  Solver s;
+  ASSERT_TRUE(s.factorize(a, opts).is_ok());
+  tok.cancel();
+  const index_t k = 5;
+  const auto groups =
+      std::min<index_t>(k, static_cast<index_t>(ThreadPool::global().size()));
+  const std::string want = std::string("request cancelled at ") +
+                           (k / groups == 1 ? "lower" : "lower-panel") +
+                           " sweep level 0";
+  const Dense b(n, k);
+  for (int rep = 0; rep < 20; ++rep) {
+    Dense x;
+    const Status st = s.solve_multi(b, &x);
+    ASSERT_EQ(st.code(), StatusCode::kCancelled);
+    ASSERT_EQ(st.message(), want);
+  }
 }
 
 // Refactorize sweep: a cancelled numeric-only refactorisation rolls back to

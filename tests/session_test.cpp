@@ -1,7 +1,8 @@
 // Solver sessions: pattern-reuse refactorisation (bitwise identical to a
 // from-scratch run), panel multi-RHS solves (column-for-column bitwise
-// identical to single-RHS solves), the pattern-fingerprint admission checks,
-// the SessionPool budgeting, and the concurrent refactorize/solve stress.
+// identical to single-RHS solves, also under concurrent callers), the
+// pattern-fingerprint admission checks, the SessionPool budgeting, and the
+// concurrent refactorize/solve stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -176,6 +177,20 @@ constexpr kernels::Precision kAllPrecisions[] = {
     kernels::Precision::kDouble, kernels::Precision::kSingle,
     kernels::Precision::kMixedIR};
 
+// Panel widths for the column-for-column bitwise tests. A solve splits its
+// columns into min(k, pool size) groups, so these give one-column groups,
+// uneven groups, and more columns than workers.
+constexpr index_t kPanelWidths[] = {1, 2, 3, 5, 8, 9};
+
+Dense random_panel(index_t n, index_t k, unsigned seed) {
+  Rng rng(seed);
+  Dense b(n, k);
+  for (index_t j = 0; j < k; ++j)
+    for (index_t i = 0; i < n; ++i)
+      b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
+  return b;
+}
+
 TEST(SessionMultiRhs, MatchesSingleSolveColumnForColumn) {
   const Csc mats[] = {matgen::grid2d_laplacian(15, 15),
                       matgen::circuit(200, 2.0, 2.2, 11)};
@@ -187,13 +202,9 @@ TEST(SessionMultiRhs, MatchesSingleSolveColumnForColumn) {
       Options opts;
       opts.precision = prec;
       ASSERT_TRUE(s.factorize(a, opts).is_ok());
-      for (index_t k : {index_t(1), index_t(3), index_t(8)}) {
+      for (index_t k : kPanelWidths) {
         SCOPED_TRACE("k=" + std::to_string(k));
-        Rng rng(42u + static_cast<unsigned>(k));
-        Dense b(n, k);
-        for (index_t j = 0; j < k; ++j)
-          for (index_t i = 0; i < n; ++i)
-            b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
+        const Dense b = random_panel(n, k, 42u + static_cast<unsigned>(k));
         Dense x;
         SolveStats worst;
         ASSERT_TRUE(s.solve_multi(b, &x, &worst).is_ok());
@@ -230,22 +241,54 @@ TEST(SessionMultiRhs, TransposeMatchesSingleColumnForColumn) {
     Options opts;
     opts.precision = prec;
     ASSERT_TRUE(s.factorize(a, opts).is_ok());
-    const index_t k = 5;
-    Rng rng(7);
-    Dense b(n, k);
-    for (index_t j = 0; j < k; ++j)
-      for (index_t i = 0; i < n; ++i)
-        b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
-    Dense x;
-    ASSERT_TRUE(s.solve_multi_transpose(b, &x).is_ok());
-    std::vector<value_t> bc(static_cast<std::size_t>(n));
-    std::vector<value_t> xc(static_cast<std::size_t>(n));
-    for (index_t j = 0; j < k; ++j) {
-      for (index_t i = 0; i < n; ++i) bc[static_cast<std::size_t>(i)] = b(i, j);
-      ASSERT_TRUE(s.solve_transpose(bc, xc).is_ok());
-      for (index_t i = 0; i < n; ++i)
-        EXPECT_EQ(x(i, j), xc[static_cast<std::size_t>(i)]);
+    for (index_t k : kPanelWidths) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      const Dense b = random_panel(n, k, 7u + static_cast<unsigned>(k));
+      Dense x;
+      ASSERT_TRUE(s.solve_multi_transpose(b, &x).is_ok());
+      std::vector<value_t> bc(static_cast<std::size_t>(n));
+      std::vector<value_t> xc(static_cast<std::size_t>(n));
+      for (index_t j = 0; j < k; ++j) {
+        for (index_t i = 0; i < n; ++i)
+          bc[static_cast<std::size_t>(i)] = b(i, j);
+        ASSERT_TRUE(s.solve_transpose(bc, xc).is_ok());
+        for (index_t i = 0; i < n; ++i)
+          EXPECT_EQ(x(i, j), xc[static_cast<std::size_t>(i)]);
+      }
     }
+  }
+}
+
+// Four threads solve panels on one Session at once, so their column groups
+// share the global pool; every result is bitwise the serial one.
+TEST(SessionMultiRhs, ConcurrentPanelSolvesMatchSerial) {
+  const Csc a = matgen::circuit(300, 2.0, 2.2, 5);
+  const index_t n = a.n_cols();
+  Session session;
+  ASSERT_TRUE(session.setup(a, Options{}).is_ok());
+  constexpr int kThreads = 4;
+  std::vector<Dense> b;
+  std::vector<Dense> want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    b.push_back(random_panel(n, index_t(5 + t), 900u + static_cast<unsigned>(t)));
+    ASSERT_TRUE(session.solve_multi(b[t], &want[t]).is_ok());
+  }
+  std::vector<Dense> got(kThreads);
+  std::vector<Status> status(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3 && status[t].is_ok(); ++rep)
+        status[t] = session.solve_multi(b[t], &got[t]);
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ASSERT_TRUE(status[t].is_ok()) << status[t].message();
+    ASSERT_EQ(got[t].n_cols(), want[t].n_cols());
+    for (index_t j = 0; j < want[t].n_cols(); ++j)
+      for (index_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[t](i, j), want[t](i, j)) << "col " << j << " row " << i;
   }
 }
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "matgen/generators.hpp"
 #include "solver/solver.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/ops.hpp"
+#include "util/rng.hpp"
 
 namespace pangulu::solver {
 namespace {
@@ -50,6 +52,50 @@ TEST(SolveStats, ReportsResidualAndIterations) {
   EXPECT_LT(st.final_residual, 1e-12);
   EXPECT_GE(st.refine_iterations, 0);
   EXPECT_LE(st.refine_iterations, 3);
+}
+
+// The kDouble stop rule (LAPACK xGERFS): a column stops at FP64 roundoff
+// or once a sweep fails to halve its residual. On these well-conditioned
+// systems that is one or two sweeps, never the three-sweep cap.
+TEST(SolveStats, DoubleRefinementStopsAtRoundoff) {
+  const Csc mats[] = {matgen::fem3d(6, 6, 6, 3, 101),
+                      matgen::grid2d_laplacian(40, 40),
+                      matgen::circuit(1500, 3.0, 2.1, 680)};
+  for (const Csc& a : mats) {
+    SCOPED_TRACE("n=" + std::to_string(a.n_cols()));
+    Solver s;
+    ASSERT_TRUE(s.factorize(a, {}).is_ok());
+    const index_t n = a.n_cols();
+    const index_t k = 4;
+    Rng rng(31);
+    Dense b(n, k);
+    for (index_t j = 0; j < k; ++j)
+      for (index_t i = 0; i < n; ++i)
+        b(i, j) = static_cast<value_t>(rng.uniform(-1.0, 1.0));
+    Dense x;
+    SolveStats worst;
+    ASSERT_TRUE(s.solve_multi(b, &x, &worst).is_ok());
+    EXPECT_LE(worst.refine_iterations, 2);
+    EXPECT_LE(worst.final_residual, 1e-15);
+  }
+}
+
+// refine_iters = 0 keeps the direct pass alone.
+TEST(SolveStats, ZeroRefineItersTakesNoSweep) {
+  Csc a = matgen::circuit(400, 3.0, 2.1, 9);
+  Options opts;
+  opts.refine_iters = 0;
+  Solver s;
+  ASSERT_TRUE(s.factorize(a, opts).is_ok());
+  std::vector<value_t> ones(static_cast<std::size_t>(a.n_cols()), 1.0);
+  std::vector<value_t> b(static_cast<std::size_t>(a.n_rows()));
+  a.spmv(ones, b);
+  std::vector<value_t> x(b.size());
+  SolveStats st;
+  ASSERT_TRUE(s.solve(b, x, &st).is_ok());
+  EXPECT_EQ(st.refine_iterations, 0);
+  EXPECT_GT(st.final_residual, 0);
+  EXPECT_LT(st.final_residual, 1e-12);
 }
 
 TEST(SolveMulti, MatchesColumnwiseSolves) {
