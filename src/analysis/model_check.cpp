@@ -773,7 +773,7 @@ std::vector<ProtoEvent> intersect(const std::vector<ProtoEvent>& a,
   return out;
 }
 
-// --- Replay (shared by forced_schedule, the minimiser, and tests) -------
+// --- Replay (shared by the minimiser and tests) ------------------------
 
 bool event_admissible(const Ctx& ctx, const ProtoState& st,
                       const ProtoEvent& ev, std::string* why) {

@@ -33,13 +33,13 @@
 //
 // On a violation the checker emits a minimal counterexample: an explicit
 // event schedule, shrunk by replay-based delta debugging, that
-// runtime::SimOptions::forced_schedule replays deterministically — every
-// finding is a reproducible failing DES run, not a trace dump.
+// replay_schedule replays deterministically — every finding is a
+// reproducible failing schedule, not a trace dump.
 //
 // A mutation-soundness harness (tests/model_check_test.cpp) seeds known
 // protocol bugs behind the test-only ProtocolMutations toggles and asserts
-// the checker finds each one; the same toggles are honoured by the forced
-// replay so the counterexamples reproduce.
+// the checker finds each one; replay_schedule honours the same toggles, so
+// the counterexamples reproduce.
 //
 // Scope and soundness limits: the model abstracts virtual time away (any
 // enabled event may fire next, a superset of the DES's timed schedules), so
@@ -97,8 +97,8 @@ std::string to_string(const ProtoEvent& e);
 /// Test-only seeded protocol bugs. Each toggle plants one defect the
 /// protocols are documented to exclude; the mutation-soundness harness
 /// asserts the checker catches every one with a replayable counterexample.
-/// The forced-schedule replay honours the same toggles, so a counterexample
-/// found under a mutation reproduces the identical violation in the DES.
+/// replay_schedule honours the same toggles, so a counterexample found
+/// under a mutation replays to the identical violation.
 struct ProtocolMutations {
   /// Receiver applies duplicate deliveries instead of suppressing them:
   /// a retransmitted copy double-decrements the sync-free counter.
@@ -234,9 +234,8 @@ Status model_check(const BM& bm, const std::vector<block::Task>& tasks,
                    ModelCheckResult* result);
 
 /// Outcome of deterministically replaying an explicit event schedule
-/// against the protocol interpreter (the execution side of
-/// runtime::SimOptions::forced_schedule, and the oracle the counterexample
-/// minimiser shrinks against).
+/// against the protocol interpreter (the oracle the counterexample
+/// minimiser shrinks against, and the way to reproduce a counterexample).
 struct ReplayResult {
   bool feasible = true;        // every event admissible when it fired
   std::size_t applied = 0;     // events applied before the replay stopped
@@ -246,7 +245,7 @@ struct ReplayResult {
   bool terminal = false;       // no event enabled after the last one
   bool all_committed = false;
   index_t commits = 0;
-  // Protocol counters for runtime::SimResult.
+  // Protocol counters of the replayed prefix.
   std::int64_t messages = 0;   // remote deliveries applied
   std::int64_t retransmits = 0;
   std::int64_t duplicates_suppressed = 0;
@@ -273,8 +272,8 @@ ReplayResult replay_schedule(const BM& bm,
 
 /// One fault-free complete schedule (greedy: first enabled progress event;
 /// never injects drops/duplicates/crashes) that commits every task and
-/// leaves no message in flight. Used by replay smoke tests to drive the DES
-/// through the forced-schedule path on a healthy run.
+/// leaves no message in flight. Used by replay smoke tests to drive
+/// replay_schedule through a healthy run.
 template <class BM>
 std::vector<ProtoEvent> sample_complete_schedule(
     const BM& bm, const std::vector<block::Task>& tasks,

@@ -339,11 +339,20 @@ Status read_snapshot(std::istream& in, Snapshot* out) {
 
   // Cheap internal consistency of the scalar section; the deep structural
   // cross-check against the recomputed blocking happens in resume_from.
+  // Enum slots must name an enumerator (the bounds are each enum's last
+  // value, pinned by static_asserts in Solver::resume_from) and flags must
+  // be 0 or 1, so no out-of-range value reaches an options cast.
   const SnapshotMeta& m = out->meta;
+  auto within = [](std::int64_t v, std::int64_t hi) {
+    return v >= 0 && v <= hi;
+  };
   if (m.n < 0 || m.nnz_a < 0 || m.block_size <= 0 || m.n_ranks < 1 ||
       m.n_tasks < 0 || m.tasks_done < 0 || m.tasks_done > m.n_tasks ||
-      (m.incremental != 0 && m.incremental != 1) || m.precision < 0 ||
-      m.precision > 2)
+      !within(m.incremental, 1) || !within(m.precision, 2) ||
+      !within(m.policy, 2) || !within(m.schedule, 1) ||
+      !within(m.verify_level, 2) || !within(m.abft_level, 2) ||
+      !within(m.fill_reducing, 4) || !within(m.balance, 1) ||
+      !within(m.use_mc64, 1) || !within(m.apply_scaling, 1))
     return Status::io_error("snapshot: meta scalars out of range");
   if (out->a_col_ptr.size() != static_cast<std::size_t>(m.n) + 1 ||
       out->a_row_idx.size() != static_cast<std::size_t>(m.nnz_a) ||

@@ -1402,14 +1402,9 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
   if (!fv.is_ok()) return fv;
   // Static load-shed check: an over-draining plan is rejected with
   // kResourceExhausted here, before any work runs (crash interactions are
-  // re-checked dynamically at each drain's safe point). Forced-schedule
-  // replays skip it: the protocol interpreter enforces every elastic guard
-  // dynamically, including the (test-only) mutated variants whose whole
-  // point is an over-draining schedule.
-  if (opts.forced_schedule.empty()) {
-    Status ev = opts.elastic.validate(opts.n_ranks);
-    if (!ev.is_ok()) return ev;
-  }
+  // re-checked dynamically at each drain's safe point).
+  Status ev = opts.elastic.validate(opts.n_ranks);
+  if (!ev.is_ok()) return ev;
   if (opts.mtbf_seconds < 0)
     return Status::invalid_argument("mtbf_seconds must be >= 0");
 
@@ -1418,35 +1413,6 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
   for (index_t t = 0; t < nt; ++t)
     plans[static_cast<std::size_t>(t)] =
         plan_task(tasks[static_cast<std::size_t>(t)], bm, opts);
-
-  // Forced-schedule replay (model-checker counterexamples): drive the
-  // protocol interpreter through the explicit event list *before* any
-  // numerics run, so a violating schedule fails fast with the violated
-  // property and never touches the factors.
-  std::optional<analysis::ReplayResult> forced;
-  if (!opts.forced_schedule.empty()) {
-    analysis::ModelOptions mo;
-    mo.elastic = flatten_elastic(opts.elastic);
-    mo.min_ranks = opts.elastic.min_ranks;
-    mo.initially_alive = opts.elastic.initially_active(opts.n_ranks);
-    mo.mutations = opts.protocol_mutations;
-    analysis::ReplayResult rr =
-        analysis::replay_schedule(bm, tasks, mapping, mo,
-                                  opts.forced_schedule);
-    if (!rr.feasible)
-      return Status::invalid_argument("forced schedule is infeasible: " +
-                                      rr.infeasible_reason);
-    if (rr.property != analysis::ProtoProperty::kNone)
-      return Status::invariant_violation(
-          std::string("protocol violation [") +
-          analysis::to_string(rr.property) + "]: " + rr.detail);
-    if (!rr.all_committed)
-      return Status::invalid_argument(
-          "forced schedule is incomplete: only " +
-          std::to_string(rr.commits) + " of " + std::to_string(nt) +
-          " tasks committed");
-    forced = rr;
-  }
 
   // Numerics run on the parallel engine before the virtual-time replay.
   // Every block sees its canonical kernel sequence (see NumericEngine), so
@@ -1512,38 +1478,6 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
       result->abft_recomputed = guard->stats().recomputed;
     }
     if (!s.is_ok()) return s;
-  }
-
-  if (forced) {
-    // Protocol-level replay: no virtual clock, so makespan is the serial
-    // sum of canonical task costs; protocol counters come from the replay.
-    result->ranks.assign(static_cast<std::size_t>(opts.n_ranks),
-                         RankStats{});
-    double mk = 0;
-    for (index_t t = 0; t < nt; ++t) {
-      const Task& task = tasks[static_cast<std::size_t>(t)];
-      const double cost = plans[static_cast<std::size_t>(t)].cost;
-      mk += cost;
-      if (task.kind == TaskKind::kSsssm)
-        result->schur_busy += cost;
-      else
-        result->panel_busy += cost;
-      result->kind_busy[static_cast<int>(task.kind)] += cost;
-      result->kind_count[static_cast<int>(task.kind)]++;
-      result->total_flops += task.weight;
-    }
-    result->makespan = mk;
-    result->messages = forced->messages;
-    result->retransmits = forced->retransmits;
-    result->duplicates_suppressed = forced->duplicates_suppressed;
-    result->rank_crashes = forced->rank_crashes;
-    result->remapped_blocks = forced->remapped_blocks;
-    result->ranks_drained = forced->ranks_drained;
-    result->ranks_added = forced->ranks_added;
-    result->migrated_blocks = forced->migrated_blocks;
-    if (result->checkpoints_written == 0)
-      result->checkpoints_written = forced->checkpoints;
-    return Status::ok();
   }
 
   Status s = opts.schedule == ScheduleMode::kSyncFree

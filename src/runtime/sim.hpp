@@ -113,21 +113,6 @@ struct SimOptions {
   /// cost at DeviceModel::checkpoint_write_bps, converted to a task count
   /// through the mean virtual task cost. 0: keep the caller's cadence.
   double mtbf_seconds = 0;
-  /// Non-empty: replay this explicit protocol-event schedule (typically a
-  /// model-checker counterexample, analysis/model_check.hpp) instead of
-  /// running a virtual-time scheduler. The replay is deterministic: each
-  /// event fires in order against the protocol interpreter; an inadmissible
-  /// event fails with kInvalidArgument, a violated protocol property with
-  /// kInvariantViolation naming the property (before any numerics run), and
-  /// an incomplete schedule (tasks left uncommitted) with kInvalidArgument.
-  /// On success the numerics run on the engine as usual and SimResult's
-  /// protocol counters come from the replay; makespan is the serial sum of
-  /// task costs (the replay has no virtual clock).
-  std::vector<analysis::ProtoEvent> forced_schedule;
-  /// Test-only seeded protocol bugs, honoured by the forced-schedule replay
-  /// so checker counterexamples found under a mutation reproduce the same
-  /// violation here. Never enable outside tests.
-  analysis::ProtocolMutations protocol_mutations;
   /// Optional cooperative cancellation (util/cancel.hpp). Not owned. Polled
   /// by the numeric engine before every task dispatch (manual cancel / wall
   /// deadline) and at every scheduler event pop against the DES virtual
@@ -206,8 +191,8 @@ struct SimResult {
 /// Flatten an ElasticPlan into the model checker's layer-free event list,
 /// in DES firing order (at_commit ascending, adds before drains on ties).
 /// The entry indices are the plan ids ProtoEvent::edge refers to for
-/// kDrain/kAdd events, so schedules exchanged between `model_check` and
-/// `SimOptions::forced_schedule` must both use this flattening.
+/// kDrain/kAdd events, so a schedule `model_check` finds for a plan replays
+/// (`analysis::replay_schedule`) only against this flattening of it.
 std::vector<analysis::ModelOptions::ElasticEvent> flatten_elastic(
     const ElasticPlan& plan);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 namespace pangulu::solver {
 
@@ -170,13 +169,6 @@ void SessionPool::Ticket::release() {
   }
 }
 
-double jittered_backoff_seconds(int attempt, double base_seconds,
-                                double cap_seconds, Rng& rng) {
-  const double exp =
-      base_seconds * std::ldexp(1.0, std::clamp(attempt, 0, 60));
-  return std::min(exp, cap_seconds) * rng.uniform(0.5, 1.0);
-}
-
 Status SessionPool::admit(std::size_t bytes, Ticket* ticket) {
   return admit(bytes, ticket, nullptr);
 }
@@ -194,7 +186,12 @@ Status SessionPool::admit(std::size_t bytes, Ticket* ticket,
   ticket->release();
 
   using clock = std::chrono::steady_clock;
-  const clock::time_point start = clock::now();
+  const clock::time_point timeout =
+      opts_.default_admit_timeout_seconds > 0
+          ? clock::now() + std::chrono::duration_cast<clock::duration>(
+                               std::chrono::duration<double>(
+                                   opts_.default_admit_timeout_seconds))
+          : clock::time_point::max();
   std::unique_lock lk(mu_);
   auto fits = [&] {
     if (opts_.max_concurrent > 0 && active_ >= opts_.max_concurrent)
@@ -204,104 +201,41 @@ Status SessionPool::admit(std::size_t bytes, Ticket* ticket,
       return false;
     return true;
   };
-  auto grant = [&] {
-    ++active_;
-    active_bytes_ += bytes;
-    peak_active_ = std::max(peak_active_, active_);
-    peak_bytes_ = std::max(peak_bytes_, active_bytes_);
-    ++admitted_;
-    record_wait(std::chrono::duration<double>(clock::now() - start).count());
-    ticket->pool_ = this;
-    ticket->bytes_ = bytes;
-    return Status::ok();
-  };
-  if (fits()) return grant();
-
-  // The pool is full: shed before queuing when the deadline cannot cover
-  // the wait. "Cannot cover" = already expired / cancelled, or the
-  // remaining budget is below the running mean of recent admission waits
-  // (requests doomed to time out in the queue would only deepen it).
-  if (cancel) {
-    Status cs = cancel->check("session pool admission");
-    if (!cs.is_ok()) {
-      ++shed_;
-      return cs;
-    }
-    const double remaining = cancel->wall_seconds_remaining();
-    if (remaining < mean_wait_seconds_) {
-      ++shed_;
-      return Status::deadline_exceeded(
-          "session pool: remaining deadline cannot cover the expected "
-          "admission wait — shed on arrival");
-    }
-  }
-  if (opts_.max_queue_depth > 0 && waiters_ >= opts_.max_queue_depth) {
-    ++rejected_queue_full_;
-    return Status::resource_exhausted(
-        "session pool: admission queue full (" + std::to_string(waiters_) +
-        " waiters) — back off and retry");
-  }
-
-  // Park. With a deadline (token or pool default) the wait is bounded and
-  // expiry surfaces typed; without one this is the historical wait-forever.
-  const bool wall_bounded = cancel && cancel->has_wall_deadline();
-  const bool timeout_bounded = opts_.default_admit_timeout_seconds > 0;
-  ++waiters_;
-  peak_waiters_ = std::max(peak_waiters_, waiters_);
-  Status verdict = Status::ok();
-  for (;;) {
-    if (fits()) break;
-    clock::time_point wake;
-    bool bounded = false;
-    if (wall_bounded) {
-      wake = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                std::chrono::duration<double>(
-                                    cancel->wall_seconds_remaining()));
-      bounded = true;
-    }
-    if (timeout_bounded) {
-      const clock::time_point cap =
-          start + std::chrono::duration_cast<clock::duration>(
-                      std::chrono::duration<double>(
-                          opts_.default_admit_timeout_seconds));
-      wake = bounded ? std::min(wake, cap) : cap;
-      bounded = true;
-    }
-    if (cancel && !bounded) {
-      // Manual-cancel-only token: poll so cancel() is honoured promptly
-      // even though no deadline bounds the wait.
-      wake = clock::now() + std::chrono::milliseconds(50);
-      bounded = true;
-    }
-    if (bounded) {
-      cv_.wait_until(lk, wake);
-    } else {
-      cv_.wait(lk);
-    }
-    if (fits()) break;
+  // Park until the request fits. The token is checked before every wait,
+  // so an expired or cancelled one fails at once; a token's waits are
+  // capped at 50 ms (or its remaining deadline, if sooner) so a manual
+  // cancel() is seen promptly. Without a token or a pool timeout this is
+  // the historical wait-forever.
+  while (!fits()) {
     if (cancel) {
       Status cs = cancel->check("session pool admission");
-      if (!cs.is_ok()) {
-        verdict = std::move(cs);
-        break;
-      }
+      if (!cs.is_ok()) return cs;
     }
-    if (timeout_bounded &&
-        std::chrono::duration<double>(clock::now() - start).count() >=
-            opts_.default_admit_timeout_seconds) {
-      verdict = Status::deadline_exceeded(
+    const clock::time_point now = clock::now();
+    if (now >= timeout)
+      return Status::deadline_exceeded(
           "session pool: admission wait exceeded the pool timeout (" +
           std::to_string(opts_.default_admit_timeout_seconds) + " s)");
-      break;
+    clock::time_point wake = timeout;
+    if (cancel) {
+      const double poll =
+          std::min(cancel->wall_seconds_remaining(), 0.05);
+      wake = std::min(wake, now + std::chrono::duration_cast<clock::duration>(
+                                      std::chrono::duration<double>(poll)));
+    }
+    if (wake == clock::time_point::max()) {
+      cv_.wait(lk);
+    } else {
+      cv_.wait_until(lk, wake);
     }
   }
-  --waiters_;
-  if (!verdict.is_ok()) {
-    ++shed_;
-    record_wait(std::chrono::duration<double>(clock::now() - start).count());
-    return verdict;
-  }
-  return grant();
+  ++active_;
+  active_bytes_ += bytes;
+  peak_active_ = std::max(peak_active_, active_);
+  peak_bytes_ = std::max(peak_bytes_, active_bytes_);
+  ticket->pool_ = this;
+  ticket->bytes_ = bytes;
+  return Status::ok();
 }
 
 void SessionPool::release_slot(std::size_t bytes) {
@@ -331,45 +265,6 @@ int SessionPool::peak_in_flight() const {
 std::size_t SessionPool::peak_bytes() const {
   std::lock_guard lk(mu_);
   return peak_bytes_;
-}
-
-void SessionPool::record_wait(double seconds) {
-  // Called with mu_ held. EWMA for the shed predictor; fixed 512-sample
-  // ring for the percentile report.
-  constexpr std::size_t kReservoir = 512;
-  constexpr double kAlpha = 0.2;
-  mean_wait_seconds_ = wait_count_ == 0
-                           ? seconds
-                           : (1 - kAlpha) * mean_wait_seconds_ +
-                                 kAlpha * seconds;
-  ++wait_count_;
-  if (wait_samples_.size() < kReservoir) {
-    wait_samples_.push_back(seconds);
-  } else {
-    wait_samples_[wait_cursor_] = seconds;
-    wait_cursor_ = (wait_cursor_ + 1) % kReservoir;
-  }
-}
-
-SessionPoolStats SessionPool::stats() const {
-  std::lock_guard lk(mu_);
-  SessionPoolStats st;
-  st.queue_depth = waiters_;
-  st.peak_queue_depth = peak_waiters_;
-  st.admitted = admitted_;
-  st.shed = shed_;
-  st.rejected_queue_full = rejected_queue_full_;
-  if (!wait_samples_.empty()) {
-    std::vector<double> s(wait_samples_);
-    std::sort(s.begin(), s.end());
-    double sum = 0;
-    for (double v : s) sum += v;
-    st.mean_wait_seconds = sum / static_cast<double>(s.size());
-    const auto idx = static_cast<std::size_t>(
-        0.95 * static_cast<double>(s.size() - 1) + 0.5);
-    st.p95_wait_seconds = s[std::min(idx, s.size() - 1)];
-  }
-  return st;
 }
 
 }  // namespace pangulu::solver

@@ -19,9 +19,9 @@
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
-#include <vector>
 
 #include "solver/solver.hpp"
+// Re-exported: perfbench/ reaches Rng through this header.
 #include "util/rng.hpp"
 
 namespace pangulu::solver {
@@ -63,7 +63,7 @@ class Session {
   /// (kDeadlineExceeded) at the next sweep level or refinement iteration
   /// once it expires. The session stays ready — a missed deadline is a shed
   /// request, not a broken factorisation — so the caller can retry with a
-  /// larger budget (see jittered_backoff_seconds). deadline_seconds <= 0
+  /// larger budget. deadline_seconds <= 0
   /// sheds immediately without touching the output.
   Status solve_deadline(std::span<const value_t> b, std::span<value_t> x,
                         double deadline_seconds,
@@ -101,48 +101,21 @@ struct SessionPoolOptions {
   int max_concurrent = 0;
   /// Bytes the in-flight requests may pin together; 0 = unlimited.
   std::size_t memory_budget_bytes = 0;
-  /// Requests allowed to queue for admission when the pool is full;
-  /// 0 = unbounded. A full queue rejects further admits immediately with
-  /// kResourceExhausted (the caller should back off and retry).
-  int max_queue_depth = 0;
   /// Longest a deadline-less admit() may block, in seconds, before failing
   /// with kDeadlineExceeded; <= 0 = wait forever (the historical, hang-prone
   /// behaviour — servers should always set this or pass a CancelToken).
   double default_admit_timeout_seconds = 0;
 };
 
-/// Admission + shed counters for capacity planning (bench_traffic_replay).
-/// Wait-time percentiles come from a bounded reservoir of the most recent
-/// admission waits, so long-running servers report recent — not lifetime —
-/// latency.
-struct SessionPoolStats {
-  int queue_depth = 0;       // waiters parked in admit() right now
-  int peak_queue_depth = 0;  // deepest the queue has ever been
-  long long admitted = 0;    // requests that got a ticket
-  long long shed = 0;        // deadline-shed: immediately or after waiting
-  long long rejected_queue_full = 0;  // bounced off max_queue_depth
-  double mean_wait_seconds = 0;       // over the reservoir
-  double p95_wait_seconds = 0;        // over the reservoir
-};
-
-/// Suggested sleep before retrying a shed or rejected request: exponential
-/// backoff (base * 2^attempt, capped) with a multiplicative jitter drawn
-/// uniformly from [0.5, 1.0) so a herd of shed clients decorrelates instead
-/// of re-colliding on the next tick. Deterministic given the caller's Rng.
-double jittered_backoff_seconds(int attempt, double base_seconds,
-                                double cap_seconds, Rng& rng);
-
 /// Admission controller for concurrent session traffic. admit() blocks until
 /// the request fits under both caps and returns an RAII Ticket whose
 /// destruction releases the slot and bytes. A request whose byte demand
 /// alone exceeds the budget can never be admitted and fails immediately
-/// with kResourceExhausted instead of deadlocking. Admission is
-/// deadline-aware: a request carrying a CancelToken is shed immediately
-/// (kDeadlineExceeded) when its remaining budget cannot plausibly cover the
-/// admission wait — already expired, or below the running mean of recent
-/// waits while the pool is full — and otherwise waits no longer than its
-/// deadline. Cancellation (CancelToken::cancel()) unparks the waiter at the
-/// next wake-up and fails the admit with kCancelled.
+/// with kResourceExhausted instead of deadlocking. On a full pool, a
+/// request carrying a CancelToken that has already expired or been
+/// cancelled fails at once (kDeadlineExceeded / kCancelled); otherwise it
+/// waits no longer than its wall deadline, and CancelToken::cancel()
+/// unparks it within one 50 ms poll with kCancelled.
 class SessionPool {
  public:
   explicit SessionPool(const SessionPoolOptions& opts = {}) : opts_(opts) {}
@@ -192,12 +165,9 @@ class SessionPool {
   /// Largest concurrent request count / byte pin observed (stress metrics).
   int peak_in_flight() const;
   std::size_t peak_bytes() const;
-  /// Queue-depth / shed / wait-percentile counters (overload metrics).
-  SessionPoolStats stats() const;
 
  private:
   void release_slot(std::size_t bytes);
-  void record_wait(double seconds);
 
   SessionPoolOptions opts_;
   mutable std::mutex mu_;
@@ -206,17 +176,6 @@ class SessionPool {
   std::size_t active_bytes_ = 0;
   int peak_active_ = 0;
   std::size_t peak_bytes_ = 0;
-  int waiters_ = 0;
-  int peak_waiters_ = 0;
-  long long admitted_ = 0;
-  long long shed_ = 0;
-  long long rejected_queue_full_ = 0;
-  // Running mean of recent admission waits — the immediate-shed predictor —
-  // plus a fixed reservoir of the most recent samples for percentiles.
-  double mean_wait_seconds_ = 0;
-  std::vector<double> wait_samples_;
-  std::size_t wait_cursor_ = 0;
-  long long wait_count_ = 0;
 };
 
 }  // namespace pangulu::solver

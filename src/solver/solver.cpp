@@ -682,7 +682,14 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
   if (!s.is_ok()) return s;
 
   // Rebuild the options that determine the computed bits from the snapshot;
-  // `base` contributes only the fields a snapshot does not carry.
+  // `base` contributes only the fields a snapshot does not carry. The casts
+  // are safe: read_snapshot bounds each enum slot by these last enumerators.
+  static_assert(static_cast<int>(runtime::KernelPolicy::kAdaptive) == 2 &&
+                static_cast<int>(runtime::ScheduleMode::kLevelSet) == 1 &&
+                static_cast<int>(kernels::Precision::kMixedIR) == 2 &&
+                static_cast<int>(runtime::AbftLevel::kFull) == 2 &&
+                static_cast<int>(analysis::VerifyLevel::kFull) == 2 &&
+                static_cast<int>(ordering::FillReducing::kNatural) == 4);
   opts_ = base;
   opts_.block_size = m.block_size;
   opts_.n_ranks = m.n_ranks;

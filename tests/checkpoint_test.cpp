@@ -286,6 +286,56 @@ TEST(CheckpointRestart, TamperedCountersFailThePrecondition) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointRestart, OutOfRangeMetaScalarsAreIoError) {
+  Csc a = matgen::grid2d_laplacian(8, 8);
+  const std::string path = temp_path("snap_meta_range.bin");
+  solver::Options opts;
+  opts.n_ranks = 2;
+  opts.checkpoint_path = path;
+  opts.checkpoint_interval_tasks = 3;
+  opts.fault_plan.kill_after_task = 6;
+  solver::Solver victim;
+  ASSERT_EQ(victim.factorize(a, opts).code(), StatusCode::kUnavailable);
+  io::Snapshot good;
+  ASSERT_TRUE(io::read_snapshot_file(path, &good).is_ok());
+
+  // Each enum slot one past its last enumerator (and negative), each flag
+  // outside {0, 1}: a CRC-consistent snapshot must still fail typed instead
+  // of casting the value into an option.
+  struct Case {
+    const char* name;
+    std::int32_t io::SnapshotMeta::*slot;
+    std::int32_t value;
+  };
+  const Case cases[] = {
+      {"policy", &io::SnapshotMeta::policy, 9},
+      {"policy", &io::SnapshotMeta::policy, -1},
+      {"schedule", &io::SnapshotMeta::schedule, 5},
+      {"verify_level", &io::SnapshotMeta::verify_level, 3},
+      {"abft_level", &io::SnapshotMeta::abft_level, 3},
+      {"fill_reducing", &io::SnapshotMeta::fill_reducing, 7},
+      {"fill_reducing", &io::SnapshotMeta::fill_reducing, 5},
+      {"balance", &io::SnapshotMeta::balance, 2},
+      {"use_mc64", &io::SnapshotMeta::use_mc64, -1},
+      {"apply_scaling", &io::SnapshotMeta::apply_scaling, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + " = " + std::to_string(c.value));
+    io::Snapshot snap = good;
+    snap.meta.*c.slot = c.value;
+    ASSERT_TRUE(io::write_snapshot_file(path, snap).is_ok());
+    solver::Solver revived;
+    const Status st = revived.resume_from(path);
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.message();
+  }
+
+  // The untouched snapshot still resumes.
+  ASSERT_TRUE(io::write_snapshot_file(path, good).is_ok());
+  solver::Solver revived;
+  EXPECT_TRUE(revived.resume_from(path).is_ok());
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRestart, MissingFileIsIoError) {
   solver::Solver s;
   EXPECT_EQ(s.resume_from(temp_path("snap_nonexistent.bin")).code(),

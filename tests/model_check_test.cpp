@@ -2,8 +2,8 @@
 // explores small-grid protocol interleavings (sleep-set POR visits every
 // reachable state with fewer transitions), classifies fault-free and
 // fault-budgeted runs as safe, and — under each seeded protocol mutation —
-// produces a minimal counterexample whose forced-schedule replay reproduces
-// the identical violation in the DES. Random FaultPlan/ElasticPlan DES
+// produces a minimal counterexample whose replay_schedule replay reproduces
+// the identical violation. Random FaultPlan/ElasticPlan DES
 // executions agree with the checker's reachable-and-safe verdict.
 #include <gtest/gtest.h>
 
@@ -223,32 +223,27 @@ TEST(ModelCheck, StateBudgetExhaustionIsInconclusiveNotWrong) {
 }
 
 // ---------------------------------------------------------------------------
-// Forced-schedule replay through the DES.
+// Forced-schedule replay through the protocol interpreter.
 // ---------------------------------------------------------------------------
 
 TEST(ForcedSchedule, CompleteScheduleReplaysToIdenticalFactors) {
-  Prepared base = grid3x3();
-  Prepared forced = grid3x3();
-  SimOptions opts;
-  opts.n_ranks = 2;
-  SimResult ref;
-  ASSERT_TRUE(runtime::simulate_factorization(base.bm, base.tasks,
-                                              base.mapping, opts, &ref)
-                  .is_ok());
-
+  // A sampled complete schedule replays clean to a terminal state with every
+  // task committed. The replay is protocol-only; the engine's factors do not
+  // depend on the schedule (runtime_test checks that bitwise).
+  Prepared p = grid3x3();
   ModelOptions mo;
-  SimOptions fopts;
-  fopts.n_ranks = 2;
-  fopts.forced_schedule = analysis::sample_complete_schedule(
-      forced.bm, forced.tasks, forced.mapping, mo);
-  ASSERT_FALSE(fopts.forced_schedule.empty());
-  SimResult res;
-  ASSERT_TRUE(runtime::simulate_factorization(forced.bm, forced.tasks,
-                                              forced.mapping, fopts, &res)
-                  .is_ok());
-  EXPECT_TRUE(bitwise_equal(base.bm, forced.bm));
-  EXPECT_GT(res.messages, 0);
-  EXPECT_GT(res.makespan, 0.0);
+  const std::vector<ProtoEvent> sched = analysis::sample_complete_schedule(
+      p.bm, p.tasks, p.mapping, mo);
+  ASSERT_FALSE(sched.empty());
+  const ReplayResult rr =
+      analysis::replay_schedule(p.bm, p.tasks, p.mapping, mo, sched);
+  EXPECT_TRUE(rr.feasible);
+  EXPECT_EQ(rr.applied, sched.size());
+  EXPECT_EQ(rr.property, ProtoProperty::kNone);
+  EXPECT_TRUE(rr.terminal);
+  EXPECT_TRUE(rr.all_committed);
+  EXPECT_EQ(rr.commits, static_cast<index_t>(p.tasks.size()));
+  EXPECT_GT(rr.messages, 0);
 }
 
 TEST(ForcedSchedule, InfeasibleAndIncompleteSchedulesAreRejected) {
@@ -256,27 +251,23 @@ TEST(ForcedSchedule, InfeasibleAndIncompleteSchedulesAreRejected) {
   ModelOptions mo;
   const std::vector<ProtoEvent> full = analysis::sample_complete_schedule(
       p.bm, p.tasks, p.mapping, mo);
+  ASSERT_GE(full.size(), 2u);
 
   // A later event hoisted to the front is inadmissible there.
-  SimOptions bad;
-  bad.n_ranks = 2;
-  bad.forced_schedule = {full.back()};
-  SimResult res;
-  EXPECT_EQ(runtime::simulate_factorization(p.bm, p.tasks, p.mapping, bad,
-                                            &res)
-                .code(),
-            StatusCode::kInvalidArgument);
+  const ReplayResult bad = analysis::replay_schedule(
+      p.bm, p.tasks, p.mapping, mo, {full.back()});
+  EXPECT_FALSE(bad.feasible);
+  EXPECT_FALSE(bad.infeasible_reason.empty());
 
   // A strict prefix leaves tasks uncommitted.
-  SimOptions prefix;
-  prefix.n_ranks = 2;
-  prefix.forced_schedule.assign(full.begin(),
-                                full.begin() + static_cast<std::ptrdiff_t>(
-                                                   full.size() / 2));
-  EXPECT_EQ(runtime::simulate_factorization(p.bm, p.tasks, p.mapping, prefix,
-                                            &res)
-                .code(),
-            StatusCode::kInvalidArgument);
+  const std::vector<ProtoEvent> prefix(
+      full.begin(),
+      full.begin() + static_cast<std::ptrdiff_t>(full.size() / 2));
+  const ReplayResult part =
+      analysis::replay_schedule(p.bm, p.tasks, p.mapping, mo, prefix);
+  EXPECT_TRUE(part.feasible);
+  EXPECT_EQ(part.property, ProtoProperty::kNone);
+  EXPECT_FALSE(part.all_committed);
 }
 
 TEST(ForcedSchedule, HandForgedDoubleCommitViolatesAtMostOnce) {
@@ -291,21 +282,11 @@ TEST(ForcedSchedule, HandForgedDoubleCommitViolatesAtMostOnce) {
       analysis::replay_schedule(p.bm, p.tasks, p.mapping, mo, sched);
   EXPECT_TRUE(rr.feasible);
   EXPECT_EQ(rr.property, ProtoProperty::kAtMostOnce);
-
-  SimOptions opts;
-  opts.n_ranks = 2;
-  opts.forced_schedule = sched;
-  SimResult res;
-  Status s =
-      runtime::simulate_factorization(p.bm, p.tasks, p.mapping, opts, &res);
-  EXPECT_EQ(s.code(), StatusCode::kInvariantViolation);
-  EXPECT_NE(s.message().find("[at-most-once]"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
 // Mutation soundness: every seeded protocol bug is found, the
-// counterexample is 1-minimal, and its forced replay reproduces the same
-// violation in the DES.
+// counterexample replays to the same violation, and it is 1-minimal.
 // ---------------------------------------------------------------------------
 
 struct MutationCase {
@@ -422,7 +403,7 @@ TEST(MutationSoundness, EverySeededBugFoundMinimisedAndReplayable) {
     EXPECT_TRUE(rr.feasible);
     EXPECT_EQ(rr.property, c.expect);
 
-    // ...is 1-minimal: removing any single event loses the violation...
+    // ...and is 1-minimal: removing any single event loses the violation.
     for (std::size_t i = 0; i < res.cex.schedule.size(); ++i) {
       std::vector<ProtoEvent> cand = res.cex.schedule;
       cand.erase(cand.begin() + static_cast<std::ptrdiff_t>(i));
@@ -432,22 +413,6 @@ TEST(MutationSoundness, EverySeededBugFoundMinimisedAndReplayable) {
           << "schedule not minimal: event " << i << " ("
           << analysis::to_string(res.cex.schedule[i]) << ") is removable";
     }
-
-    // ...and SimOptions::forced_schedule reproduces it in the DES with the
-    // violated property named in the diagnosis.
-    SimOptions opts;
-    opts.n_ranks = 2;
-    opts.elastic = case_plan(c);
-    opts.protocol_mutations = c.mutations;
-    opts.forced_schedule = res.cex.schedule;
-    SimResult sim;
-    Status s = runtime::simulate_factorization(p.bm, p.tasks, p.mapping,
-                                               opts, &sim);
-    ASSERT_EQ(s.code(), StatusCode::kInvariantViolation);
-    EXPECT_NE(s.message().find(std::string("[") +
-                               analysis::to_string(c.expect) + "]"),
-              std::string::npos)
-        << s.message();
   }
 }
 

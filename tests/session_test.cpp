@@ -529,55 +529,22 @@ TEST(SessionPool, AdmitManualCancelUnparksWaiter) {
   EXPECT_EQ(code.load(), static_cast<int>(StatusCode::kCancelled));
 }
 
-TEST(SessionPool, QueueFullRejectsTyped) {
+TEST(SessionPool, WallDeadlineBoundsTheWait) {
   SessionPoolOptions popts;
   popts.max_concurrent = 1;
-  popts.max_queue_depth = 1;
-  popts.default_admit_timeout_seconds = 2.0;
   SessionPool pool(popts);
   SessionPool::Ticket holder;
   ASSERT_TRUE(pool.admit(1, &holder).is_ok());
 
-  std::atomic<bool> queued_ok{false};
-  std::thread queued([&] {
-    SessionPool::Ticket t;
-    queued_ok.store(pool.admit(1, &t).is_ok());
-  });
-  // Wait until the first waiter is actually parked, then overflow the queue.
-  while (pool.stats().queue_depth < 1) std::this_thread::yield();
-  SessionPool::Ticket overflow;
-  EXPECT_EQ(pool.admit(1, &overflow).code(),
-            StatusCode::kResourceExhausted);
-
-  holder.release();
-  queued.join();
-  EXPECT_TRUE(queued_ok.load()) << "the parked waiter still gets its slot";
-
-  const SessionPoolStats ps = pool.stats();
-  EXPECT_EQ(ps.rejected_queue_full, 1);
-  EXPECT_GE(ps.peak_queue_depth, 1);
-}
-
-TEST(SessionPool, StatsCountAdmissionOutcomes) {
-  SessionPoolOptions popts;
-  popts.max_concurrent = 1;
-  popts.default_admit_timeout_seconds = 0.02;
-  SessionPool pool(popts);
-  {
-    SessionPool::Ticket a1;
-    ASSERT_TRUE(pool.admit(1, &a1).is_ok());
-    SessionPool::Ticket starved;
-    EXPECT_FALSE(pool.admit(1, &starved).is_ok());
-  }
-  SessionPool::Ticket a2;
-  ASSERT_TRUE(pool.admit(1, &a2).is_ok());
-
-  const SessionPoolStats ps = pool.stats();
-  EXPECT_EQ(ps.admitted, 2);
-  EXPECT_EQ(ps.shed, 1);
-  EXPECT_EQ(ps.queue_depth, 0);
-  EXPECT_GE(ps.p95_wait_seconds, 0.0);
-  EXPECT_GE(ps.mean_wait_seconds, 0.0);
+  CancelToken tok;
+  tok.set_wall_deadline_after(0.05);
+  SessionPool::Ticket t;
+  Timer timer;
+  const Status st = pool.admit(1, &t, &tok);
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.message();
+  EXPECT_FALSE(t.admitted());
+  EXPECT_LT(timer.seconds(), 5.0) << "the deadline must bound the wait";
+  EXPECT_EQ(pool.in_flight(), 1);
 }
 
 TEST(Session, SolveDeadlineShedsAndStaysUsable) {
@@ -603,24 +570,6 @@ TEST(Session, SolveDeadlineShedsAndStaysUsable) {
   SolveStats stats;
   ASSERT_TRUE(session.solve_deadline(b, x, 60.0, &stats).is_ok());
   EXPECT_EQ(x, want);
-}
-
-TEST(SessionPool, JitteredBackoffIsBoundedAndDeterministic) {
-  const double base = 0.01, cap = 0.5;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const double nominal = std::min(cap, base * std::ldexp(1.0, attempt));
-    // Deterministic: the same Rng state gives the same suggestion.
-    Rng probe(42), probe2(42);
-    const double s1 = jittered_backoff_seconds(attempt, base, cap, probe);
-    const double s2 = jittered_backoff_seconds(attempt, base, cap, probe2);
-    EXPECT_EQ(s1, s2);
-    // Jitter keeps the suggestion in [nominal / 2, nominal].
-    EXPECT_GE(s1, nominal * 0.5);
-    EXPECT_LE(s1, nominal);
-  }
-  // The cap holds even for absurd attempt counts (no shift overflow).
-  Rng late(7);
-  EXPECT_LE(jittered_backoff_seconds(1000, base, cap, late), cap);
 }
 
 }  // namespace

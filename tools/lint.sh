@@ -198,6 +198,28 @@ if [ -n "$capi_stale" ]; then
   fail=1
 fi
 
+# Environment-variable table gate: the set of quoted "PANGULU_*" names the
+# code reads (src/, bench/, perfbench/, examples/) must equal the set of
+# variables in README.md's table, so a new knob cannot ship undocumented and
+# a deleted one cannot linger in the docs.
+code_vars=$(grep -rhoE '"PANGULU_[A-Z0-9_]+"' src bench perfbench examples \
+              | tr -d '"' | sort -u)
+doc_vars=$(grep -oE '^\| `PANGULU_[A-Z0-9_]+`' README.md \
+             | grep -oE 'PANGULU_[A-Z0-9_]+' | sort -u)
+undocumented=$(comm -23 <(printf '%s\n' "$code_vars") \
+                        <(printf '%s\n' "$doc_vars"))
+unread=$(comm -13 <(printf '%s\n' "$code_vars") \
+                  <(printf '%s\n' "$doc_vars"))
+if [ -n "$undocumented" ]; then
+  echo "LINT: environment variable(s) read by the code but missing from" \
+       "README.md's table:" $undocumented
+  fail=1
+fi
+if [ -n "$unread" ]; then
+  echo "LINT: README.md's table lists variable(s) no code reads:" $unread
+  fail=1
+fi
+
 # Header self-containment: every public header must compile standalone —
 # include-what-you-use at the granularity that actually bites, since a header
 # that leans on its includer's includes breaks the first new call site that
