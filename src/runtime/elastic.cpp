@@ -4,32 +4,18 @@
 #include <string>
 
 namespace pangulu::runtime {
-namespace {
 
-/// Flattened event stream in firing order: by at_commit, adds before drains
-/// at the same commit (so a same-instant swap never dips the live count).
-struct Step {
-  index_t at_commit;
-  rank_t rank;
-  bool is_add;
-};
-
-std::vector<Step> chronological(const ElasticPlan& plan) {
-  std::vector<Step> steps;
-  steps.reserve(plan.adds.size() + plan.drains.size());
-  for (const auto& e : plan.adds) steps.push_back({e.at_commit, e.rank, true});
-  for (const auto& e : plan.drains)
-    steps.push_back({e.at_commit, e.rank, false});
-  std::stable_sort(steps.begin(), steps.end(),
-                   [](const Step& a, const Step& b) {
-                     if (a.at_commit != b.at_commit)
-                       return a.at_commit < b.at_commit;
-                     return a.is_add && !b.is_add;
-                   });
-  return steps;
+std::vector<ElasticPlan::Step> ElasticPlan::steps() const {
+  std::vector<Step> out;
+  out.reserve(adds.size() + drains.size());
+  for (const Event& e : adds) out.push_back({e.at_commit, e.rank, true});
+  for (const Event& e : drains) out.push_back({e.at_commit, e.rank, false});
+  std::stable_sort(out.begin(), out.end(), [](const Step& a, const Step& b) {
+    if (a.at_commit != b.at_commit) return a.at_commit < b.at_commit;
+    return a.is_add && !b.is_add;
+  });
+  return out;
 }
-
-}  // namespace
 
 Status ElasticPlan::validate(rank_t n_ranks) const {
   if (n_ranks <= 0)
@@ -38,22 +24,15 @@ Status ElasticPlan::validate(rank_t n_ranks) const {
     return Status::invalid_argument(
         "elastic plan: min_ranks " + std::to_string(min_ranks) +
         " outside [1, " + std::to_string(n_ranks) + "]");
-  auto rank_ok = [n_ranks](rank_t r) { return r >= 0 && r < n_ranks; };
-  for (const auto& e : drains) {
-    if (!rank_ok(e.rank))
-      return Status::invalid_argument("elastic plan: drain rank " +
-                                      std::to_string(e.rank) + " out of range");
-    if (e.at_commit < 0)
-      return Status::invalid_argument(
-          "elastic plan: drain at_commit must be >= 0");
-  }
-  for (const auto& e : adds) {
-    if (!rank_ok(e.rank))
-      return Status::invalid_argument("elastic plan: add rank " +
-                                      std::to_string(e.rank) + " out of range");
-    if (e.at_commit < 0)
-      return Status::invalid_argument(
-          "elastic plan: add at_commit must be >= 0");
+  const std::vector<Step> order = steps();
+  for (const Step& s : order) {
+    const std::string what =
+        std::string("elastic plan: ") + (s.is_add ? "add" : "drain");
+    if (s.rank < 0 || s.rank >= n_ranks)
+      return Status::invalid_argument(what + " rank " +
+                                      std::to_string(s.rank) + " out of range");
+    if (s.at_commit < 0)
+      return Status::invalid_argument(what + " at_commit must be >= 0");
   }
 
   // Replay the plan against the provisional active set and check every
@@ -62,7 +41,7 @@ Status ElasticPlan::validate(rank_t n_ranks) const {
   std::vector<char> active = initially_active(n_ranks);
   rank_t live = 0;
   for (char a : active) live += a ? 1 : 0;
-  for (const Step& s : chronological(*this)) {
+  for (const Step& s : order) {
     const std::size_t r = static_cast<std::size_t>(s.rank);
     if (s.is_add) {
       if (active[r])
@@ -91,19 +70,14 @@ Status ElasticPlan::validate(rank_t n_ranks) const {
 }
 
 std::vector<char> ElasticPlan::initially_active(rank_t n_ranks) const {
+  // A rank starts inactive iff its first step in firing order is an add.
   std::vector<char> active(static_cast<std::size_t>(n_ranks), 1);
-  // A rank starts inactive iff its earliest event is an add (adds beat
-  // drains on ties, matching the firing order).
-  for (rank_t r = 0; r < n_ranks; ++r) {
-    index_t first_add = -1, first_drain = -1;
-    for (const auto& e : adds)
-      if (e.rank == r && (first_add < 0 || e.at_commit < first_add))
-        first_add = e.at_commit;
-    for (const auto& e : drains)
-      if (e.rank == r && (first_drain < 0 || e.at_commit < first_drain))
-        first_drain = e.at_commit;
-    if (first_add >= 0 && (first_drain < 0 || first_add <= first_drain))
-      active[static_cast<std::size_t>(r)] = 0;
+  std::vector<char> seen(static_cast<std::size_t>(n_ranks), 0);
+  for (const Step& s : steps()) {
+    if (s.rank < 0 || s.rank >= n_ranks) continue;
+    const auto r = static_cast<std::size_t>(s.rank);
+    if (!seen[r]) active[r] = s.is_add ? 0 : 1;
+    seen[r] = 1;
   }
   return active;
 }

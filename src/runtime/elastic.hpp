@@ -4,14 +4,14 @@
 // commit counts — the DES analogue of an operator draining a node for
 // maintenance or attaching a fresh one mid-run. Unlike FaultPlan crashes
 // (unplanned, detected by timeout, state lost), elastic events are
-// cooperative: the runtime quiesces the affected rank at the next task-graph
-// safe point, migrates the minimal set of blocks with
-// Mapping::rebalance (bounded movement, not a full remap), replays each
-// migrated block's state to its new owner, and re-proves the mapping with
-// analysis::verify_rebalance before continuing. Numerics run on the
-// numeric engine, independent of the simulated cluster, so any valid plan
-// yields bitwise-identical LU factors to the static-grid run; only makespan, traffic, and the final
-// owner map change.
+// cooperative: at the next task-graph safe point the affected rank is
+// quiesced, Mapping::rebalance moves the minimal set of blocks (bounded
+// movement, not a full remap), and analysis::verify_rebalance re-proves the
+// mapping. Every DES replay — both factorisation schedulers and the solve
+// replay — fires steps() through one protocol, runtime/cluster.hpp. Numerics
+// run independently of the simulated cluster, so any valid plan yields
+// bitwise-identical LU factors and solutions to the static-grid run; only
+// makespan, traffic, and the final owner map change.
 //
 // Graceful degradation is part of the contract: a drain that would leave
 // fewer than min_ranks live ranks is rejected with
@@ -44,6 +44,18 @@ struct ElasticPlan {
   rank_t min_ranks = 1;
 
   bool empty() const { return drains.empty() && adds.empty(); }
+
+  /// One event of the plan, flattened.
+  struct Step {
+    index_t at_commit;
+    rank_t rank;
+    bool is_add;
+  };
+  /// Every event in firing order: at_commit ascending, adds before drains on
+  /// equal commits (a same-instant swap never dips the live count), listing
+  /// order within each kind. validate() walks this order and every DES
+  /// replay fires it.
+  std::vector<Step> steps() const;
 
   /// Structural sanity against a cluster size: rank ids in range, commit
   /// indices non-negative, 1 <= min_ranks <= n_ranks, and a chronological

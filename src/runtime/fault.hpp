@@ -7,10 +7,11 @@
 // chosen virtual times. The same plan always produces the same schedule,
 // so fault experiments are as reproducible as fault-free ones.
 //
-// The recovery protocol that reacts to these faults lives in sim.cpp:
-// per-message ack/timeout/retransmit with exponential backoff, duplicate
-// suppression on the receiver, and crash detection followed by re-mapping
-// the dead rank's blocks onto the survivors (Mapping::remap_failed_rank).
+// The recovery protocol that reacts to these faults: per-message
+// ack/timeout/retransmit with exponential backoff and duplicate suppression
+// on the receiver (sim.cpp), and crash detection followed by re-mapping the
+// dead rank's blocks onto the survivors (Mapping::remap_failed_rank, through
+// LiveCluster::crash in runtime/cluster.hpp).
 // Numerics are unaffected by construction — the numeric engine runs before
 // the DES replay and gives every block its canonical kernel sequence — so
 // any recoverable plan yields bitwise-identical LU factors to the

@@ -12,15 +12,14 @@
 #include <string>
 #include <system_error>
 #include <thread>
-#include <tuple>
 
-#include "analysis/verify.hpp"
 #include "kernels/getrf.hpp"
 #include "kernels/gessm.hpp"
 #include "kernels/ssssm.hpp"
 #include "kernels/tstrf.hpp"
 #include "parallel/annotations.hpp"
 #include "parallel/thread_pool.hpp"
+#include "runtime/cluster.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -224,108 +223,88 @@ struct FaultCtx {
     tr.ok = false;
     return tr;
   }
-};
 
-struct PendingEvent {
-  double time;
-  index_t seq;   // tie-break for determinism
-  index_t task;  // ready task, or a marker id (kWakeEvent & co) below
-  rank_t rank;   // rank to wake / rank being recovered
-  bool operator>(const PendingEvent& o) const {
-    return std::tie(time, seq) > std::tie(o.time, o.seq);
+  /// transfer() of one `bytes` block from rank `from` to rank `to`, billed
+  /// when it got through (see lost() when not): sends, bytes, retransmits
+  /// and timeouts to the sender, suppressed duplicates to the receiver, the
+  /// fault delay to recovery time.
+  Transfer send(rank_t from, rank_t to, double at, std::size_t bytes,
+                TraceRecorder* trace, SimResult* res) {
+    const Transfer tr = transfer(at, bytes);
+    if (!tr.ok) return tr;
+    RankStats& rs = res->ranks[static_cast<std::size_t>(from)];
+    rs.messages_sent += tr.sends;
+    rs.bytes_sent += static_cast<std::size_t>(tr.sends) * bytes;
+    rs.retransmits += tr.sends - 1;
+    rs.timeouts += tr.timeouts;
+    res->ranks[static_cast<std::size_t>(to)].duplicates_suppressed +=
+        tr.duplicates;
+    res->recovery_time += tr.penalty;
+    if (trace && tr.sends > 1)
+      trace->record_instant(from, at,
+                            "retransmit x" + std::to_string(tr.sends - 1));
+    return tr;
+  }
+
+  /// The failure of a send() that lost max_attempts sends in a row.
+  Status lost(rank_t from, rank_t to) const {
+    return Status::unavailable(
+        "block transfer from rank " + std::to_string(from) + " to rank " +
+        std::to_string(to) + " lost " + std::to_string(plan.max_attempts) +
+        " consecutive times; giving up");
   }
 };
 
-/// Marker task ids for non-task events.
-constexpr index_t kWakeEvent = -1;
+/// Bill one executed task's compute to its kernel family.
+void bill_task(const Task& task, double cost, SimResult* res) {
+  (task.kind == TaskKind::kSsssm ? res->schur_busy : res->panel_busy) += cost;
+  res->kind_busy[static_cast<int>(task.kind)] += cost;
+  res->kind_count[static_cast<int>(task.kind)]++;
+  res->total_flops += task.weight;
+}
+
+/// Marker task ids for the fault and elastic events (kWakeEvent is -1).
 constexpr index_t kRecoveryEvent = -2;
 constexpr index_t kElasticEvent = -3;
-
-/// Flattened elastic plan in firing order: at_commit ascending, adds before
-/// drains on ties (a same-instant swap never dips the live count). Mirrors
-/// the ordering ElasticPlan::validate proves against.
-struct ElasticStep {
-  index_t at_commit;
-  rank_t rank;
-  bool is_add;
-};
-
-std::vector<ElasticStep> elastic_steps(const ElasticPlan& plan) {
-  std::vector<ElasticStep> steps;
-  steps.reserve(plan.adds.size() + plan.drains.size());
-  for (const auto& e : plan.adds) steps.push_back({e.at_commit, e.rank, true});
-  for (const auto& e : plan.drains)
-    steps.push_back({e.at_commit, e.rank, false});
-  std::stable_sort(steps.begin(), steps.end(),
-                   [](const ElasticStep& a, const ElasticStep& b) {
-                     if (a.at_commit != b.at_commit)
-                       return a.at_commit < b.at_commit;
-                     return a.is_add && !b.is_add;
-                   });
-  return steps;
-}
 
 }  // namespace
 
 std::vector<analysis::ModelOptions::ElasticEvent> flatten_elastic(
     const ElasticPlan& plan) {
   std::vector<analysis::ModelOptions::ElasticEvent> out;
-  for (const ElasticStep& s : elastic_steps(plan))
+  for (const ElasticPlan::Step& s : plan.steps())
     out.push_back({s.rank, s.at_commit, s.is_add});
   return out;
 }
 
 namespace {
 
-/// Post-remap invariant re-check (both schedulers): the remapped state must
-/// still be total over the survivors, and at kFull every expected message
-/// must still have a live route. PR 1's remapping widened the state space
-/// the scheduler can be in; this is the guard that a bad remap is diagnosed
-/// instead of discovered as a hang.
-template <class V>
-Status verify_after_remap(const block::BlockMatrixT<V>& bm,
-                          const std::vector<Task>& tasks,
-                          const Mapping& mapping,
-                          const std::vector<char>& alive,
-                          const SimOptions& o) {
-  if (o.verify_level == analysis::VerifyLevel::kOff) return Status::ok();
-  Status s = analysis::verify_mapping(bm, mapping, alive);
-  if (s.is_ok() && o.verify_level == analysis::VerifyLevel::kFull)
-    s = analysis::verify_messages(bm, tasks, mapping, alive);
-  return s;
-}
-
 template <class V>
 Status run_sync_free(const block::BlockMatrixT<V>& bm,
-                     const std::vector<Task>& tasks,
+                     const std::vector<Task>& tasks, const TaskAdjacency& g,
                      const Mapping& mapping_in, const SimOptions& o,
                      const std::vector<TaskPlan>& plans, SimResult* res) {
   const auto nt = static_cast<index_t>(tasks.size());
-  TaskAdjacency g = TaskAdjacency::build(bm, tasks);
   FaultCtx faults(o.faults, o.device, o.n_ranks);
-
-  // Recovery and elastic rebalancing rewrite ownership, so the scheduler
-  // works on its own copy.
-  Mapping mapping = mapping_in;
-  std::vector<char> alive = o.elastic.initially_active(o.n_ranks);
-  // Provisioning, not migration: a rank whose first elastic event is an add
-  // starts idle, so its blocks are re-homed at zero cost before any work is
-  // scheduled (nothing is in flight yet).
-  for (rank_t r = 0; r < o.n_ranks; ++r) {
-    if (alive[static_cast<std::size_t>(r)]) continue;
-    Mapping before = mapping;
-    if (mapping.rebalance(r, -1, alive) < 0)
-      return Status::resource_exhausted(
-          "elastic plan leaves no rank live before the first task");
-    Status vs = analysis::verify_rebalance(bm, tasks, before, mapping, r, -1,
-                                           alive, o.verify_level);
-    if (!vs.is_ok()) return vs;
-  }
+  // Recovery and elastic rebalancing rewrite ownership on the cluster's own
+  // copy of the mapping.
+  LiveCluster<V> cluster(bm, tasks, mapping_in, o, "commit", res);
+  Status ps = cluster.provision();
+  if (!ps.is_ok()) return ps;
+  res->ranks.assign(static_cast<std::size_t>(o.n_ranks), RankStats{});
   std::vector<rank_t> owner(static_cast<std::size_t>(nt));
-  for (index_t t = 0; t < nt; ++t)
-    owner[static_cast<std::size_t>(t)] =
-        mapping.owner[static_cast<std::size_t>(
-            tasks[static_cast<std::size_t>(t)].target)];
+  std::vector<char> done(static_cast<std::size_t>(nt), 0);
+  // Owners are read at event-pop time, so rewriting them re-routes every
+  // task that has not run yet.
+  auto refresh_owners = [&] {
+    for (index_t t = 0; t < nt; ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      if (!done[ti])
+        owner[ti] = cluster.mapping.owner[static_cast<std::size_t>(
+            tasks[ti].target)];
+    }
+  };
+  refresh_owners();
 
   // Priority inside a rank: lowest elimination step first ("the most
   // critical of the tasks", §4.4), then enumeration order.
@@ -341,20 +320,14 @@ Status run_sync_free(const block::BlockMatrixT<V>& bm,
   ready.reserve(static_cast<std::size_t>(o.n_ranks));
   for (rank_t r = 0; r < o.n_ranks; ++r) ready.emplace_back(priority_less);
 
+  std::vector<index_t> dep = g.dep;  // counted down as dependencies break
   std::vector<double> busy_until(static_cast<std::size_t>(o.n_ranks), 0.0);
   std::vector<double> ready_time(static_cast<std::size_t>(nt), 0.0);
-  std::vector<char> done(static_cast<std::size_t>(nt), 0);
-  const std::vector<ElasticStep> esteps = elastic_steps(o.elastic);
-  std::size_t next_step = 0;
 
-  res->ranks.assign(static_cast<std::size_t>(o.n_ranks), RankStats{});
-
-  std::priority_queue<PendingEvent, std::vector<PendingEvent>,
-                      std::greater<PendingEvent>>
-      events;
+  DesEvents events;
   index_t seq = 0;
   for (index_t t = 0; t < nt; ++t) {
-    if (g.dep[static_cast<std::size_t>(t)] == 0)
+    if (dep[static_cast<std::size_t>(t)] == 0)
       events.push({0.0, seq++, t, 0});
   }
   // A dead rank is noticed when its heartbeats stop: schedule the recovery
@@ -424,19 +397,12 @@ Status run_sync_free(const block::BlockMatrixT<V>& bm,
     if (o.trace)
       o.trace->record({t, task.kind, task.k, task.bi, task.bj, r, now, fin});
     rs.busy += cost + send_overhead;
-    if (task.kind == TaskKind::kSsssm)
-      res->schur_busy += cost;
-    else
-      res->panel_busy += cost;
-    res->kind_busy[static_cast<int>(task.kind)] += cost;
-    res->kind_count[static_cast<int>(task.kind)]++;
-    res->total_flops += task.weight;
+    bill_task(task, cost, res);
     done[static_cast<std::size_t>(t)] = 1;
     ++completed;
     // This commit is a task-graph safe point: fire due elastic events when
     // the task finishes (the marker carries the virtual time of the commit).
-    if (next_step < esteps.size() &&
-        esteps[next_step].at_commit <= completed)
+    if (cluster.due(completed))
       events.push({fin, seq++, kElasticEvent, r});
 
     // One physical transfer per destination rank; every dependent on that
@@ -445,25 +411,10 @@ Status run_sync_free(const block::BlockMatrixT<V>& bm,
     // still decrements exactly once per logical message.
     std::vector<double> deliver_at(sent_to.size());
     for (std::size_t i = 0; i < sent_to.size(); ++i) {
-      const rank_t dr = sent_to[i];
-      FaultCtx::Transfer tr = faults.transfer(fin, msg_bytes);
-      if (!tr.ok) {
-        return Status::unavailable(
-            "block transfer to rank " + std::to_string(dr) + " lost " +
-            std::to_string(o.faults.max_attempts) +
-            " consecutive times; giving up");
-      }
+      const FaultCtx::Transfer tr =
+          faults.send(r, sent_to[i], fin, msg_bytes, o.trace, res);
+      if (!tr.ok) return faults.lost(r, sent_to[i]);
       deliver_at[i] = tr.deliver;
-      rs.messages_sent += tr.sends;
-      rs.bytes_sent += static_cast<std::size_t>(tr.sends) * msg_bytes;
-      rs.retransmits += tr.sends - 1;
-      rs.timeouts += tr.timeouts;
-      res->ranks[static_cast<std::size_t>(dr)].duplicates_suppressed +=
-          tr.duplicates;
-      res->recovery_time += tr.penalty;
-      if (o.trace && tr.sends > 1)
-        o.trace->record_instant(r, fin, "retransmit x" +
-                                            std::to_string(tr.sends - 1));
     }
 
     for (nnz_t e = g.out_ptr[static_cast<std::size_t>(t)];
@@ -478,182 +429,83 @@ Status run_sync_free(const block::BlockMatrixT<V>& bm,
       }
       auto& rd = ready_time[static_cast<std::size_t>(d)];
       rd = std::max(rd, arrive);
-      if (--g.dep[static_cast<std::size_t>(d)] == 0)
+      if (--dep[static_cast<std::size_t>(d)] == 0)
         events.push({rd, seq++, d, 0});
     }
     events.push({fin, seq++, kWakeEvent, r});  // wake: pick the next task
     return Status::ok();
   };
 
-  // Crash recovery: declare the rank dead, hand its blocks to the survivors
-  // (round-robin, deterministic), re-point every unfinished task at its new
-  // owner, and re-dispatch whatever was stranded in the dead rank's queue.
+  // Crash recovery: the survivors adopt the dead rank's blocks, every
+  // unfinished task is re-pointed at its new owner, and whatever was
+  // stranded in the dead rank's queue is re-dispatched.
   auto recover = [&](rank_t dead, double now) -> Status {
-    if (!alive[static_cast<std::size_t>(dead)]) return Status::ok();
-    alive[static_cast<std::size_t>(dead)] = 0;
-    if (completed == nt) return Status::ok();  // died after the work finished
-    auto& rs = res->ranks[static_cast<std::size_t>(dead)];
-    rs.crashed = true;
-    res->rank_crashes++;
-    const nnz_t moved = mapping.remap_failed_rank(dead, alive);
-    if (moved < 0)
-      return Status::unavailable(
-          "rank " + std::to_string(dead) +
-          " crashed and no survivor remains: recovery impossible");
-    res->remapped_blocks += moved;
-    for (index_t t = 0; t < nt; ++t) {
-      if (!done[static_cast<std::size_t>(t)])
-        owner[static_cast<std::size_t>(t)] =
-            mapping.owner[static_cast<std::size_t>(
-                tasks[static_cast<std::size_t>(t)].target)];
+    if (!cluster.alive[static_cast<std::size_t>(dead)]) return Status::ok();
+    if (completed == nt) {  // died after the work finished
+      cluster.alive[static_cast<std::size_t>(dead)] = 0;
+      return Status::ok();
     }
-    Status vs = verify_after_remap(bm, tasks, mapping, alive, o);
-    if (!vs.is_ok()) return vs;
+    nnz_t moved = 0;
+    Status cs = cluster.crash(dead, &moved);
+    if (!cs.is_ok()) return cs;
+    refresh_owners();
     // Survivors must adopt the orphaned blocks before touching them.
     const double ready_at =
         now + static_cast<double>(moved) * o.device.remap_per_block_s;
-    res->recovery_time +=
-        ready_at - faults.crash_at[static_cast<std::size_t>(dead)];
-    auto& q = ready[static_cast<std::size_t>(dead)];
-    while (!q.empty()) {
-      const index_t t = q.top();
-      q.pop();
-      events.push({std::max(ready_at,
-                            ready_time[static_cast<std::size_t>(t)]),
-                   seq++, t, 0});
-      res->recovered_tasks++;
-    }
-    if (o.trace) {
-      o.trace->record_instant(
-          dead, faults.crash_at[static_cast<std::size_t>(dead)], "crash");
-      o.trace->record_instant(dead, now, "recovery: remap " +
-                                             std::to_string(moved) +
-                                             " blocks");
-    }
+    const double crashed_at = faults.crash_at[static_cast<std::size_t>(dead)];
+    res->recovery_time += ready_at - crashed_at;
+    res->recovered_tasks +=
+        static_cast<std::int64_t>(ready[static_cast<std::size_t>(dead)].size());
+    requeue(ready[static_cast<std::size_t>(dead)], events, seq,
+            [&](index_t t) {
+              return std::max(ready_at,
+                              ready_time[static_cast<std::size_t>(t)]);
+            });
+    cluster.record_crash(dead, crashed_at, now, moved);
     return Status::ok();
   };
 
-  // Planned capacity changes at commit safe points. A drain quiesces the
-  // rank (waits out its in-flight task), migrates its blocks to the
-  // least-loaded survivors via Mapping::rebalance, re-proves the mapping
-  // with the I6 verifier, and re-routes any queued work; an add does the
-  // symmetric steal from the most-loaded donors. Crash interleavings are
-  // no-ops for the second event: draining a crashed rank has nothing to
-  // quiesce (the recovery sweep owns its blocks), and crashing a drained
-  // rank finds it already empty.
-  auto handle_elastic = [&](double now, bool fire_all) -> Status {
-    for (; next_step < esteps.size() &&
-           (fire_all || esteps[next_step].at_commit <= completed);
-         ++next_step) {
-      const ElasticStep& st = esteps[next_step];
-      const auto ri = static_cast<std::size_t>(st.rank);
-      Mapping before = mapping;
-      std::vector<nnz_t> moved_pos;
-      nnz_t moved = 0;
-      double quiesce = now;
-      if (st.is_add) {
-        if (alive[ri] || now >= faults.crash_at[ri]) {
-          // Already active, or the slot crashed before it could join.
-          if (o.trace) o.trace->record_instant(st.rank, now, "add: no-op");
-          continue;
-        }
-        alive[ri] = 1;
-        moved = mapping.rebalance(st.rank, +1, alive, &moved_pos);
-      } else {
-        if (!alive[ri] || now >= faults.crash_at[ri] ||
-            busy_until[ri] == kInf) {
-          // Drain of a crashed (or crashing) rank: the recovery sweep is
-          // responsible for its blocks; the drain itself is a no-op.
-          if (o.trace) o.trace->record_instant(st.rank, now, "drain: no-op");
-          continue;
-        }
-        rank_t live = 0;
-        for (char a : alive) live += a ? 1 : 0;
-        if (live - 1 < o.elastic.min_ranks)
-          return Status::resource_exhausted(
-              "drain of rank " + std::to_string(st.rank) +
-              " at commit " + std::to_string(completed) + " would leave " +
-              std::to_string(live - 1) + " live ranks, below min_ranks " +
-              std::to_string(o.elastic.min_ranks) + "; load shed");
-        // Quiesce: the rank finishes (and ships) its in-flight task before
-        // its state migrates; nothing is interrupted mid-kernel.
-        quiesce = std::max(now, busy_until[ri]);
-        alive[ri] = 0;
-        moved = mapping.rebalance(st.rank, -1, alive, &moved_pos);
-        if (moved < 0)
-          return Status::resource_exhausted(
-              "drain of rank " + std::to_string(st.rank) +
-              " found no live rank to adopt its blocks");
-      }
-      for (index_t t = 0; t < nt; ++t) {
-        if (!done[static_cast<std::size_t>(t)])
-          owner[static_cast<std::size_t>(t)] =
-              mapping.owner[static_cast<std::size_t>(
-                  tasks[static_cast<std::size_t>(t)].target)];
-      }
-      Status vs =
-          analysis::verify_rebalance(bm, tasks, before, mapping, st.rank,
-                                     st.is_add ? +1 : -1, alive,
-                                     o.verify_level);
-      if (!vs.is_ok()) return vs;
-      // Each migrated block travels once over the wire and pays the adopt
-      // bookkeeping; with ABFT on, the landed state is audited against its
-      // checksum (the replay-integrity check of the migration protocol).
-      double tmig = 0;
-      for (nnz_t pos : moved_pos) {
-        const CscT<V>& blk = bm.block(pos);
-        tmig += o.device.message_time(
-                    block_message_bytes(blk.nnz(), blk.n_cols(), sizeof(V))) +
-                o.device.remap_per_block_s;
-        if (o.abft != AbftLevel::kOff) {
-          (void)block_checksum(blk);
-          res->abft_audits++;
-        }
-      }
-      const double ready_at = quiesce + tmig;
-      if (st.is_add) {
-        busy_until[ri] = ready_at;
-        events.push({ready_at, seq++, kWakeEvent, st.rank});
-        res->ranks_added++;
+  // Planned capacity changes at commit safe points (runtime/cluster.hpp).
+  // Here a drain waits out the rank's in-flight task and parks it; an add
+  // wakes the newcomer once its blocks have landed. Queued work is
+  // re-routed: a task whose target migrated becomes runnable once the
+  // migrated state has arrived. Crash interleavings are no-ops for the
+  // second event.
+  auto reshape = [&](double now, bool fire_all) -> Status {
+    while (const ElasticPlan::Step* st =
+               cluster.next_due(completed, fire_all)) {
+      const auto ri = static_cast<std::size_t>(st->rank);
+      Migration m;
+      Status s =
+          cluster.step(*st, now, busy_until[ri], faults.crash_at[ri], &m);
+      if (!s.is_ok()) return s;
+      if (!m.fired) continue;
+      refresh_owners();
+      if (st->is_add) {
+        busy_until[ri] = m.ready_at;
+        events.push({m.ready_at, seq++, kWakeEvent, st->rank});
       } else {
         busy_until[ri] = kInf;  // the drained rank takes no more work
-        res->ranks_drained++;
       }
-      // Re-route queued work through the event queue: owner is read fresh
-      // at pop time, so tasks whose target migrated land on the new owner;
-      // they become runnable once the migrated state has arrived.
-      for (rank_t q = 0; q < o.n_ranks; ++q) {
-        auto& rq = ready[static_cast<std::size_t>(q)];
-        while (!rq.empty()) {
-          const index_t t = rq.top();
-          rq.pop();
-          const auto tgt = static_cast<std::size_t>(
-              tasks[static_cast<std::size_t>(t)].target);
-          const bool migrated = before.owner[tgt] != mapping.owner[tgt];
-          events.push({std::max(migrated ? ready_at : now,
-                                ready_time[static_cast<std::size_t>(t)]),
-                       seq++, t, 0});
-        }
-      }
-      res->migrated_blocks += moved;
-      res->migration_time += (quiesce - now) + tmig;
-      makespan = std::max(makespan, ready_at);
-      if (o.trace) {
-        o.trace->record_instant(st.rank, now, st.is_add ? "add" : "drain");
-        o.trace->record_instant(st.rank, ready_at,
-                                "migrate " + std::to_string(moved) +
-                                    " blocks");
-      }
+      for (auto& q : ready)
+        requeue(q, events, seq, [&](index_t t) {
+          const bool moved = cluster.migrated(static_cast<std::size_t>(
+              tasks[static_cast<std::size_t>(t)].target));
+          return std::max(moved ? m.ready_at : now,
+                          ready_time[static_cast<std::size_t>(t)]);
+        });
+      makespan = std::max(makespan, m.ready_at);
+      cluster.record(*st, now, m);
     }
     return Status::ok();
   };
 
   // Commit 0 is itself a safe point (events scheduled before any task).
-  Status es = handle_elastic(0.0, false);
+  Status es = reshape(0.0, false);
   if (!es.is_ok()) return es;
 
   while (!events.empty()) {
-    PendingEvent ev = events.top();
+    DesEvent ev = events.top();
     events.pop();
     // Virtual-deadline poll: the DES clock has provably reached ev.time, so
     // a deadline behind it can never be met and the run sheds here.
@@ -667,7 +519,7 @@ Status run_sync_free(const block::BlockMatrixT<V>& bm,
       continue;
     }
     if (ev.task == kElasticEvent) {
-      Status s = handle_elastic(ev.time, false);
+      Status s = reshape(ev.time, false);
       if (!s.is_ok()) return s;
       continue;
     }
@@ -695,19 +547,9 @@ Status run_sync_free(const block::BlockMatrixT<V>& bm,
   }
   // Elastic events scheduled past the final commit still fire (the cluster
   // reshapes after the factorisation drains), at the end of the schedule.
-  Status esf = handle_elastic(makespan, true);
+  Status esf = reshape(makespan, true);
   if (!esf.is_ok()) return esf;
-
-  res->makespan = makespan;
-  for (rank_t r = 0; r < o.n_ranks; ++r) {
-    auto& rs = res->ranks[static_cast<std::size_t>(r)];
-    rs.idle = makespan - rs.busy;
-    res->avg_sync += rs.idle;
-    res->max_sync = std::max(res->max_sync, rs.idle);
-    res->messages += rs.messages_sent;
-    res->bytes += rs.bytes_sent;
-  }
-  res->avg_sync /= std::max<rank_t>(1, o.n_ranks);
+  finish_run(makespan, /*idle_is_gap=*/true, res);
   return Status::ok();
 }
 
@@ -718,20 +560,12 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
                      const std::vector<TaskPlan>& plans, SimResult* res) {
   res->ranks.assign(static_cast<std::size_t>(o.n_ranks), RankStats{});
   FaultCtx faults(o.faults, o.device, o.n_ranks);
-  Mapping mapping = mapping_in;
-  std::vector<char> alive = o.elastic.initially_active(o.n_ranks);
-  // Provisioning: ranks that join later start idle; re-home their blocks at
-  // zero cost before the first slice.
-  for (rank_t r = 0; r < o.n_ranks; ++r) {
-    if (alive[static_cast<std::size_t>(r)]) continue;
-    Mapping before = mapping;
-    if (mapping.rebalance(r, -1, alive) < 0)
-      return Status::resource_exhausted(
-          "elastic plan leaves no rank live before the first task");
-    Status vs = analysis::verify_rebalance(bm, tasks, before, mapping, r, -1,
-                                           alive, o.verify_level);
-    if (!vs.is_ok()) return vs;
-  }
+  // The static per-task owner lookup reads the cluster's working mapping,
+  // so every reshape routes the remaining work by itself.
+  LiveCluster<V> cluster(bm, tasks, mapping_in, o, "commit", res);
+  Status ps = cluster.provision();
+  if (!ps.is_ok()) return ps;
+  const Mapping& mapping = cluster.mapping;
   std::vector<char> crash_handled(o.faults.crashes.size(), 0);
   std::vector<char> stall_applied(o.faults.stalls.size(), 0);
 
@@ -743,110 +577,40 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
   const index_t nb = bm.nb();
 
   // Bulk-synchronous recovery: a crash is noticed at the barrier following
-  // it — the survivors pay the detection window plus the re-mapping work,
-  // then the (static) owner lookup routes the dead rank's remaining tasks
-  // to their adopters.
+  // it, and the survivors pay the detection window plus the re-mapping work.
   auto handle_crashes = [&]() -> Status {
     for (std::size_t c = 0; c < o.faults.crashes.size(); ++c) {
       const FaultPlan::Crash& cr = o.faults.crashes[c];
       if (crash_handled[c] || cr.at_s > now) continue;
       crash_handled[c] = 1;
-      if (!alive[static_cast<std::size_t>(cr.rank)]) continue;
-      alive[static_cast<std::size_t>(cr.rank)] = 0;
-      res->ranks[static_cast<std::size_t>(cr.rank)].crashed = true;
-      res->rank_crashes++;
-      const nnz_t moved = mapping.remap_failed_rank(cr.rank, alive);
-      if (moved < 0)
-        return Status::unavailable(
-            "rank " + std::to_string(cr.rank) +
-            " crashed and no survivor remains: recovery impossible");
-      res->remapped_blocks += moved;
-      Status vs = verify_after_remap(bm, tasks, mapping, alive, o);
-      if (!vs.is_ok()) return vs;
+      if (!cluster.alive[static_cast<std::size_t>(cr.rank)]) continue;
+      nnz_t moved = 0;
+      Status cs = cluster.crash(cr.rank, &moved);
+      if (!cs.is_ok()) return cs;
       const double pause = o.device.crash_detect_s +
                            static_cast<double>(moved) * o.device.remap_per_block_s;
       now += pause;
       res->recovery_time += pause;
-      if (o.trace) {
-        o.trace->record_instant(cr.rank, cr.at_s, "crash");
-        o.trace->record_instant(cr.rank, now, "recovery: remap " +
-                                                  std::to_string(moved) +
-                                                  " blocks");
-      }
+      cluster.record_crash(cr.rank, cr.at_s, now, moved);
     }
     return Status::ok();
   };
 
-  // Planned capacity changes. Under bulk-synchronous scheduling every slice
-  // boundary is a safe point — all ranks are quiesced at the barrier — so a
-  // drain/add due at commit c fires at the first boundary where ti >= c.
-  // The static per-task owner lookup then routes work automatically.
-  const std::vector<ElasticStep> esteps = elastic_steps(o.elastic);
-  std::size_t next_step = 0;
-  auto handle_elastic = [&](bool fire_all) -> Status {
+  // Planned capacity changes (runtime/cluster.hpp). Every slice boundary is
+  // a safe point with all ranks quiesced at the barrier, so a step due at
+  // commit c fires at the first boundary where ti >= c and its migration is
+  // charged to the global clock; both instants carry the clock after it.
+  auto reshape = [&](bool fire_all) -> Status {
     const auto committed = static_cast<index_t>(ti);
-    for (; next_step < esteps.size() &&
-           (fire_all || esteps[next_step].at_commit <= committed);
-         ++next_step) {
-      const ElasticStep& st = esteps[next_step];
-      const auto ri = static_cast<std::size_t>(st.rank);
-      Mapping before = mapping;
-      std::vector<nnz_t> moved_pos;
-      nnz_t moved = 0;
-      if (st.is_add) {
-        if (alive[ri] || now >= faults.crash_at[ri]) {
-          if (o.trace) o.trace->record_instant(st.rank, now, "add: no-op");
-          continue;
-        }
-        alive[ri] = 1;
-        moved = mapping.rebalance(st.rank, +1, alive, &moved_pos);
-        res->ranks_added++;
-      } else {
-        if (!alive[ri] || now >= faults.crash_at[ri]) {
-          if (o.trace) o.trace->record_instant(st.rank, now, "drain: no-op");
-          continue;
-        }
-        rank_t live = 0;
-        for (char a : alive) live += a ? 1 : 0;
-        if (live - 1 < o.elastic.min_ranks)
-          return Status::resource_exhausted(
-              "drain of rank " + std::to_string(st.rank) + " at commit " +
-              std::to_string(committed) + " would leave " +
-              std::to_string(live - 1) + " live ranks, below min_ranks " +
-              std::to_string(o.elastic.min_ranks) + "; load shed");
-        alive[ri] = 0;
-        moved = mapping.rebalance(st.rank, -1, alive, &moved_pos);
-        if (moved < 0)
-          return Status::resource_exhausted(
-              "drain of rank " + std::to_string(st.rank) +
-              " found no live rank to adopt its blocks");
-        res->ranks_drained++;
-      }
-      Status vs =
-          analysis::verify_rebalance(bm, tasks, before, mapping, st.rank,
-                                     st.is_add ? +1 : -1, alive,
-                                     o.verify_level);
-      if (!vs.is_ok()) return vs;
-      double tmig = 0;
-      for (nnz_t pos : moved_pos) {
-        const CscT<V>& blk = bm.block(pos);
-        tmig += o.device.message_time(
-                    block_message_bytes(blk.nnz(), blk.n_cols(), sizeof(V))) +
-                o.device.remap_per_block_s;
-        if (o.abft != AbftLevel::kOff) {
-          (void)block_checksum(blk);
-          res->abft_audits++;
-        }
-      }
-      now += tmig;
-      res->migrated_blocks += moved;
-      res->migration_time += tmig;
-      if (o.trace) {
-        o.trace->record_instant(st.rank, now, st.is_add ? "add" : "drain");
-        o.trace->record_instant(st.rank, now,
-                                "migrate " + std::to_string(moved) +
-                                    " blocks");
-      }
+    while (const ElasticPlan::Step* st =
+               cluster.next_due(committed, fire_all)) {
+      const auto ri = static_cast<std::size_t>(st->rank);
+      Migration m;
+      Status s = cluster.step(*st, now, now, faults.crash_at[ri], &m);
+      if (!s.is_ok()) return s;
+      if (!m.fired) continue;
+      now = m.ready_at;
+      cluster.record(*st, now, m);
     }
     return Status::ok();
   };
@@ -861,7 +625,7 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
     }
     Status cs = handle_crashes();
     if (!cs.is_ok()) return cs;
-    cs = handle_elastic(false);
+    cs = reshape(false);
     if (!cs.is_ok()) return cs;
     for (int phase = 0; phase < 3; ++phase) {
       std::fill(phase_busy.begin(), phase_busy.end(), 0.0);
@@ -870,7 +634,7 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
       for (std::size_t si = 0; si < o.faults.stalls.size(); ++si) {
         const FaultPlan::Stall& st = o.faults.stalls[si];
         if (stall_applied[si] || st.at_s > now ||
-            !alive[static_cast<std::size_t>(st.rank)])
+            !cluster.alive[static_cast<std::size_t>(st.rank)])
           continue;
         stall_applied[si] = 1;
         phase_busy[static_cast<std::size_t>(st.rank)] += st.duration_s;
@@ -894,38 +658,20 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
         // distinct remote source block (panel: diag; SSSSM: both solves),
         // each riding the ack/retransmit protocol.
         double comm = 0;
-        Status ferr = Status::ok();
-        auto charge_fetch = [&](nnz_t src) {
-          if (src < 0 || !ferr.is_ok()) return;
+        for (nnz_t src : {task.src_a, task.kind == TaskKind::kSsssm
+                                          ? task.src_b
+                                          : nnz_t{-1}}) {
+          if (src < 0) continue;
           const rank_t sr = mapping.owner[static_cast<std::size_t>(src)];
-          if (sr == r) return;
+          if (sr == r) continue;
           const CscT<V>& blk = bm.block(src);
           const std::size_t bytes =
               block_message_bytes(blk.nnz(), blk.n_cols(), sizeof(V));
-          FaultCtx::Transfer tr = faults.transfer(now, bytes);
-          if (!tr.ok) {
-            ferr = Status::unavailable(
-                "block fetch from rank " + std::to_string(sr) + " lost " +
-                std::to_string(o.faults.max_attempts) +
-                " consecutive times; giving up");
-            return;
-          }
+          const FaultCtx::Transfer tr =
+              faults.send(sr, r, now, bytes, o.trace, res);
+          if (!tr.ok) return faults.lost(sr, r);
           comm += o.device.message_time(bytes) + tr.penalty;
-          auto& ss = res->ranks[static_cast<std::size_t>(sr)];
-          ss.messages_sent += tr.sends;
-          ss.bytes_sent += static_cast<std::size_t>(tr.sends) * bytes;
-          ss.retransmits += tr.sends - 1;
-          ss.timeouts += tr.timeouts;
-          res->ranks[static_cast<std::size_t>(r)].duplicates_suppressed +=
-              tr.duplicates;
-          res->recovery_time += tr.penalty;
-          if (o.trace && tr.sends > 1)
-            o.trace->record_instant(sr, now, "retransmit x" +
-                                                 std::to_string(tr.sends - 1));
-        };
-        charge_fetch(task.src_a);
-        if (task.kind == TaskKind::kSsssm) charge_fetch(task.src_b);
-        if (!ferr.is_ok()) return ferr;
+        }
 
         if (o.trace) {
           const double start =
@@ -934,15 +680,8 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
                            task.bi, task.bj, r, start, start + cost});
         }
         phase_busy[static_cast<std::size_t>(r)] += cost + comm;
-        auto& rs = res->ranks[static_cast<std::size_t>(r)];
-        rs.busy += cost;
-        if (task.kind == TaskKind::kSsssm)
-          res->schur_busy += cost;
-        else
-          res->panel_busy += cost;
-        res->kind_busy[static_cast<int>(task.kind)] += cost;
-        res->kind_count[static_cast<int>(task.kind)]++;
-        res->total_flops += task.weight;
+        res->ranks[static_cast<std::size_t>(r)].busy += cost;
+        bill_task(task, cost, res);
         ++ti;
       }
       if (ti == begin && phase != 0) continue;  // empty phase: no barrier
@@ -962,19 +701,10 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
   // and elastic events scheduled past the final commit still fire.
   Status cs = handle_crashes();
   if (!cs.is_ok()) return cs;
-  cs = handle_elastic(true);
+  cs = reshape(true);
   if (!cs.is_ok()) return cs;
-
-  res->makespan = now;
-  for (rank_t r = 0; r < o.n_ranks; ++r) {
-    auto& rs = res->ranks[static_cast<std::size_t>(r)];
-    // Include barrier overhead in idle accounting.
-    res->avg_sync += rs.idle;
-    res->max_sync = std::max(res->max_sync, rs.idle);
-    res->messages += rs.messages_sent;
-    res->bytes += rs.bytes_sent;
-  }
-  res->avg_sync /= std::max<rank_t>(1, o.n_ranks);
+  // Idle time already includes the barrier overhead.
+  finish_run(now, /*idle_is_gap=*/false, res);
   return Status::ok();
 }
 
@@ -1028,10 +758,10 @@ template <class V>
 class NumericEngine {
  public:
   NumericEngine(block::BlockMatrixT<V>& bm, const std::vector<Task>& tasks,
-                const std::vector<TaskPlan>& plans, const SimOptions& o,
-                index_t ckpt_interval, AbftGuardT<V>* guard,
-                SimResult* result)
-      : bm_(bm), tasks_(tasks), plans_(plans), o_(o),
+                const TaskAdjacency& adj, const std::vector<TaskPlan>& plans,
+                const SimOptions& o, index_t ckpt_interval,
+                AbftGuardT<V>* guard, SimResult* result)
+      : bm_(bm), tasks_(tasks), adj_(adj), plans_(plans), o_(o),
         nt_(static_cast<index_t>(tasks.size())),
         first_(o.resume_from_task), ckpt_interval_(ckpt_interval),
         guard_(guard), result_(result),
@@ -1102,7 +832,6 @@ class NumericEngine {
   /// keys, and the initial ready set (tasks before the resume point count
   /// as committed). Runs before any worker starts.
   void build_graph() PANGULU_NO_THREAD_SAFETY_ANALYSIS {
-    adj_ = TaskAdjacency::build(bm_, tasks_);
     std::vector<index_t> dep = adj_.dep;
     chain_next_.assign(static_cast<std::size_t>(nt_), -1);
     std::vector<index_t> last(static_cast<std::size_t>(bm_.n_blocks()), -1);
@@ -1332,6 +1061,7 @@ class NumericEngine {
 
   block::BlockMatrixT<V>& bm_;
   const std::vector<Task>& tasks_;
+  const TaskAdjacency& adj_;
   const std::vector<TaskPlan>& plans_;
   const SimOptions& o_;
   const index_t nt_;
@@ -1342,7 +1072,6 @@ class NumericEngine {
   int workers_ = 1;
 
   // Immutable once build_graph has run.
-  TaskAdjacency adj_;
   std::vector<index_t> chain_next_;
   std::vector<double> bottom_level_;
 
@@ -1413,6 +1142,13 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
   for (index_t t = 0; t < nt; ++t)
     plans[static_cast<std::size_t>(t)] =
         plan_task(tasks[static_cast<std::size_t>(t)], bm, opts);
+  // One task graph for the engine and the sync-free replay; both only read
+  // it (each counts down its own copy of `dep`). A level-set replay alone
+  // needs none.
+  const TaskAdjacency adj =
+      opts.execute_numerics || opts.schedule == ScheduleMode::kSyncFree
+          ? TaskAdjacency::build(bm, tasks)
+          : TaskAdjacency{};
 
   // Numerics run on the parallel engine before the virtual-time replay.
   // Every block sees its canonical kernel sequence (see NumericEngine), so
@@ -1468,7 +1204,7 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
                                           opts.pivot_tol, nullptr);
                     });
     }
-    Status s = NumericEngine<V>(bm, tasks, plans, opts, ckpt_interval,
+    Status s = NumericEngine<V>(bm, tasks, adj, plans, opts, ckpt_interval,
                                 guard ? &*guard : nullptr, result)
                    .run();
     if (guard) {
@@ -1480,16 +1216,9 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
     if (!s.is_ok()) return s;
   }
 
-  Status s = opts.schedule == ScheduleMode::kSyncFree
-                 ? run_sync_free(bm, tasks, mapping, opts, plans, result)
-                 : run_level_set(bm, tasks, mapping, opts, plans, result);
-  if (!s.is_ok()) return s;
-  for (const RankStats& rs : result->ranks) {
-    result->retransmits += rs.retransmits;
-    result->timeouts += rs.timeouts;
-    result->duplicates_suppressed += rs.duplicates_suppressed;
-  }
-  return Status::ok();
+  return opts.schedule == ScheduleMode::kSyncFree
+             ? run_sync_free(bm, tasks, adj, mapping, opts, plans, result)
+             : run_level_set(bm, tasks, mapping, opts, plans, result);
 }
 
 template Status simulate_factorization(block::BlockMatrixT<float>&,

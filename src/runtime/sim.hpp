@@ -18,7 +18,9 @@
 // backoff; duplicates are suppressed at the receiver so the sync-free
 // counters never double-fire; crashed ranks are detected by heartbeat
 // timeout and their blocks re-mapped onto survivors, whose makespan then
-// carries the recovery cost.
+// carries the recovery cost. Both schedulers, and the solve replay of
+// runtime/trsv_sim.hpp, reshape the cluster — crash remaps and elastic
+// drains/adds — through the one protocol of runtime/cluster.hpp.
 //
 // Two schedulers:
 //  * kSyncFree  — the paper's §4.4 strategy: the sync-free array releases a
@@ -71,11 +73,12 @@ struct SimOptions {
   /// unrecoverable ones fail with StatusCode::kUnavailable.
   FaultPlan faults;
   /// Planned capacity changes (see runtime/elastic.hpp). Drains/adds fire at
-  /// canonical commit safe points: the rank is quiesced, its blocks migrate
-  /// via Mapping::rebalance (bounded movement), the verifier re-proves the
-  /// new mapping, and the run continues to bitwise-identical factors. A
-  /// drain that would go below `elastic.min_ranks` fails with
-  /// StatusCode::kResourceExhausted (graceful load shedding, no deadlock).
+  /// canonical commit safe points (runtime/cluster.hpp): the rank is
+  /// quiesced, its blocks migrate via Mapping::rebalance (bounded movement),
+  /// the verifier re-proves the new mapping, and the run continues to
+  /// bitwise-identical factors. A drain that would go below
+  /// `elastic.min_ranks` fails with StatusCode::kResourceExhausted
+  /// (graceful load shedding, no deadlock).
   ElasticPlan elastic;
   /// Re-verify scheduling invariants after every crash-recovery remap:
   /// kCheap (default) proves mapping totality over the survivor set, kFull
@@ -189,7 +192,7 @@ struct SimResult {
 };
 
 /// Flatten an ElasticPlan into the model checker's layer-free event list,
-/// in DES firing order (at_commit ascending, adds before drains on ties).
+/// in DES firing order (ElasticPlan::steps()).
 /// The entry indices are the plan ids ProtoEvent::edge refers to for
 /// kDrain/kAdd events, so a schedule `model_check` finds for a plan replays
 /// (`analysis::replay_schedule`) only against this flattening of it.

@@ -2,65 +2,16 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "kernels/gessm.hpp"
 #include "kernels/tstrf.hpp"
+#include "runtime/cluster.hpp"
 
 namespace pangulu::runtime {
-
-namespace {
-
-// The scalar diagonal-solve and SpMV-subtract sweeps live on as the k = 1
-// case of the panel kernels (kernels/gessm.hpp, tstrf.hpp,
-// kernel_common.hpp), which this file now uses for every run.
-
-struct Event {
-  double time;
-  index_t seq;
-  index_t task;  // >=0: task ready; -1: rank wake
-  rank_t rank;
-  bool operator>(const Event& o) const {
-    return std::tie(time, seq) > std::tie(o.time, o.seq);
-  }
-};
-
-// Elastic events in firing order on the solve phase's commit clock (the
-// diagonal-solve count): by at_commit, adds before drains on ties, matching
-// ElasticPlan::validate and the factorisation DES.
-struct SolveElasticStep {
-  index_t at_commit;
-  rank_t rank;
-  bool is_add;
-};
-
-std::vector<SolveElasticStep> solve_elastic_steps(const ElasticPlan& plan) {
-  std::vector<SolveElasticStep> steps;
-  steps.reserve(plan.adds.size() + plan.drains.size());
-  for (const auto& e : plan.adds) steps.push_back({e.at_commit, e.rank, true});
-  for (const auto& e : plan.drains)
-    steps.push_back({e.at_commit, e.rank, false});
-  std::stable_sort(steps.begin(), steps.end(),
-                   [](const SolveElasticStep& a, const SolveElasticStep& b) {
-                     if (a.at_commit != b.at_commit)
-                       return a.at_commit < b.at_commit;
-                     return a.is_add && !b.is_add;
-                   });
-  return steps;
-}
-
-// The I5 message-conservation re-proof needs the factorisation task list,
-// which the solve phase does not have: clamp kFull to the structural I6
-// proof (totality, bounded movement, count conservation).
-analysis::VerifyLevel solve_verify_level(analysis::VerifyLevel level) {
-  return level == analysis::VerifyLevel::kOff ? level
-                                              : analysis::VerifyLevel::kCheap;
-}
-
-}  // namespace
 
 template <class V>
 Status build_trsv_plan(const block::BlockMatrixT<V>& f,
@@ -181,10 +132,9 @@ namespace {
 // Event-driven timing replay of one (possibly elastic) solve over a prebuilt
 // plan. Pure scheduling — no numerics — so it can run *before* the canonical
 // sweep: a virtual-deadline miss or a mid-replay load shed returns with the
-// caller's vector untouched. Elastic drains/adds fire at diagonal-solve
-// commit boundaries, mirroring the factorisation DES protocol: quiesce the
-// rank, Mapping::rebalance a working copy, re-prove it with the I6 verifier,
-// charge migration time, re-route queued work.
+// caller's vector untouched. Elastic steps fire at diagonal-solve commit
+// boundaries through the cluster-reshaping protocol of the factorisation
+// replays (runtime/cluster.hpp).
 template <class V>
 Status trsv_replay(const block::BlockMatrixT<V>& f, const TrsvPlan& plan,
                    index_t k, const TrsvOptions& opts, SimResult* result) {
@@ -201,43 +151,35 @@ Status trsv_replay(const block::BlockMatrixT<V>& f, const TrsvPlan& plan,
   // Owners are read fresh at event-pop time, so a rebalance re-routes every
   // not-yet-run task by rewriting this copy.
   std::vector<rank_t> owner(plan.owner);
-
-  const bool elastic_run = !opts.elastic.empty();
-  block::Mapping mapping;
-  std::vector<char> alive;
-  std::vector<SolveElasticStep> esteps;
-  std::size_t next_step = 0;
-  const analysis::VerifyLevel vlevel = solve_verify_level(opts.verify_level);
-
-  auto refresh_owners = [&] {
-    for (index_t t = 0; t < n_tasks; ++t) {
-      if (done[static_cast<std::size_t>(t)]) continue;
-      const nnz_t pos =
-          t < nb ? plan.diag_pos[static_cast<std::size_t>(t)]
-                 : plan.upd_pos[static_cast<std::size_t>(t - nb)];
-      owner[static_cast<std::size_t>(t)] =
-          mapping.owner[static_cast<std::size_t>(pos)];
-    }
+  auto block_of = [&](index_t t) {
+    return static_cast<std::size_t>(
+        t < nb ? plan.diag_pos[static_cast<std::size_t>(t)]
+               : plan.upd_pos[static_cast<std::size_t>(t - nb)]);
   };
 
-  if (elastic_run) {
-    mapping = *opts.mapping;
-    alive = opts.elastic.initially_active(opts.n_ranks);
-    // Provisioning, not migration: a rank whose first event is an add starts
-    // idle, so its blocks re-home at zero cost before any task runs.
-    for (rank_t r = 0; r < opts.n_ranks; ++r) {
-      if (alive[static_cast<std::size_t>(r)]) continue;
-      block::Mapping before = mapping;
-      if (mapping.rebalance(r, -1, alive) < 0)
-        return Status::resource_exhausted(
-            "trsv: elastic plan leaves no rank live before the first solve "
-            "task");
-      Status vs = analysis::verify_rebalance(f, kNoTasks, before, mapping, r,
-                                             -1, alive, vlevel);
-      if (!vs.is_ok()) return vs;
-    }
+  // The reshaping protocol runs on a cluster description of the solve: no
+  // fault plan, trace or ABFT. The I5 message-conservation re-proof needs
+  // the factorisation task list, which the solve phase does not have, so
+  // kFull clamps to the structural I6 proof.
+  SimOptions cluster_opts;
+  std::optional<LiveCluster<V>> cluster;
+  auto refresh_owners = [&] {
+    for (index_t t = 0; t < n_tasks; ++t)
+      if (!done[static_cast<std::size_t>(t)])
+        owner[static_cast<std::size_t>(t)] =
+            cluster->mapping.owner[block_of(t)];
+  };
+  if (!opts.elastic.empty()) {
+    cluster_opts.device = opts.device;
+    cluster_opts.n_ranks = opts.n_ranks;
+    cluster_opts.elastic = opts.elastic;
+    cluster_opts.verify_level =
+        std::min(opts.verify_level, analysis::VerifyLevel::kCheap);
+    cluster.emplace(f, kNoTasks, *opts.mapping, cluster_opts, "solve commit",
+                    result);
+    Status ps = cluster->provision();
+    if (!ps.is_ok()) return ps;
     refresh_owners();
-    esteps = solve_elastic_steps(opts.elastic);
   }
 
   auto priority_less = [&](index_t a, index_t b) {
@@ -249,7 +191,7 @@ Status trsv_replay(const block::BlockMatrixT<V>& f, const TrsvPlan& plan,
       ready;
   for (rank_t r = 0; r < opts.n_ranks; ++r) ready.emplace_back(priority_less);
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
+  DesEvents events;
   index_t seq = 0;
   for (index_t t = 0; t < n_tasks; ++t) {
     if (dep[static_cast<std::size_t>(t)] == 0) events.push({0.0, seq++, t, 0});
@@ -259,88 +201,32 @@ Status trsv_replay(const block::BlockMatrixT<V>& f, const TrsvPlan& plan,
   index_t completed = 0;
   index_t diag_done = 0;  // the solve phase's commit clock
 
-  // Mirror of the factorisation DES handle_elastic, on the diagonal-solve
-  // commit clock. Drains quiesce the rank's in-flight task, migrate its
-  // factor blocks (each travelling once over the wire) and park it at +inf;
-  // adds steal from the most-loaded donors and wake the newcomer once the
-  // migrated state lands.
-  auto handle_elastic = [&](double now, bool fire_all) -> Status {
-    for (; next_step < esteps.size() &&
-           (fire_all || esteps[next_step].at_commit <= diag_done);
-         ++next_step) {
-      const SolveElasticStep& st = esteps[next_step];
-      const auto ri = static_cast<std::size_t>(st.rank);
-      block::Mapping before = mapping;
-      std::vector<nnz_t> moved_pos;
-      nnz_t moved = 0;
-      double quiesce = now;
-      if (st.is_add) {
-        if (alive[ri]) continue;  // validate() rejects this; stay defensive
-        alive[ri] = 1;
-        moved = mapping.rebalance(st.rank, +1, alive, &moved_pos);
-        if (moved < 0)
-          return Status::resource_exhausted(
-              "add of rank " + std::to_string(st.rank) +
-              " found no donor blocks");
-      } else {
-        if (!alive[ri] || busy_until[ri] == kInf) continue;
-        rank_t live = 0;
-        for (char a : alive) live += a ? 1 : 0;
-        if (live - 1 < opts.elastic.min_ranks)
-          return Status::resource_exhausted(
-              "drain of rank " + std::to_string(st.rank) + " at solve commit " +
-              std::to_string(diag_done) + " would leave " +
-              std::to_string(live - 1) + " live ranks, below min_ranks " +
-              std::to_string(opts.elastic.min_ranks) + "; load shed");
-        quiesce = std::max(now, busy_until[ri]);
-        alive[ri] = 0;
-        moved = mapping.rebalance(st.rank, -1, alive, &moved_pos);
-        if (moved < 0)
-          return Status::resource_exhausted(
-              "drain of rank " + std::to_string(st.rank) +
-              " found no live rank to adopt its blocks");
-      }
+  // A drain waits out the rank's in-flight task and parks it at +inf; an add
+  // wakes the newcomer once the migrated state lands. Queued work is
+  // re-routed: a task whose block migrated becomes runnable once the
+  // migrated state has arrived.
+  auto reshape = [&](double now, bool fire_all) -> Status {
+    if (!cluster) return Status::ok();
+    while (const ElasticPlan::Step* st =
+               cluster->next_due(diag_done, fire_all)) {
+      const auto ri = static_cast<std::size_t>(st->rank);
+      Migration m;
+      Status s = cluster->step(*st, now, busy_until[ri], kInf, &m);
+      if (!s.is_ok()) return s;
+      if (!m.fired) continue;
       refresh_owners();
-      Status vs =
-          analysis::verify_rebalance(f, kNoTasks, before, mapping, st.rank,
-                                     st.is_add ? +1 : -1, alive, vlevel);
-      if (!vs.is_ok()) return vs;
-      double tmig = 0;
-      for (nnz_t pos : moved_pos) {
-        const CscT<V>& blk = f.block(pos);
-        tmig += opts.device.message_time(block_message_bytes(
-                    blk.nnz(), blk.n_cols(), sizeof(V))) +
-                opts.device.remap_per_block_s;
-      }
-      const double ready_at = quiesce + tmig;
-      if (st.is_add) {
-        busy_until[ri] = ready_at;
-        events.push({ready_at, seq++, -1, st.rank});
-        result->ranks_added++;
+      if (st->is_add) {
+        busy_until[ri] = m.ready_at;
+        events.push({m.ready_at, seq++, kWakeEvent, st->rank});
       } else {
         busy_until[ri] = kInf;  // the drained rank takes no more work
-        result->ranks_drained++;
       }
-      // Re-route queued work through the event queue: owner is read fresh at
-      // pop time, so tasks whose block migrated land on the new owner and
-      // become runnable once the migrated state has arrived.
-      for (rank_t q = 0; q < opts.n_ranks; ++q) {
-        auto& rq = ready[static_cast<std::size_t>(q)];
-        while (!rq.empty()) {
-          const index_t t = rq.top();
-          rq.pop();
-          const auto pos = static_cast<std::size_t>(
-              t < nb ? plan.diag_pos[static_cast<std::size_t>(t)]
-                     : plan.upd_pos[static_cast<std::size_t>(t - nb)]);
-          const bool migrated = before.owner[pos] != mapping.owner[pos];
-          events.push({std::max(migrated ? ready_at : now,
-                                ready_time[static_cast<std::size_t>(t)]),
-                       seq++, t, 0});
-        }
-      }
-      result->migrated_blocks += moved;
-      result->migration_time += (quiesce - now) + tmig;
-      makespan = std::max(makespan, ready_at);
+      for (auto& q : ready)
+        requeue(q, events, seq, [&](index_t t) {
+          return std::max(cluster->migrated(block_of(t)) ? m.ready_at : now,
+                          ready_time[static_cast<std::size_t>(t)]);
+        });
+      makespan = std::max(makespan, m.ready_at);
     }
     return Status::ok();
   };
@@ -392,23 +278,21 @@ Status trsv_replay(const block::BlockMatrixT<V>& f, const TrsvPlan& plan,
               plan.seg_bytes[static_cast<std::size_t>(plan.upd_dst[u])] *
                   static_cast<std::size_t>(k));
     }
-    events.push({fin, seq++, -1, r});
+    events.push({fin, seq++, kWakeEvent, r});
     // A committed diagonal solve advances the commit clock; elastic events
     // due at this boundary fire at its completion time.
     if (t < nb) {
       ++diag_done;
-      if (elastic_run) es = handle_elastic(fin, false);
+      es = reshape(fin, false);
     }
   };
 
   // Commit 0 is itself a safe point (events scheduled before any task).
-  if (elastic_run) {
-    Status s0 = handle_elastic(0.0, false);
-    if (!s0.is_ok()) return s0;
-  }
+  Status s0 = reshape(0.0, false);
+  if (!s0.is_ok()) return s0;
 
   while (!events.empty()) {
-    Event ev = events.top();
+    DesEvent ev = events.top();
     events.pop();
     // Virtual-deadline poll: the DES clock has provably reached ev.time, so
     // a deadline behind it can never be met and the solve sheds here.
@@ -430,22 +314,9 @@ Status trsv_replay(const block::BlockMatrixT<V>& f, const TrsvPlan& plan,
   PANGULU_CHECK(completed == n_tasks, "trsv DES deadlocked");
   // Elastic events scheduled past the final commit still fire (the cluster
   // reshapes after the solve drains), at the end of the schedule.
-  if (elastic_run) {
-    Status sf = handle_elastic(makespan, true);
-    if (!sf.is_ok()) return sf;
-  }
-
-  result->makespan = makespan;
-  result->total_flops = 0;  // not meaningful for trsv; callers use makespan
-  for (rank_t r = 0; r < opts.n_ranks; ++r) {
-    auto& rs = result->ranks[static_cast<std::size_t>(r)];
-    rs.idle = makespan - rs.busy;
-    result->avg_sync += rs.idle;
-    result->max_sync = std::max(result->max_sync, rs.idle);
-    result->messages += rs.messages_sent;
-    result->bytes += rs.bytes_sent;
-  }
-  result->avg_sync /= std::max<rank_t>(1, opts.n_ranks);
+  Status sf = reshape(makespan, true);
+  if (!sf.is_ok()) return sf;
+  finish_run(makespan, /*idle_is_gap=*/true, result);
   return Status::ok();
 }
 

@@ -32,13 +32,13 @@ struct TrsvOptions {
   DeviceModel device = DeviceModel::a100_like();
   rank_t n_ranks = 1;
   bool execute_numerics = true;
-  /// Planned capacity changes during the solve phase (runtime/elastic.hpp).
-  /// The solve phase's commit clock is the count of committed diagonal
-  /// solves: a drain/add with at_commit = c fires at the first level
-  /// boundary where c segments have committed (drain quiesce ->
-  /// Mapping::rebalance -> I6 re-proof -> continue). Requires `mapping`.
-  /// Because the numerics run canonically, the solution is bitwise
-  /// identical to the static run; only the replay's timing/traffic move.
+  /// Planned capacity changes during the solve phase (runtime/elastic.hpp),
+  /// fired through the reshaping protocol the factorisation replays use
+  /// (runtime/cluster.hpp). The solve phase's commit clock is the count of
+  /// committed diagonal solves: a drain/add with at_commit = c fires when
+  /// the c-th diagonal solve completes. Requires `mapping`. Because the
+  /// numerics run canonically, the solution is bitwise identical to the
+  /// static run; only the replay's timing/traffic move.
   ElasticPlan elastic;
   /// The mapping the plan was built against — required (not owned) whenever
   /// `elastic` is non-empty, so capacity changes rebalance a working copy.

@@ -22,6 +22,7 @@
 #include "runtime/elastic.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/sim.hpp"
+#include "runtime/trsv_sim.hpp"
 #include "solver/solver.hpp"
 #include "symbolic/fill.hpp"
 
@@ -135,6 +136,27 @@ TEST(ElasticPlan, OverDrainingLoadSheds) {
   EXPECT_EQ(plan.validate(4).code(), StatusCode::kResourceExhausted);
   plan.drains.pop_back();
   EXPECT_TRUE(plan.validate(4).is_ok());
+}
+
+TEST(ElasticPlan, StepsPutAddsBeforeDrainsAndKeepListingOrder) {
+  ElasticPlan plan;
+  plan.drains.push_back({2, 4});
+  plan.drains.push_back({0, 1});
+  plan.adds.push_back({3, 4});
+  plan.drains.push_back({1, 4});
+  plan.adds.push_back({0, 4});
+  plan.adds.push_back({2, 9});
+  const std::vector<ElasticPlan::Step> steps = plan.steps();
+  ASSERT_EQ(steps.size(), 6u);
+  const ElasticPlan::Step want[] = {{1, 0, false}, {4, 3, true},
+                                    {4, 0, true},  {4, 2, false},
+                                    {4, 1, false}, {9, 2, true}};
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(steps[i].at_commit, want[i].at_commit);
+    EXPECT_EQ(steps[i].rank, want[i].rank);
+    EXPECT_EQ(steps[i].is_add, want[i].is_add);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -347,6 +369,72 @@ TEST(Elasticity, ZeroEventPlanChangesNothing) {
   EXPECT_EQ(res.ranks_added, 0);
   EXPECT_EQ(res.migrated_blocks, 0);
   EXPECT_EQ(res.migration_time, 0.0);
+}
+
+// The sync-free, level-set and solve replays reshape the cluster through
+// one protocol: on one factorised matrix and mapping, the same plan moves
+// the same blocks in each, and exactly what Mapping::rebalance moves when
+// applied by hand in ElasticPlan::steps() order.
+TEST(Elasticity, AllThreeReplaysReshapeAlike) {
+  const rank_t ranks = 4;
+  Csc a = matgen::grid2d_laplacian(12, 12);
+  Prepared p = prepare(a, 16, ranks);
+  SimResult factored;
+  ASSERT_TRUE(run(p, ranks, SimOptions{}, &factored).is_ok());
+
+  ElasticPlan plan;
+  plan.adds.push_back({3, 2});    // rank 3 starts inactive, joins at 2...
+  plan.drains.push_back({1, 2});  // ...as rank 1 drains at the same commit
+  plan.adds.push_back({1, 5});    // rank 1 re-added
+  ASSERT_TRUE(plan.validate(ranks).is_ok());
+  ASSERT_LE(5, p.bm.nb());  // the solve replay fires every step mid-sweep
+
+  // By hand: provision the initially-inactive rank, then rebalance.
+  block::Mapping m = p.mapping;
+  std::vector<char> alive = plan.initially_active(ranks);
+  ASSERT_EQ(alive, (std::vector<char>{1, 1, 1, 0}));
+  ASSERT_GE(m.rebalance(3, -1, alive), 0);
+  std::int64_t added = 0, drained = 0;
+  nnz_t moved = 0;
+  for (const ElasticPlan::Step& st : plan.steps()) {
+    alive[static_cast<std::size_t>(st.rank)] = st.is_add ? 1 : 0;
+    const nnz_t mv = m.rebalance(st.rank, st.is_add ? +1 : -1, alive);
+    ASSERT_GE(mv, 0);
+    moved += mv;
+    ++(st.is_add ? added : drained);
+  }
+  EXPECT_EQ(added, 2);
+  EXPECT_EQ(drained, 1);
+  EXPECT_GT(moved, 0);
+
+  for (ScheduleMode mode : {ScheduleMode::kSyncFree, ScheduleMode::kLevelSet}) {
+    SCOPED_TRACE(mode == ScheduleMode::kSyncFree ? "sync-free" : "level-set");
+    SimOptions opts;
+    opts.n_ranks = ranks;
+    opts.schedule = mode;
+    opts.execute_numerics = false;  // replay only, over the factors
+    opts.elastic = plan;
+    SimResult res;
+    Status s = runtime::simulate_factorization(p.bm, p.tasks, p.mapping, opts,
+                                               &res);
+    ASSERT_TRUE(s.is_ok()) << s.message();
+    EXPECT_EQ(res.ranks_added, added);
+    EXPECT_EQ(res.ranks_drained, drained);
+    EXPECT_EQ(res.migrated_blocks, moved);
+  }
+
+  runtime::TrsvOptions topts;
+  topts.n_ranks = ranks;
+  topts.elastic = plan;
+  topts.mapping = &p.mapping;
+  std::vector<value_t> x(static_cast<std::size_t>(a.n_cols()), 1.0);
+  SimResult res;
+  Status s = runtime::simulate_trsv(p.bm, p.mapping, /*lower=*/true,
+                                    std::span<value_t>(x), topts, &res);
+  ASSERT_TRUE(s.is_ok()) << s.message();
+  EXPECT_EQ(res.ranks_added, added);
+  EXPECT_EQ(res.ranks_drained, drained);
+  EXPECT_EQ(res.migrated_blocks, moved);
 }
 
 // ---------------------------------------------------------------------------
