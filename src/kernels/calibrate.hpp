@@ -4,7 +4,11 @@
 // variant on synthetic blocks across an nnz/density grid, fits the
 // pairwise crossover points with `fit_crossover`, and writes them into a
 // `SelectorThresholds` that can be persisted with `save_thresholds` and
-// loaded into a solver run via `SolverOptions::thresholds_file`.
+// loaded into a solver run via `solver::Options::thresholds_file`. The
+// microbench times each variant alone, with the whole pool behind the G_
+// variants; a fitted tree therefore sets the modelled costs and the
+// kernels of a one-worker numeric engine (ABFT on, or one task left),
+// while a multi-worker engine runs C_V1 whatever the tree (DESIGN.md §8).
 //
 // Calibration is precision-aware (DESIGN.md §14): FP32 kernels shift every
 // crossover (half the bytes per entry moves the bandwidth/latency balance),

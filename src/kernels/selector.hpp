@@ -2,7 +2,11 @@
 // GESSM and TSTRF select on the nonzero count of their input block; SSSSM
 // selects on the FLOPs of the update. Thresholds default to the paper's
 // (log10 cut-points read off Figure 8) and are configurable so that a
-// calibration run on the actual host can refit them.
+// calibration run can refit them. The selected variant prices the task in
+// the runtime's cluster model and is the kernel a one-worker numeric
+// engine runs; a multi-worker engine runs each family's C_V1 (DESIGN.md
+// §8). Every variant writes its family's C_V1 bytes
+// (kernel_equivalence_test), so a tree never changes the factors.
 #pragma once
 
 #include <cmath>

@@ -108,32 +108,34 @@ TaskPlan plan_task(const Task& t, const block::BlockMatrixT<V>& bm,
   return p;
 }
 
-/// Execute the task's numerics on the host. `pool` backs the parallel
-/// kernel variants (nullptr: their default, see kernels/). Each of them
-/// computes every output column in one fixed order on whichever thread runs
-/// it, so the bits do not depend on the pool.
+constexpr int kCV1 = 0;  // C_V1's index in every family's variant enum
+static_assert(static_cast<int>(kernels::GetrfVariant::kCV1) == kCV1 &&
+              static_cast<int>(kernels::PanelVariant::kCV1) == kCV1 &&
+              static_cast<int>(kernels::SsssmVariant::kCV1) == kCV1);
+
+/// Execute the task's numerics on the host with `variant` of its family;
+/// the parallel variants run on their default pool (see kernels/).
 template <class V>
-Status run_numerics(const Task& t, const TaskPlan& p,
-                    block::BlockMatrixT<V>& bm, kernels::Workspace& ws,
-                    kernels::PivotStats* pivots, kernels::tolerance_t pivot_tol,
-                    ThreadPool* pool) {
+Status run_numerics(const Task& t, int variant, block::BlockMatrixT<V>& bm,
+                    kernels::Workspace& ws, kernels::PivotStats* pivots,
+                    kernels::tolerance_t pivot_tol) {
   switch (t.kind) {
     case TaskKind::kGetrf: {
       kernels::GetrfOptions go;
       go.pivot_tol = pivot_tol;
-      return kernels::getrf(static_cast<kernels::GetrfVariant>(p.variant),
-                            bm.block(t.target), ws, pivots, go, pool);
+      return kernels::getrf(static_cast<kernels::GetrfVariant>(variant),
+                            bm.block(t.target), ws, pivots, go);
     }
     case TaskKind::kGessm:
-      return kernels::gessm(static_cast<kernels::PanelVariant>(p.variant),
-                            bm.block(t.src_a), bm.block(t.target), ws, pool);
+      return kernels::gessm(static_cast<kernels::PanelVariant>(variant),
+                            bm.block(t.src_a), bm.block(t.target), ws);
     case TaskKind::kTstrf:
-      return kernels::tstrf(static_cast<kernels::PanelVariant>(p.variant),
-                            bm.block(t.src_a), bm.block(t.target), ws, pool);
+      return kernels::tstrf(static_cast<kernels::PanelVariant>(variant),
+                            bm.block(t.src_a), bm.block(t.target), ws);
     case TaskKind::kSsssm:
-      return kernels::ssssm(static_cast<kernels::SsssmVariant>(p.variant),
+      return kernels::ssssm(static_cast<kernels::SsssmVariant>(variant),
                             bm.block(t.src_a), bm.block(t.src_b),
-                            bm.block(t.target), ws, pool);
+                            bm.block(t.target), ws);
   }
   return Status::internal("run_numerics: unhandled TaskKind " +
                           to_string(t.kind));
@@ -708,15 +710,6 @@ Status run_level_set(const block::BlockMatrixT<V>& bm,
   return Status::ok();
 }
 
-/// One-worker pool handed to the kernels while the engine runs several
-/// tasks at once: every parallel_for over a pool of size 1 runs inline on
-/// the calling thread, so an engine worker never queues nested chunks
-/// behind the other workers.
-ThreadPool& inline_pool() {
-  static ThreadPool pool(1);
-  return pool;
-}
-
 /// Flip one bit of a stored value at its native width; bit indices past the
 /// FP32 word wrap so FP64-era fault plans stay usable.
 template <class V>
@@ -743,10 +736,16 @@ void flip_bit(block::BlockMatrixT<V>& bm, const FaultPlan::BitFlip& f) {
 /// ones, sharing one ready queue ordered by bottom level (the longest
 /// Task::weight path to the sink, ties to the lower canonical index).
 ///
+/// Executed vs modelled kernel (DESIGN.md §8): plan_task's variant sets the
+/// DES cost, and one worker runs it. Several workers run each family's
+/// serial C_V1: the parallelism is between tasks, and a G_ variant confined
+/// to one thread is a slower serial copy.
+///
 /// Determinism: the dependency graph is TaskAdjacency plus one chain edge
 /// from each SSSSM to the next SSSSM on the same target, in canonical order.
 /// Every block therefore sees exactly its canonical sequence of kernels,
-/// each with its plan_task variant, so the factors are bitwise those of a
+/// and every variant writes its family's C_V1 bytes (see
+/// kernel_equivalence_test), so the factors are bitwise those of a
 /// one-task-at-a-time canonical run at any worker count.
 ///
 /// Dispatch fences: only tasks with a canonical index below `fence_` are
@@ -767,7 +766,7 @@ class NumericEngine {
         guard_(guard), result_(result),
         ready_(ReadyOrder{&bottom_level_}) {
     // ABFT audits keep their serial semantics: one task per fence, so one
-    // worker, and its kernels keep the global pool's parallelism. No more
+    // worker, which runs the planned variants on the kernels' pool. No more
     // workers than tasks to run.
     const index_t want =
         o.numeric_threads > 0
@@ -890,7 +889,6 @@ class NumericEngine {
   void work() {
     kernels::Workspace ws;
     kernels::PivotStats pivots;
-    ThreadPool* pool = workers_ > 1 ? &inline_pool() : nullptr;
     index_t t = -1;
     Failure ran;
     for (;;) {
@@ -905,9 +903,10 @@ class NumericEngine {
       }
       ran = Failure{};
       try {
-        ran.status = run_numerics(tasks_[static_cast<std::size_t>(t)],
-                                  plans_[static_cast<std::size_t>(t)], bm_,
-                                  ws, &pivots, o_.pivot_tol, pool);
+        const int variant =
+            workers_ > 1 ? kCV1 : plans_[static_cast<std::size_t>(t)].variant;
+        ran.status = run_numerics(tasks_[static_cast<std::size_t>(t)], variant,
+                                  bm_, ws, &pivots, o_.pivot_tol);
       } catch (...) {
         ran.exc = std::current_exception();
       }
@@ -1198,10 +1197,10 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
       guard.emplace(bm, tasks, opts.abft, opts.resume_from_task,
                     [&](index_t u) -> Status {
                       kernels::PivotStats scratch;
-                      return run_numerics(tasks[static_cast<std::size_t>(u)],
-                                          plans[static_cast<std::size_t>(u)],
-                                          bm, replay_ws, &scratch,
-                                          opts.pivot_tol, nullptr);
+                      return run_numerics(
+                          tasks[static_cast<std::size_t>(u)],
+                          plans[static_cast<std::size_t>(u)].variant, bm,
+                          replay_ws, &scratch, opts.pivot_tol);
                     });
     }
     Status s = NumericEngine<V>(bm, tasks, adj, plans, opts, ckpt_interval,

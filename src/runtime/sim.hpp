@@ -124,10 +124,11 @@ struct SimOptions {
   /// the factorisation publishes nothing partial.
   const CancelToken* cancel = nullptr;
   /// Workers of the numeric engine: 0 = ThreadPool::global().size(). With
-  /// more than one, kernels run serially inside each worker; with one (and
-  /// always under ABFT, whose audits run one task per fence) they keep the
-  /// global pool's parallelism. The factors are bitwise identical at every
-  /// value. Internal: tests and benches pin it, production leaves it 0.
+  /// more than one, each worker runs its tasks' serial C_V1 kernels; with
+  /// one (and always under ABFT, whose audits run one task per fence) the
+  /// planned variants run on the kernels' pool. The factors are bitwise
+  /// identical at every value. Internal: tests and benches pin it,
+  /// production leaves it 0.
   int numeric_threads = 0;
 };
 

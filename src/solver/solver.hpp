@@ -40,13 +40,21 @@ struct Options {
   /// Apply the §4.2 static load-balancing pass on top of the cyclic map.
   bool balance = true;
   runtime::DeviceModel device = runtime::DeviceModel::a100_like();
+  /// Kernel choice per task: `policy`, and under kAdaptive the §4.3
+  /// decision trees with cuts `thresholds` (the paper's Figure 8 by
+  /// default). The chosen variant sets the task's modelled cost
+  /// (FactorStats::sim) and is the kernel a one-worker numeric engine runs;
+  /// a multi-worker engine runs each family's C_V1 (DESIGN.md §8). Factors
+  /// are the same bytes under every policy and threshold set
+  /// (NumericEngine.TreesChangeTheModelNotTheFactors*).
   runtime::KernelPolicy policy = runtime::KernelPolicy::kAdaptive;
   runtime::ScheduleMode schedule = runtime::ScheduleMode::kSyncFree;
   kernels::SelectorThresholds thresholds;
   /// Optional path to an autotuned threshold file (kernels/calibrate.hpp).
   /// When set, the file is loaded on top of `thresholds` at factorize()
-  /// time; a missing or malformed file fails factorize() with the load
-  /// error rather than silently running on defaults.
+  /// time, with the effect `thresholds` has; a missing or malformed file
+  /// fails factorize() with the load error rather than silently running on
+  /// defaults.
   std::string thresholds_file;
   value_t pivot_tol = 1e-14;
   /// Refinement sweep cap of kDouble/kSingle solves. A column stops earlier
@@ -233,9 +241,9 @@ class Solver {
   /// canonical tasks then execute, yielding factors bitwise identical to an
   /// uninterrupted run. `base` supplies the fields a snapshot does not
   /// carry (device model, selector thresholds, fault plan, checkpoint
-  /// continuation): a run that used non-default thresholds must pass the
-  /// same ones here or variant selection — and hence bit patterns — may
-  /// differ.
+  /// continuation). Thresholds other than the original run's change the
+  /// modelled statistics of the resumed run, not its factors
+  /// (Checkpoint.ResumeUnderOtherThresholdsIsBitwise).
   Status resume_from(const std::string& path, const Options& base = Options{});
 
   /// Numeric-only re-factorisation: `a` must have exactly the pattern of the

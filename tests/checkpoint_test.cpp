@@ -22,6 +22,7 @@
 #include "runtime/sim.hpp"
 #include "solver/solver.hpp"
 #include "symbolic/fill.hpp"
+#include "test_util.hpp"
 
 namespace pangulu {
 namespace {
@@ -244,6 +245,49 @@ TEST(CheckpointRestart, KillAndResumeBitwiseIdentical) {
       EXPECT_EQ(st_clean.final_residual, st_res.final_residual);
       std::remove(path.c_str());
     }
+  }
+}
+
+// Snapshots do not carry the selector thresholds. Resuming under a tree
+// that picks other variants (every cut at 1: all G_ variants) changes only
+// the modelled statistics: with ABFT on, the one engine worker runs those
+// variants; with it off, the workers run C_V1.
+TEST(CheckpointRestart, ResumeUnderOtherThresholdsIsBitwise) {
+  Csc a = matgen::circuit(180, 2.0, 2.2, 3);
+  const index_t n = a.n_cols();
+  std::vector<value_t> b(static_cast<std::size_t>(n), 1.0);
+  solver::Options clean_opts;
+  clean_opts.n_ranks = 4;
+  solver::Solver clean;
+  ASSERT_TRUE(clean.factorize(a, clean_opts).is_ok());
+  std::vector<value_t> x_clean(static_cast<std::size_t>(n));
+  ASSERT_TRUE(clean.solve(b, x_clean).is_ok());
+  const auto nt = static_cast<index_t>(clean.stats().n_tasks);
+
+  for (AbftLevel abft : {AbftLevel::kOff, AbftLevel::kCheap}) {
+    const std::string path = temp_path(
+        "snap_thresholds_" + std::to_string(static_cast<int>(abft)) + ".bin");
+    solver::Options kopts = clean_opts;
+    kopts.checkpoint_path = path;
+    kopts.checkpoint_interval_tasks = std::max<index_t>(1, nt / 8);
+    kopts.abft_level = abft;
+    kopts.fault_plan.kill_after_task = nt / 2;
+    solver::Solver victim;
+    ASSERT_EQ(victim.factorize(a, kopts).code(), StatusCode::kUnavailable);
+
+    solver::Options base;
+    base.thresholds = test::every_cut_at_one();
+    solver::Solver revived;
+    const Status s = revived.resume_from(path, base);
+    ASSERT_TRUE(s.is_ok()) << s.message();
+    EXPECT_GT(revived.stats().resumed_from_task, 0);
+    std::vector<value_t> x_res(static_cast<std::size_t>(n));
+    ASSERT_TRUE(revived.solve(b, x_res).is_ok());
+    for (index_t i = 0; i < n; ++i)
+      ASSERT_EQ(x_clean[static_cast<std::size_t>(i)],
+                x_res[static_cast<std::size_t>(i)])
+          << "abft " << static_cast<int>(abft) << " row " << i;
+    std::remove(path.c_str());
   }
 }
 

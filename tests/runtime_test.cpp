@@ -12,11 +12,13 @@
 #include "block/tasks.hpp"
 #include "io/snapshot.hpp"
 #include "kernels/getrf.hpp"
+#include "kernels/selector.hpp"
 #include "matgen/generators.hpp"
 #include "ordering/reorder.hpp"
 #include "runtime/device_model.hpp"
 #include "runtime/sim.hpp"
 #include "symbolic/fill.hpp"
+#include "test_util.hpp"
 #include "util/cancel.hpp"
 
 namespace pangulu::runtime {
@@ -46,6 +48,19 @@ Csc reference_factor(const Csc& a) {
   kernels::Workspace ws;
   kernels::getrf(kernels::GetrfVariant::kCV1, f, ws, nullptr).check();
   return f;
+}
+
+/// Raw bytes of every stored factor value, block by block: the bitwise
+/// witness of the determinism contract.
+template <class V>
+std::vector<unsigned char> factor_bytes(const block::BlockMatrixT<V>& bm) {
+  std::vector<unsigned char> out;
+  for (nnz_t pos = 0; pos < static_cast<nnz_t>(bm.n_blocks()); ++pos) {
+    const auto vals = bm.block(pos).values();
+    const auto* b = reinterpret_cast<const unsigned char*>(vals.data());
+    out.insert(out.end(), b, b + vals.size() * sizeof(V));
+  }
+  return out;
 }
 
 TEST(DeviceModel, CostOrderingMatchesDecisionTreeRegimes) {
@@ -105,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Sim, PoliciesProduceSameNumbers) {
   Csc a = matgen::circuit(250, 2.0, 2.2, 5);
-  Csc first;
+  std::vector<unsigned char> first;
   for (auto policy : {KernelPolicy::kFixedCpu, KernelPolicy::kFixedGpu,
                       KernelPolicy::kAdaptive}) {
     Prepared p = prepare(a, 32, 4);
@@ -115,11 +130,10 @@ TEST(Sim, PoliciesProduceSameNumbers) {
     SimResult res;
     ASSERT_TRUE(
         simulate_factorization(p.bm, p.tasks, p.mapping, opts, &res).is_ok());
-    Csc f = p.bm.to_csc();
-    if (first.n_rows() == 0)
-      first = f;
+    if (first.empty())
+      first = factor_bytes(p.bm);
     else
-      EXPECT_TRUE(first.approx_equal(f, 1e-9));
+      EXPECT_EQ(factor_bytes(p.bm), first) << static_cast<int>(policy);
   }
 }
 
@@ -224,19 +238,6 @@ TEST(Sim, RejectsBadRankCounts) {
   opts.n_ranks = 3;  // mapping was built for 2
   EXPECT_FALSE(
       simulate_factorization(p.bm, p.tasks, p.mapping, opts, &res).is_ok());
-}
-
-/// Raw bytes of every stored factor value, block by block: the bitwise
-/// witness of the determinism contract.
-template <class V>
-std::vector<unsigned char> factor_bytes(const block::BlockMatrixT<V>& bm) {
-  std::vector<unsigned char> out;
-  for (nnz_t pos = 0; pos < static_cast<nnz_t>(bm.n_blocks()); ++pos) {
-    const auto vals = bm.block(pos).values();
-    const auto* b = reinterpret_cast<const unsigned char*>(vals.data());
-    out.insert(out.end(), b, b + vals.size() * sizeof(V));
-  }
-  return out;
 }
 
 /// Factorise a fresh copy of `p.bm` (or its FP32 twin) on the engine.
@@ -372,6 +373,71 @@ TEST(NumericEngine, FactorsBitwiseAcrossThreadCountsFp64) {
 TEST(NumericEngine, FactorsBitwiseAcrossThreadCountsFp32) {
   for (const Family& f : gate_families())
     expect_bitwise_across_thread_counts<float>(f);
+}
+
+// Executed vs modelled kernel: the tree (thresholds, policy) picks the
+// variant the DES charges; one worker runs that variant and several workers
+// run C_V1. The factors are the same bytes under every tree and policy at
+// 1 and 4 workers, while the modelled clock differs between trees. The
+// fault-free message count depends only on the mapping, so the runs drop
+// messages in a virtual-time window: which transfers fall inside it, and so
+// how many are resent, follows the modelled clock.
+template <class V>
+void expect_trees_change_model_not_factors() {
+  const Csc a = matgen::fem3d(6, 6, 6, 3, 7);
+  struct Tree {
+    const char* name;
+    KernelPolicy policy;
+    kernels::SelectorThresholds thresholds;
+  };
+  const Tree trees[] = {{"paper", KernelPolicy::kAdaptive, {}},
+                        {"all_g", KernelPolicy::kAdaptive,
+                         test::every_cut_at_one()},
+                        {"fixed_cpu", KernelPolicy::kFixedCpu, {}},
+                        {"fixed_gpu", KernelPolicy::kFixedGpu, {}}};
+  Prepared p = prepare(a, 32, 4);
+  SimResult fault_free;
+  engine_factor<V>(p, 1, {}, &fault_free);
+  std::vector<unsigned char> want;
+  std::vector<SimResult> model;
+  for (const Tree& tree : trees) {
+    SimOptions opts;
+    opts.policy = tree.policy;
+    opts.thresholds = tree.thresholds;
+    opts.faults.seed = 5;
+    opts.faults.drop_prob = 0.3;
+    opts.faults.window_end_s = fault_free.makespan / 2;
+    SimResult one;
+    for (int threads : {1, 4}) {
+      SimResult res;
+      const auto got = factor_bytes(engine_factor<V>(p, threads, opts, &res));
+      SCOPED_TRACE(std::string(tree.name) + " fp" +
+                   std::to_string(8 * sizeof(V)) +
+                   " threads=" + std::to_string(threads));
+      if (want.empty()) want = got;
+      EXPECT_EQ(got, want);
+      if (threads == 1) {
+        one = res;
+      } else {
+        EXPECT_EQ(res.makespan, one.makespan);
+        EXPECT_EQ(res.messages, one.messages);
+      }
+    }
+    model.push_back(one);
+  }
+  for (std::size_t i = 1; i < model.size(); ++i) {
+    SCOPED_TRACE(trees[i].name);
+    EXPECT_NE(model[i].makespan, model[0].makespan);
+    EXPECT_NE(model[i].messages, model[0].messages);
+  }
+}
+
+TEST(NumericEngine, TreesChangeTheModelNotTheFactorsFp64) {
+  expect_trees_change_model_not_factors<double>();
+}
+
+TEST(NumericEngine, TreesChangeTheModelNotTheFactorsFp32) {
+  expect_trees_change_model_not_factors<float>();
 }
 
 TEST(NumericEngine, VirtualStatisticsIdenticalAcrossThreadCounts) {

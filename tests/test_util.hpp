@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "kernels/selector.hpp"
 #include "sparse/csc.hpp"
 #include "symbolic/fill.hpp"
 
@@ -92,6 +93,20 @@ inline Csc add_product_pattern(const Csc& a, const Csc& b, const Csc& c) {
     }
   }
   return Csc::from_coo(coo);
+}
+
+/// A decision tree with every nnz/FLOP cut at 1 (the huge-diagonal guard
+/// kept): every task gets its family's last G_ variant.
+inline kernels::SelectorThresholds every_cut_at_one() {
+  kernels::SelectorThresholds t;
+  for (kernels::metric_t* cut :
+       {&t.getrf_cpu_nnz, &t.getrf_gv1_nnz, &t.gessm_cv1_nnz, &t.gessm_cv2_nnz,
+        &t.gessm_gv1_nnz, &t.gessm_gv4_nnz, &t.gessm_gv2_nnz, &t.tstrf_cv1_nnz,
+        &t.tstrf_cv2_nnz, &t.tstrf_gv1_nnz, &t.tstrf_gv4_nnz, &t.tstrf_gv2_nnz,
+        &t.ssssm_cv2_flops, &t.ssssm_cv3_flops, &t.ssssm_cv1_flops,
+        &t.ssssm_gv1_flops})
+    *cut = 1;
+  return t;
 }
 
 }  // namespace pangulu::test
