@@ -131,7 +131,6 @@ struct Ctx {
   std::vector<index_t> edge_src;  // edge id (index into g.out_adj) -> source
   std::vector<nnz_t> in_ptr;      // task -> [in_ptr[t], in_ptr[t+1]) in-edges
   std::vector<nnz_t> in_edge;
-  std::vector<char> crashable;
 };
 
 // The exact protocol state. Everything up to and including `last_ckpt` is
@@ -222,10 +221,6 @@ Status init_ctx(const BM& bm, const std::vector<block::Task>& tasks,
     return Status::invalid_argument(
         "model check: min_ranks " + std::to_string(opts.min_ranks) +
         " outside [1, " + std::to_string(mapping.n_ranks) + "]");
-  if (!opts.initially_alive.empty() &&
-      static_cast<rank_t>(opts.initially_alive.size()) != mapping.n_ranks)
-    return Status::invalid_argument(
-        "model check: initially_alive size does not match rank count");
   for (std::size_t i = 0; i < opts.elastic.size(); ++i) {
     const ModelOptions::ElasticEvent& ev = opts.elastic[i];
     if (ev.rank < 0 || ev.rank >= mapping.n_ranks)
@@ -240,10 +235,6 @@ Status init_ctx(const BM& bm, const std::vector<block::Task>& tasks,
                                       " has out-of-range at_commit " +
                                       std::to_string(ev.at_commit));
   }
-  for (rank_t r : opts.crashable)
-    if (r < 0 || r >= mapping.n_ranks)
-      return Status::invalid_argument(
-          "model check: crashable rank out of range");
   for (const block::Task& t : tasks)
     if (t.target < 0 || t.target >= static_cast<nnz_t>(bm.n_blocks()))
       return Status::invalid_argument(
@@ -292,11 +283,6 @@ Status init_ctx(const BM& bm, const std::vector<block::Task>& tasks,
                              ctx->g.dep[static_cast<std::size_t>(t)]),
                   "task in-degree disagrees with sync-free counter");
   }
-
-  ctx->crashable.assign(static_cast<std::size_t>(ctx->n_ranks),
-                        opts.crashable.empty() ? char(1) : char(0));
-  for (rank_t r : opts.crashable)
-    ctx->crashable[static_cast<std::size_t>(r)] = 1;
   return Status::ok();
 }
 
@@ -313,7 +299,6 @@ Status init_state(const Ctx& ctx, const block::Mapping& mapping,
   }
   st->edge.assign(static_cast<std::size_t>(ctx.ne), kEdgeNone);
   st->alive.assign(static_cast<std::size_t>(ctx.n_ranks), 1);
-  if (!opts.initially_alive.empty()) st->alive = opts.initially_alive;
   st->crashed.assign(static_cast<std::size_t>(ctx.n_ranks), 0);
   st->efired.assign(opts.elastic.size(), 0);
   st->mapping = mapping;
@@ -322,21 +307,10 @@ Status init_state(const Ctx& ctx, const block::Mapping& mapping,
   st->crashes_left = opts.max_crashes;
   st->ckpts_left = opts.max_checkpoints;
 
-  if (live_count(*st) < 1)
-    return Status::invalid_argument("model check: no rank initially alive");
-  // Provisioned-idle ranks hand their blocks over before the first commit,
-  // mirroring the DES's initially_active handling.
-  for (rank_t r = 0; r < ctx.n_ranks; ++r) {
-    if (st->alive[static_cast<std::size_t>(r)]) continue;
-    if (st->mapping.rebalance(r, -1, st->alive) < 0)
-      return Status::invalid_argument(
-          "model check: cannot re-home blocks of initially-idle rank " +
-          std::to_string(r));
-  }
   for (rank_t o : st->mapping.owner)
-    if (o < 0 || o >= ctx.n_ranks || !st->alive[static_cast<std::size_t>(o)])
+    if (o < 0 || o >= ctx.n_ranks)
       return Status::invalid_argument(
-          "model check: initial mapping assigns a block to inactive rank " +
+          "model check: initial mapping assigns a block to out-of-range rank " +
           std::to_string(o));
   return Status::ok();
 }
@@ -392,8 +366,7 @@ void enabled_events(const Ctx& ctx, const ProtoState& st,
         out->push_back({ProtoEventKind::kDuplicate, -1, e, -1});
   if (st.crashes_left > 0 && live >= 2)
     for (rank_t r = 0; r < ctx.n_ranks; ++r)
-      if (st.alive[static_cast<std::size_t>(r)] &&
-          ctx.crashable[static_cast<std::size_t>(r)])
+      if (st.alive[static_cast<std::size_t>(r)])
         out->push_back({ProtoEventKind::kCrash, -1, -1, r});
 }
 
@@ -827,8 +800,6 @@ bool event_admissible(const Ctx& ctx, const ProtoState& st,
       if (st.crashes_left <= 0) return fail("crash budget exhausted");
       if (!st.alive[static_cast<std::size_t>(ev.rank)])
         return fail("rank " + std::to_string(ev.rank) + " is already dead");
-      if (!ctx.crashable[static_cast<std::size_t>(ev.rank)])
-        return fail("rank " + std::to_string(ev.rank) + " is not crashable");
       if (live_count(st) < 2) return fail("no survivor would remain");
       return true;
     case ProtoEventKind::kDrain:
@@ -1147,10 +1118,6 @@ Status model_check(const BM& bm, const std::vector<block::Task>& tasks,
       stats.sleep_pruned += en.size() - to.size();
       visited.emplace(std::move(key), child_sleep);
       if (to.empty()) continue;
-      if (opts.max_depth != 0 && path.size() + 1 > opts.max_depth) {
-        truncated = true;
-        continue;
-      }
       Frame nf;
       nf.st = std::move(child);
       nf.to_explore = std::move(to);
@@ -1166,10 +1133,6 @@ Status model_check(const BM& bm, const std::vector<block::Task>& tasks,
       std::vector<ProtoEvent> re = subtract(it->second, child_sleep);
       it->second = intersect(it->second, child_sleep);
       if (re.empty()) continue;
-      if (opts.max_depth != 0 && path.size() + 1 > opts.max_depth) {
-        truncated = true;
-        continue;
-      }
       Frame nf;
       nf.st = std::move(child);
       nf.to_explore = std::move(re);

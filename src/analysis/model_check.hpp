@@ -158,27 +158,19 @@ struct ModelOptions {
   };
   std::vector<ElasticEvent> elastic;
   rank_t min_ranks = 1;
-  /// Ranks live before the first commit (empty = all). Ranks that start
-  /// inactive are re-homed at zero cost before exploration, mirroring the
-  /// DES's provisioned-idle handling.
-  std::vector<char> initially_alive;
 
   // Small-scope fault budgets: how many of each fault the adversary may
   // inject per execution. Exhaustiveness is relative to these bounds.
   int max_drops = 0;
   int max_duplicates = 0;
-  int max_crashes = 0;
-  /// Ranks eligible to crash (empty = all ranks, when max_crashes > 0).
-  std::vector<rank_t> crashable;
+  int max_crashes = 0;  // any live rank may crash
   /// Checkpoint-commit events the adversary may interleave.
   int max_checkpoints = 0;
 
   /// Exploration stops with kResourceExhausted after this many distinct
-  /// states (the state budget).
+  /// states (the state budget). There is no depth bound: the event
+  /// alphabet is consumed monotonically, so DFS terminates without one.
   std::size_t max_states = std::size_t(1) << 21;
-  /// 0 = unbounded. The event alphabet is consumed monotonically, so DFS
-  /// terminates without a bound; this is a belt for experiments.
-  std::size_t max_depth = 0;
   /// Sleep-set partial-order reduction. Off = naive full enumeration
   /// (same states, every enabled transition executed) for A/B measurement.
   bool partial_order_reduction = true;

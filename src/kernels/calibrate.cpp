@@ -1,18 +1,6 @@
 #include "kernels/calibrate.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <iomanip>
-#include <limits>
-#include <sstream>
-
-#include "kernels/gessm.hpp"
-#include "kernels/getrf.hpp"
-#include "kernels/ssssm.hpp"
-#include "kernels/tstrf.hpp"
-#include "sparse/coo.hpp"
-#include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace pangulu::kernels {
 
@@ -51,352 +39,6 @@ metric_t fit_crossover(std::vector<PairedSample> samples) {
     }
   }
   return best_threshold;
-}
-
-namespace {
-
-// Field table shared by save/load; one line per threshold.
-struct ThresholdField {
-  const char* key;
-  metric_t SelectorThresholds::*ptr;
-};
-
-constexpr ThresholdField kThresholdFields[] = {
-    {"getrf_cpu_nnz", &SelectorThresholds::getrf_cpu_nnz},
-    {"getrf_gv1_nnz", &SelectorThresholds::getrf_gv1_nnz},
-    {"panel_huge_diag_nnz", &SelectorThresholds::panel_huge_diag_nnz},
-    {"gessm_cv1_nnz", &SelectorThresholds::gessm_cv1_nnz},
-    {"gessm_cv2_nnz", &SelectorThresholds::gessm_cv2_nnz},
-    {"gessm_gv1_nnz", &SelectorThresholds::gessm_gv1_nnz},
-    {"gessm_gv4_nnz", &SelectorThresholds::gessm_gv4_nnz},
-    {"gessm_gv2_nnz", &SelectorThresholds::gessm_gv2_nnz},
-    {"tstrf_cv1_nnz", &SelectorThresholds::tstrf_cv1_nnz},
-    {"tstrf_cv2_nnz", &SelectorThresholds::tstrf_cv2_nnz},
-    {"tstrf_gv1_nnz", &SelectorThresholds::tstrf_gv1_nnz},
-    {"tstrf_gv4_nnz", &SelectorThresholds::tstrf_gv4_nnz},
-    {"tstrf_gv2_nnz", &SelectorThresholds::tstrf_gv2_nnz},
-    {"ssssm_cv2_flops", &SelectorThresholds::ssssm_cv2_flops},
-    {"ssssm_cv3_flops", &SelectorThresholds::ssssm_cv3_flops},
-    {"ssssm_cv1_flops", &SelectorThresholds::ssssm_cv1_flops},
-    {"ssssm_gv1_flops", &SelectorThresholds::ssssm_gv1_flops},
-};
-
-/// Full-band diagonally dominant square block of half-bandwidth matched to
-/// the requested density. Band patterns are closed under LU elimination, so
-/// the block needs no symbolic fill pass before GETRF — every update target
-/// exists. Dominance keeps pivots healthy (no perturbation noise in timing).
-template <class V>
-CscT<V> band_block(index_t n, metric_t density, Rng& rng) {
-  auto w = static_cast<index_t>(density * static_cast<metric_t>(n) / 2.0);
-  if (w < 1) w = 1;
-  if (w >= n) w = n - 1;
-  CooT<V> coo(n, n);
-  for (index_t j = 0; j < n; ++j) {
-    const index_t lo = std::max<index_t>(0, j - w);
-    const index_t hi = std::min<index_t>(n - 1, j + w);
-    for (index_t i = lo; i <= hi; ++i) {
-      const V v = i == j ? static_cast<V>(n)
-                         : static_cast<V>(rng.uniform(-1.0, 1.0));
-      coo.add(i, j, v);
-    }
-  }
-  return CscT<V>::from_coo(coo);
-}
-
-/// Random rectangular block with ~density fill; every column keeps at least
-/// one entry so panel solves and updates have work everywhere.
-template <class V>
-CscT<V> random_block(index_t rows, index_t cols, metric_t density, Rng& rng) {
-  CooT<V> coo(rows, cols);
-  for (index_t j = 0; j < cols; ++j) {
-    bool any = false;
-    for (index_t i = 0; i < rows; ++i) {
-      if (rng.uniform() < density) {
-        coo.add(i, j, static_cast<V>(rng.normal()));
-        any = true;
-      }
-    }
-    if (!any)
-      coo.add(rng.uniform_index(0, rows - 1), j,
-              static_cast<V>(rng.normal()));
-  }
-  CscT<V> m = CscT<V>::from_coo(coo);
-  return m;
-}
-
-/// min-of-repeats wall time of `body` (the operand copy stays outside the
-/// measured region).
-template <typename Body>
-seconds_t time_min(int repeats, Body body) {
-  seconds_t best = std::numeric_limits<seconds_t>::infinity();
-  for (int r = 0; r < repeats; ++r) {
-    const seconds_t s = body();
-    if (s < best) best = s;
-  }
-  return best;
-}
-
-/// Per-(size, density) grid cell: the synthetic operands every family
-/// benchmarks against, built once and reused by all variants.
-template <class V>
-struct GridCell {
-  CscT<V> diag_raw;       // band block, unfactored (GETRF operand)
-  CscT<V> diag_factored;  // GETRF(kCV1) of diag_raw (GESSM/TSTRF operand)
-  CscT<V> panel;          // rectangular RHS/update block
-  CscT<V> ssssm_a, ssssm_b, ssssm_c;
-};
-
-struct VariantTimes {
-  std::vector<metric_t> metric;  // one per grid cell
-  // times[variant index in the family chain][cell]
-  std::vector<std::vector<seconds_t>> times;
-};
-
-/// Fit every adjacent pair of a family's preference chain and store the
-/// clamped, monotone thresholds through the given member pointers.
-void fit_chain(const VariantTimes& vt,
-               const std::vector<metric_t SelectorThresholds::*>& cuts,
-               const char* family, const std::vector<std::string>& names,
-               SelectorThresholds* out, AutotuneReport* report) {
-  metric_t floor = 1.0;
-  for (std::size_t b = 0; b < cuts.size(); ++b) {
-    std::vector<PairedSample> samples;
-    samples.reserve(vt.metric.size());
-    for (std::size_t c = 0; c < vt.metric.size(); ++c)
-      samples.push_back(
-          {vt.metric[c], vt.times[b][c], vt.times[b + 1][c]});
-    metric_t threshold = fit_crossover(samples);
-    // A malformed tree (descending cuts) would shadow variants; clamp to a
-    // monotone non-decreasing chain with a positive floor.
-    threshold = std::max(threshold, floor);
-    floor = threshold;
-    out->*cuts[b] = threshold;
-    if (report)
-      report->entries.push_back({family, names[b] + "|" + names[b + 1],
-                                 threshold,
-                                 static_cast<int>(samples.size())});
-  }
-}
-
-template <class V>
-Status autotune_thresholds_impl(const AutotuneOptions& opts,
-                                SelectorThresholds* out,
-                                AutotuneReport* report, ThreadPool* pool) {
-  Rng rng(opts.seed);
-  std::vector<GridCell<V>> cells;
-  for (index_t n : opts.sizes) {
-    for (metric_t d : opts.densities) {
-      GridCell<V> cell;
-      cell.diag_raw = band_block<V>(n, d, rng);
-      cell.diag_factored = cell.diag_raw;
-      Workspace ws;
-      PivotStats stats;
-      Status st = getrf(GetrfVariant::kCV1, cell.diag_factored, ws, &stats);
-      if (!st.is_ok()) return st;
-      cell.panel = random_block<V>(n, n, d, rng);
-      cell.ssssm_a = random_block<V>(n, n, d, rng);
-      cell.ssssm_b = random_block<V>(n, n, d, rng);
-      cell.ssssm_c = random_block<V>(n, n, std::min<metric_t>(1.0, 3.0 * d), rng);
-      cells.push_back(std::move(cell));
-    }
-  }
-
-  Workspace ws;
-  const GetrfOptions gopts;
-
-  // GETRF chain: C_V1 -> G_V1 -> G_V2 over nnz(A).
-  {
-    const std::vector<GetrfVariant> chain = {
-        GetrfVariant::kCV1, GetrfVariant::kGV1, GetrfVariant::kGV2};
-    VariantTimes vt;
-    vt.times.assign(chain.size(), {});
-    for (const GridCell<V>& cell : cells) {
-      vt.metric.push_back(static_cast<metric_t>(cell.diag_raw.nnz()));
-      for (std::size_t v = 0; v < chain.size(); ++v) {
-        const seconds_t t = time_min(opts.repeats, [&] {
-          CscT<V> a = cell.diag_raw;
-          PivotStats stats;
-          Timer timer;
-          getrf(chain[v], a, ws, &stats, gopts, pool).check();
-          return timer.seconds();
-        });
-        vt.times[v].push_back(t);
-      }
-    }
-    fit_chain(vt,
-              {&SelectorThresholds::getrf_cpu_nnz,
-               &SelectorThresholds::getrf_gv1_nnz},
-              "getrf", {"C_V1", "G_V1", "G_V2"}, out, report);
-  }
-
-  // GESSM / TSTRF chains over nnz(B), in selector preference order.
-  const std::vector<PanelVariant> panel_chain = {
-      PanelVariant::kCV1, PanelVariant::kCV2, PanelVariant::kGV1,
-      PanelVariant::kGV4, PanelVariant::kGV2, PanelVariant::kGV3};
-  const std::vector<std::string> panel_names = {"C_V1", "C_V2", "G_V1",
-                                                "G_V4", "G_V2", "G_V3"};
-  {
-    VariantTimes vt;
-    vt.times.assign(panel_chain.size(), {});
-    for (const GridCell<V>& cell : cells) {
-      vt.metric.push_back(static_cast<metric_t>(cell.panel.nnz()));
-      for (std::size_t v = 0; v < panel_chain.size(); ++v) {
-        const seconds_t t = time_min(opts.repeats, [&] {
-          CscT<V> b = cell.panel;
-          Timer timer;
-          gessm(panel_chain[v], cell.diag_factored, b, ws, pool).check();
-          return timer.seconds();
-        });
-        vt.times[v].push_back(t);
-      }
-    }
-    fit_chain(vt,
-              {&SelectorThresholds::gessm_cv1_nnz,
-               &SelectorThresholds::gessm_cv2_nnz,
-               &SelectorThresholds::gessm_gv1_nnz,
-               &SelectorThresholds::gessm_gv4_nnz,
-               &SelectorThresholds::gessm_gv2_nnz},
-              "gessm", panel_names, out, report);
-  }
-  {
-    VariantTimes vt;
-    vt.times.assign(panel_chain.size(), {});
-    for (const GridCell<V>& cell : cells) {
-      vt.metric.push_back(static_cast<metric_t>(cell.panel.nnz()));
-      for (std::size_t v = 0; v < panel_chain.size(); ++v) {
-        const seconds_t t = time_min(opts.repeats, [&] {
-          CscT<V> b = cell.panel;
-          Timer timer;
-          tstrf(panel_chain[v], cell.diag_factored, b, ws, pool).check();
-          return timer.seconds();
-        });
-        vt.times[v].push_back(t);
-      }
-    }
-    fit_chain(vt,
-              {&SelectorThresholds::tstrf_cv1_nnz,
-               &SelectorThresholds::tstrf_cv2_nnz,
-               &SelectorThresholds::tstrf_gv1_nnz,
-               &SelectorThresholds::tstrf_gv4_nnz,
-               &SelectorThresholds::tstrf_gv2_nnz},
-              "tstrf", panel_names, out, report);
-  }
-
-  // SSSSM chain over update FLOPs, in selector preference order.
-  {
-    const std::vector<SsssmVariant> chain = {
-        SsssmVariant::kCV2, SsssmVariant::kCV3, SsssmVariant::kCV1,
-        SsssmVariant::kGV1, SsssmVariant::kGV2};
-    VariantTimes vt;
-    vt.times.assign(chain.size(), {});
-    for (const GridCell<V>& cell : cells) {
-      vt.metric.push_back(ssssm_flops(cell.ssssm_a, cell.ssssm_b));
-      for (std::size_t v = 0; v < chain.size(); ++v) {
-        const seconds_t t = time_min(opts.repeats, [&] {
-          CscT<V> c = cell.ssssm_c;
-          Timer timer;
-          ssssm(chain[v], cell.ssssm_a, cell.ssssm_b, c, ws, pool).check();
-          return timer.seconds();
-        });
-        vt.times[v].push_back(t);
-      }
-    }
-    fit_chain(vt,
-              {&SelectorThresholds::ssssm_cv2_flops,
-               &SelectorThresholds::ssssm_cv3_flops,
-               &SelectorThresholds::ssssm_cv1_flops,
-               &SelectorThresholds::ssssm_gv1_flops},
-              "ssssm", {"C_V2", "C_V3", "C_V1", "G_V1", "G_V2"}, out, report);
-  }
-  return Status::ok();
-}
-
-}  // namespace
-
-Status autotune_thresholds(const AutotuneOptions& opts,
-                           SelectorThresholds* out, AutotuneReport* report,
-                           ThreadPool* pool) {
-  if (out == nullptr)
-    return Status::invalid_argument("autotune_thresholds: null output");
-  if (opts.sizes.empty() || opts.densities.empty() || opts.repeats < 1)
-    return Status::invalid_argument("autotune_thresholds: empty grid");
-  for (index_t n : opts.sizes)
-    if (n < 4)
-      return Status::invalid_argument("autotune_thresholds: block size < 4");
-
-  // kSingle and kMixedIR both execute their numeric phase on FP32 blocks,
-  // so both calibrate the float kernel instantiations.
-  if (stores_fp32(opts.precision))
-    return autotune_thresholds_impl<
-        PrecisionTraits<Precision::kSingle>::value_type>(opts, out, report,
-                                                         pool);
-  return autotune_thresholds_impl<
-      PrecisionTraits<Precision::kDouble>::value_type>(opts, out, report,
-                                                       pool);
-}
-
-Status save_thresholds(const std::string& path, const SelectorThresholds& t,
-                       Precision precision) {
-  std::ofstream out(path);
-  if (!out)
-    return Status::io_error("save_thresholds: cannot open " + path);
-  out << "# PanguLU kernel selector thresholds (see kernels/calibrate.hpp)\n";
-  out << "precision " << precision_name(precision) << '\n';
-  out << std::setprecision(17);
-  for (const auto& f : kThresholdFields) out << f.key << ' ' << t.*f.ptr << '\n';
-  out.flush();
-  if (!out) return Status::io_error("save_thresholds: write failed: " + path);
-  return Status::ok();
-}
-
-Status load_thresholds(const std::string& path, SelectorThresholds* out,
-                       Precision* file_precision) {
-  if (out == nullptr)
-    return Status::invalid_argument("load_thresholds: null output");
-  // Pre-precision files carry no marker and were always FP64-calibrated.
-  if (file_precision) *file_precision = Precision::kDouble;
-  std::ifstream in(path);
-  if (!in)
-    return Status::io_error("load_thresholds: cannot open " + path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key))
-      return Status::io_error("load_thresholds: malformed line: " + line);
-    if (key == "precision") {
-      std::string name;
-      if (!(ls >> name))
-        return Status::io_error("load_thresholds: malformed line: " + line);
-      Precision p;
-      if (name == precision_name(Precision::kDouble)) {
-        p = Precision::kDouble;
-      } else if (name == precision_name(Precision::kSingle)) {
-        p = Precision::kSingle;
-      } else if (name == precision_name(Precision::kMixedIR)) {
-        p = Precision::kMixedIR;
-      } else {
-        return Status::io_error("load_thresholds: unknown precision: " + name);
-      }
-      if (file_precision) *file_precision = p;
-      continue;
-    }
-    metric_t value = 0;
-    if (!(ls >> value))
-      return Status::io_error("load_thresholds: malformed line: " + line);
-    bool known = false;
-    for (const auto& f : kThresholdFields) {
-      if (key == f.key) {
-        out->*f.ptr = value;
-        known = true;
-        break;
-      }
-    }
-    if (!known)
-      return Status::io_error("load_thresholds: unknown key: " + key);
-  }
-  return Status::ok();
 }
 
 }  // namespace pangulu::kernels

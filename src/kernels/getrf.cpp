@@ -254,14 +254,15 @@ Status getrf_sflu(CscT<V>& a, Workspace& ws, PivotStats* stats,
     perturbed.fetch_add(local_stats.perturbed, std::memory_order_relaxed);
   };
 
-  const std::size_t nthreads = pool ? pool->size() : 1;
+  ThreadPool& tp = pool ? *pool : ThreadPool::global();
+  const std::size_t nthreads = tp.size();
   if (nthreads <= 1 || n < 64) {
     worker();
   } else {
     std::atomic<int> finished{0};
     const int extra = static_cast<int>(nthreads) - 1;
     for (int t = 0; t < extra; ++t) {
-      pool->submit([&worker, &finished] {
+      tp.submit([&worker, &finished] {
         worker();
         finished.fetch_add(1, std::memory_order_release);
       });

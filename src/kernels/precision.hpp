@@ -50,19 +50,6 @@ inline constexpr bool stores_fp32(Precision p) {
   return p != Precision::kDouble;
 }
 
-/// Stable lower_snake_case name (thresholds files, benches, diagnostics).
-inline const char* precision_name(Precision p) {
-  switch (p) {
-    case Precision::kDouble:
-      return "double";
-    case Precision::kSingle:
-      return "single";
-    case Precision::kMixedIR:
-      return "mixed_ir";
-  }
-  return "unknown";
-}
-
 /// Scoped flush-to-zero of FP32 subnormals (x86 MXCSR FTZ+DAZ bits; a no-op
 /// elsewhere). Exponentially decaying Schur-complement updates drive FP32
 /// intermediates below FLT_MIN long before the FP64 run would notice, and

@@ -1,8 +1,8 @@
 // Decision-tree kernel selection (§4.3, Figure 8 of the paper). GETRF,
 // GESSM and TSTRF select on the nonzero count of their input block; SSSSM
 // selects on the FLOPs of the update. Thresholds default to the paper's
-// (log10 cut-points read off Figure 8) and are configurable so that a
-// calibration run can refit them. The selected variant prices the task in
+// (log10 cut-points read off Figure 8) and are configurable
+// (`solver::Options::thresholds`). The selected variant prices the task in
 // the runtime's cluster model and is the kernel a one-worker numeric
 // engine runs; a multi-worker engine runs each family's C_V1 (DESIGN.md
 // §8). Every variant writes its family's C_V1 bytes
@@ -25,8 +25,8 @@ struct SelectorThresholds {
   metric_t gessm_cv2_nnz = 7943;        // 1e3.9 : below -> C_V2
   metric_t gessm_gv1_nnz = 12589;       // 1e4.1 : below -> G_V1
   metric_t gessm_gv4_nnz = 12589;       // below -> G_V4 (merge); == gv1 cut by
-                                      // default, i.e. an empty band until a
-                                      // calibration run widens it
+                                      // default, i.e. an empty band unless
+                                      // the caller widens it
   metric_t gessm_gv2_nnz = 19953;       // 1e4.3 : below -> G_V2, else G_V3
   // TSTRF (Figure 8c): nnz(B) cuts.
   metric_t tstrf_cv1_nnz = 3981;        // 1e3.6

@@ -235,14 +235,15 @@ Status solve_columns_parallel(const CscT<V>& u, CscT<V>& b, ThreadPool* pool,
     }
   };
 
-  const std::size_t nthreads = pool ? pool->size() : 1;
+  ThreadPool& tp = pool ? *pool : ThreadPool::global();
+  const std::size_t nthreads = tp.size();
   if (nthreads <= 1 || n < 64) {
     worker();
   } else {
     std::atomic<int> finished{0};
     const int extra = static_cast<int>(nthreads) - 1;
     for (int t = 0; t < extra; ++t)
-      pool->submit([&worker, &finished] {
+      tp.submit([&worker, &finished] {
         worker();
         finished.fetch_add(1, std::memory_order_release);
       });

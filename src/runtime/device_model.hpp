@@ -68,11 +68,6 @@ struct DeviceModel {
   double crash_detect_s = 1e-3;
   double remap_per_block_s = 2e-7;
 
-  /// Sustained checkpoint-write throughput (bytes/s) to the snapshot sink —
-  /// the C term of the Young/Daly cadence (sim.cpp derives the optimal
-  /// checkpoint interval from MTBF and the snapshot cost at this rate).
-  double checkpoint_write_bps = 2e9;
-
   static DeviceModel a100_like();
   static DeviceModel mi50_like();
 

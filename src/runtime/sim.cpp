@@ -1,7 +1,6 @@
 #include "runtime/sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -758,12 +757,10 @@ class NumericEngine {
  public:
   NumericEngine(block::BlockMatrixT<V>& bm, const std::vector<Task>& tasks,
                 const TaskAdjacency& adj, const std::vector<TaskPlan>& plans,
-                const SimOptions& o, index_t ckpt_interval,
-                AbftGuardT<V>* guard, SimResult* result)
+                const SimOptions& o, AbftGuardT<V>* guard, SimResult* result)
       : bm_(bm), tasks_(tasks), adj_(adj), plans_(plans), o_(o),
         nt_(static_cast<index_t>(tasks.size())),
-        first_(o.resume_from_task), ckpt_interval_(ckpt_interval),
-        guard_(guard), result_(result),
+        first_(o.resume_from_task), guard_(guard), result_(result),
         ready_(ReadyOrder{&bottom_level_}) {
     // ABFT audits keep their serial semantics: one task per fence, so one
     // worker, which runs the planned variants on the kernels' pool. No more
@@ -1029,8 +1026,8 @@ class NumericEngine {
            flips_[next_flip_].after_task == done - 1;
          ++next_flip_)
       flip_bit(bm_, flips_[next_flip_]);
-    if (ckpt_interval_ > 0 && o_.checkpoint_sink &&
-        done % ckpt_interval_ == 0 && done < nt_ &&
+    const index_t every = o_.checkpoint_interval_tasks;
+    if (every > 0 && o_.checkpoint_sink && done % every == 0 && done < nt_ &&
         (o_.checkpoint_min_elapsed_seconds <= 0 ||
          ckpt_elapsed_.seconds() >= o_.checkpoint_min_elapsed_seconds)) {
       Status cs = o_.checkpoint_sink(done);
@@ -1049,8 +1046,9 @@ class NumericEngine {
   index_t next_fence(index_t f) const PANGULU_REQUIRES(mu_) {
     index_t next = nt_;
     if (guard_) next = std::min(next, f + 1);
-    if (ckpt_interval_ > 0 && o_.checkpoint_sink)
-      next = std::min(next, (f / ckpt_interval_ + 1) * ckpt_interval_);
+    const index_t every = o_.checkpoint_interval_tasks;
+    if (every > 0 && o_.checkpoint_sink)
+      next = std::min(next, (f / every + 1) * every);
     if (o_.faults.kill_after_task > f)
       next = std::min(next, o_.faults.kill_after_task);
     if (next_flip_ < flips_.size())
@@ -1065,7 +1063,6 @@ class NumericEngine {
   const SimOptions& o_;
   const index_t nt_;
   const index_t first_;
-  const index_t ckpt_interval_;
   AbftGuardT<V>* const guard_;
   SimResult* const result_;
   int workers_ = 1;
@@ -1100,22 +1097,6 @@ class NumericEngine {
 
 }  // namespace
 
-index_t young_daly_interval_tasks(double mtbf_seconds,
-                                  double checkpoint_cost_seconds,
-                                  double seconds_per_task, index_t n_tasks) {
-  if (mtbf_seconds <= 0 || checkpoint_cost_seconds <= 0 ||
-      seconds_per_task <= 0 || n_tasks <= 0)
-    return 0;
-  // Young/Daly first-order optimum: checkpoint every sqrt(2 * C * MTBF)
-  // seconds of useful work, expressed here in canonical tasks.
-  const double tau =
-      std::sqrt(2.0 * checkpoint_cost_seconds * mtbf_seconds);
-  const double tasks = std::round(tau / seconds_per_task);
-  if (tasks <= 1) return 1;
-  if (tasks >= static_cast<double>(n_tasks)) return n_tasks;
-  return static_cast<index_t>(tasks);
-}
-
 template <class V>
 Status simulate_factorization(block::BlockMatrixT<V>& bm,
                               const std::vector<Task>& tasks,
@@ -1133,8 +1114,6 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
   // re-checked dynamically at each drain's safe point).
   Status ev = opts.elastic.validate(opts.n_ranks);
   if (!ev.is_ok()) return ev;
-  if (opts.mtbf_seconds < 0)
-    return Status::invalid_argument("mtbf_seconds must be >= 0");
 
   const auto nt = static_cast<index_t>(tasks.size());
   std::vector<TaskPlan> plans(static_cast<std::size_t>(nt));
@@ -1166,27 +1145,6 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
       return Status::invalid_argument("checkpoint interval must be >= 0");
     if (opts.numeric_threads < 0)
       return Status::invalid_argument("numeric_threads must be >= 0");
-    // Young/Daly cadence: with an MTBF configured but no explicit interval,
-    // derive the optimum from the snapshot cost (bytes at the device's
-    // checkpoint-write rate) and the mean virtual task cost.
-    index_t ckpt_interval = opts.checkpoint_interval_tasks;
-    if (ckpt_interval == 0 && opts.checkpoint_sink &&
-        opts.mtbf_seconds > 0 && nt > 0) {
-      double total_cost = 0;
-      for (const TaskPlan& p : plans) total_cost += p.cost;
-      double snapshot_bytes = 0;
-      for (nnz_t pos = 0; pos < static_cast<nnz_t>(bm.n_blocks()); ++pos)
-        snapshot_bytes +=
-            static_cast<double>(bm.block(pos).nnz()) * sizeof(V);
-      snapshot_bytes += static_cast<double>(bm.n_blocks()) *
-                        (sizeof(index_t) + sizeof(nnz_t));
-      const double ckpt_cost =
-          snapshot_bytes / opts.device.checkpoint_write_bps;
-      ckpt_interval = young_daly_interval_tasks(
-          opts.mtbf_seconds, ckpt_cost,
-          total_cost / static_cast<double>(nt), nt);
-    }
-
     // The ABFT repair path replays tasks with the *same* resolved plan as
     // the original execution (and a scratch workspace/pivot counter, so a
     // repair never perturbs the primary run's state or statistics) — the
@@ -1203,7 +1161,7 @@ Status simulate_factorization(block::BlockMatrixT<V>& bm,
                           replay_ws, &scratch, opts.pivot_tol);
                     });
     }
-    Status s = NumericEngine<V>(bm, tasks, adj, plans, opts, ckpt_interval,
+    Status s = NumericEngine<V>(bm, tasks, adj, plans, opts,
                                 guard ? &*guard : nullptr, result)
                    .run();
     if (guard) {

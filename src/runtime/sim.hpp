@@ -50,8 +50,9 @@
 namespace pangulu::runtime {
 
 enum class KernelPolicy {
-  kFixedCpu,   // always the first CPU variant (ablation "Baseline")
-  kFixedGpu,   // always the first GPU variant
+  kFixedCpu,   // ablation "Baseline": C_V1, except C_V2 for SSSSM (the
+               // first CPU variant of its Figure 8 chain)
+  kFixedGpu,   // always G_V1
   kAdaptive,   // Figure 8 decision trees ("Kernel selection")
 };
 
@@ -110,12 +111,6 @@ struct SimOptions {
   /// is cheaper than checkpointing it. Explicit user intervals leave this 0
   /// and fire exactly on schedule.
   double checkpoint_min_elapsed_seconds = 0;
-  /// > 0 with a sink set and `checkpoint_interval_tasks` unset: derive the
-  /// checkpoint cadence from this mean-time-between-failures via the
-  /// Young/Daly optimum tau = sqrt(2 * C * MTBF), where C is the snapshot
-  /// cost at DeviceModel::checkpoint_write_bps, converted to a task count
-  /// through the mean virtual task cost. 0: keep the caller's cadence.
-  double mtbf_seconds = 0;
   /// Optional cooperative cancellation (util/cancel.hpp). Not owned. Polled
   /// by the numeric engine before every task dispatch (manual cancel / wall
   /// deadline) and at every scheduler event pop against the DES virtual
@@ -199,15 +194,6 @@ struct SimResult {
 /// (`analysis::replay_schedule`) only against this flattening of it.
 std::vector<analysis::ModelOptions::ElasticEvent> flatten_elastic(
     const ElasticPlan& plan);
-
-/// Young/Daly optimal checkpoint interval in canonical tasks:
-/// round(sqrt(2 * C * MTBF) / seconds_per_task), clamped to [1, n_tasks].
-/// Returns 0 on degenerate inputs (no MTBF, free checkpoints, zero-cost
-/// tasks, or an empty task list) — the caller falls back to its default
-/// cadence.
-index_t young_daly_interval_tasks(double mtbf_seconds,
-                                  double checkpoint_cost_seconds,
-                                  double seconds_per_task, index_t n_tasks);
 
 /// Run the factorisation. When `opts.execute_numerics`, `bm`'s blocks are
 /// overwritten with the LU factors (diagonal blocks hold L\U, off-diagonal

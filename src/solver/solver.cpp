@@ -8,7 +8,6 @@
 #include <numeric>
 
 #include "io/snapshot.hpp"
-#include "kernels/calibrate.hpp"
 #include "kernels/gessm.hpp"
 #include "kernels/tstrf.hpp"
 #include "parallel/parallel_for.hpp"
@@ -560,11 +559,6 @@ Status Solver::factorize(const Csc& a, const Options& opts) {
       check_refinement(opts.refine_iters, opts.ir_max_iters, opts.ir_tolerance);
   if (!s.is_ok()) return s;
   opts_ = opts;
-  if (!opts_.thresholds_file.empty()) {
-    Status ts =
-        kernels::load_thresholds(opts_.thresholds_file, &opts_.thresholds);
-    if (!ts.is_ok()) return ts;
-  }
   original_ = a;
   factorized_ = false;
   permuted_to_filled_.clear();
@@ -713,10 +707,6 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
   if (opts_.checkpoint_interval_tasks <= 0)
     opts_.checkpoint_interval_tasks =
         static_cast<index_t>(m.checkpoint_interval);
-  if (!opts_.thresholds_file.empty()) {
-    s = kernels::load_thresholds(opts_.thresholds_file, &opts_.thresholds);
-    if (!s.is_ok()) return s;
-  }
 
   // The snapshot's matrix arrays were CRC-checked; validate CSC structure
   // before handing them to the pipeline.
@@ -843,25 +833,18 @@ Status Solver::run_numeric_phase(index_t resume_from_task) {
   so.pivot_tol = opts_.pivot_tol;
   so.faults = opts_.fault_plan;
   so.elastic = opts_.elastic_plan;
-  so.mtbf_seconds = opts_.mtbf_seconds;
   so.verify_level = opts_.verify_level;
   so.abft = opts_.abft_level;
   so.cancel = opts_.cancel;
   so.resume_from_task = resume_from_task;
   if (!opts_.checkpoint_path.empty()) {
-    // Cadence precedence: an explicit interval is obeyed exactly; with an
-    // MTBF set, interval 0 reaches the simulator, which derives the
-    // Young/Daly optimum from the modelled snapshot cost (no worthiness
-    // floor — the optimum already balances overhead against lost work);
-    // otherwise the fixed default puts snapshots at ~25/50/75% of the run
-    // (never a wasted one just before completion), with a worthiness floor:
-    // when less than ~100ms of work would be lost, re-running it beats
-    // writing (and later restoring) a snapshot, so the safe point is
-    // skipped.
+    // Cadence: an explicit interval is obeyed exactly; otherwise snapshots
+    // fall at ~25/50/75% of the run (never a wasted one just before
+    // completion), with a worthiness floor: when less than ~100ms of work
+    // would be lost, re-running it beats writing (and later restoring) a
+    // snapshot, so the safe point is skipped.
     if (opts_.checkpoint_interval_tasks > 0) {
       so.checkpoint_interval_tasks = opts_.checkpoint_interval_tasks;
-    } else if (opts_.mtbf_seconds > 0) {
-      so.checkpoint_interval_tasks = 0;
     } else {
       so.checkpoint_interval_tasks =
           std::max<index_t>(1, static_cast<index_t>((tasks_.size() + 3) / 4));

@@ -50,12 +50,6 @@ struct Options {
   runtime::KernelPolicy policy = runtime::KernelPolicy::kAdaptive;
   runtime::ScheduleMode schedule = runtime::ScheduleMode::kSyncFree;
   kernels::SelectorThresholds thresholds;
-  /// Optional path to an autotuned threshold file (kernels/calibrate.hpp).
-  /// When set, the file is loaded on top of `thresholds` at factorize()
-  /// time, with the effect `thresholds` has; a missing or malformed file
-  /// fails factorize() with the load error rather than silently running on
-  /// defaults.
-  std::string thresholds_file;
   value_t pivot_tol = 1e-14;
   /// Refinement sweep cap of kDouble/kSingle solves. A column stops earlier
   /// at FP64 roundoff (relative residual <= epsilon) or once a sweep fails
@@ -91,12 +85,6 @@ struct Options {
   /// that would take the cluster below ElasticPlan::min_ranks fails
   /// factorize() with StatusCode::kResourceExhausted instead of deadlocking.
   runtime::ElasticPlan elastic_plan;
-  /// Mean time between failures of the simulated cluster, in virtual
-  /// seconds. When > 0 and checkpoint_interval_tasks is unset, the
-  /// checkpoint cadence is derived from the Young/Daly optimum
-  /// tau ~ sqrt(2 * C * MTBF) instead of the fixed 25/50/75% default
-  /// (see runtime::young_daly_interval_tasks). 0 keeps the default cadence.
-  double mtbf_seconds = 0;
   /// Static task-graph verification (src/analysis) before any numeric work:
   /// kCheap (default) runs the linear-time invariants, kFull adds the
   /// structural counter recomputation, deadlock-freedom and message
@@ -123,8 +111,7 @@ struct Options {
   /// re-running work that cheap beats writing and restoring a snapshot.
   /// This bounds checkpoint overhead to a few percent of the factorisation
   /// while capping lost work at about a quarter of it. An explicit interval
-  /// is obeyed exactly, with no worthiness floor. When `mtbf_seconds` is
-  /// set and this is 0, the Young/Daly cadence replaces the fixed default.
+  /// is obeyed exactly, with no worthiness floor.
   index_t checkpoint_interval_tasks = 0;
   /// Write incremental snapshots: only the blocks mutated by the committed
   /// task prefix carry values in the checkpoint file; every other block's

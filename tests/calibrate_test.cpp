@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <string>
-
 #include "kernels/calibrate.hpp"
 
 namespace pangulu::kernels {
@@ -58,45 +55,6 @@ TEST(Calibrate, NoisyDataStillNearTrueCrossover) {
   }
   // True crossover near m = 444.
   EXPECT_NEAR(fit_crossover(samples), 444.0, 60.0);
-}
-
-TEST(Calibrate, ThresholdFileRecordsPrecisionAndRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/thresholds_fp32.txt";
-  SelectorThresholds t;
-  t.getrf_cpu_nnz = 1234.5;
-  t.ssssm_gv1_flops = 7.25e8;
-  for (Precision p :
-       {Precision::kDouble, Precision::kSingle, Precision::kMixedIR}) {
-    ASSERT_TRUE(save_thresholds(path, t, p).is_ok());
-    SelectorThresholds back;
-    Precision file_p = Precision::kDouble;
-    ASSERT_TRUE(load_thresholds(path, &back, &file_p).is_ok());
-    EXPECT_EQ(file_p, p) << precision_name(p);
-    EXPECT_EQ(back.getrf_cpu_nnz, t.getrf_cpu_nnz);
-    EXPECT_EQ(back.ssssm_gv1_flops, t.ssssm_gv1_flops);
-  }
-}
-
-TEST(Calibrate, PrePrecisionThresholdFilesStillLoadAsFp64) {
-  // A file from before the precision field: no `precision` line at all.
-  const std::string path = ::testing::TempDir() + "/thresholds_legacy.txt";
-  {
-    std::ofstream out(path);
-    out << "# legacy FP64-era thresholds\n";
-    out << "getrf_cpu_nnz 4096\n";
-  }
-  SelectorThresholds t;
-  Precision file_p = Precision::kMixedIR;  // must be overwritten
-  ASSERT_TRUE(load_thresholds(path, &t, &file_p).is_ok());
-  EXPECT_EQ(file_p, Precision::kDouble);
-  EXPECT_EQ(t.getrf_cpu_nnz, 4096.0);
-
-  // An unknown precision name is a typed I/O error, not a silent default.
-  {
-    std::ofstream out(path);
-    out << "precision half\n";
-  }
-  EXPECT_EQ(load_thresholds(path, &t, &file_p).code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -306,6 +306,21 @@ TEST(CheckpointRestart, CheckpointsAreWrittenAtTheRequestedCadence) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointRestart, DefaultCadenceSkipsRunsTooCheapToCheckpoint) {
+  // No explicit interval: the ~25/50/75% safe points are skipped while less
+  // than ~100 ms of work would be lost, which a 64-unknown run never reaches.
+  Csc a = matgen::grid2d_laplacian(8, 8);
+  const std::string path = temp_path("snap_default_cadence.bin");
+  std::remove(path.c_str());
+  solver::Options opts;
+  opts.n_ranks = 2;
+  opts.checkpoint_path = path;
+  solver::Solver s;
+  ASSERT_TRUE(s.factorize(a, opts).is_ok());
+  EXPECT_EQ(s.stats().sim.checkpoints_written, 0);
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
 TEST(CheckpointRestart, TamperedCountersFailThePrecondition) {
   Csc a = matgen::grid2d_laplacian(8, 8);
   const std::string path = temp_path("snap_tamper.bin");

@@ -2,9 +2,8 @@
 // safe points, migrate the minimal block set, re-prove the mapping verifier,
 // and leave the LU factors bitwise identical to a static-grid run; draining
 // below min_ranks load-sheds with StatusCode::kResourceExhausted instead of
-// deadlocking; crash/drain interleavings recover; the Young/Daly checkpoint
-// cadence follows tau = sqrt(2 * C * MTBF); and incremental snapshots resume
-// to the same bits as full ones from a smaller file.
+// deadlocking; crash/drain interleavings recover; and incremental snapshots
+// resume to the same bits as full ones from a smaller file.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -548,54 +547,6 @@ TEST(Elasticity, SolverRejectsOverDrainingPlans) {
   opts.elastic_plan.drains.push_back({0, 4});
   solver::Solver s;
   EXPECT_EQ(s.factorize(a, opts).code(), StatusCode::kResourceExhausted);
-}
-
-// ---------------------------------------------------------------------------
-// Young/Daly checkpoint cadence.
-// ---------------------------------------------------------------------------
-
-TEST(YoungDaly, IntervalFollowsTheFormula) {
-  // tau = sqrt(2 * 5 * 1e4) = sqrt(1e5) ~ 316.23 s; at 0.01 s per task that
-  // is 31623 tasks.
-  EXPECT_EQ(runtime::young_daly_interval_tasks(1e4, 5.0, 0.01, 100000), 31623);
-  // Clamped to the task count from above...
-  EXPECT_EQ(runtime::young_daly_interval_tasks(1e4, 5.0, 0.01, 1000), 1000);
-  // ...and to one task from below (very expensive tasks).
-  EXPECT_EQ(runtime::young_daly_interval_tasks(1.0, 1e-6, 100.0, 1000), 1);
-}
-
-TEST(YoungDaly, DegenerateInputsFallBack) {
-  EXPECT_EQ(runtime::young_daly_interval_tasks(0, 5.0, 0.01, 1000), 0);
-  EXPECT_EQ(runtime::young_daly_interval_tasks(1e4, 0, 0.01, 1000), 0);
-  EXPECT_EQ(runtime::young_daly_interval_tasks(1e4, 5.0, 0, 1000), 0);
-  EXPECT_EQ(runtime::young_daly_interval_tasks(1e4, 5.0, 0.01, 0), 0);
-}
-
-TEST(YoungDaly, MtbfDrivesTheSolverCadence) {
-  Csc a = matgen::grid2d_laplacian(8, 8);
-  const std::string path = temp_path("snap_yd.bin");
-  solver::Options opts;
-  opts.n_ranks = 2;
-  opts.checkpoint_path = path;
-  // A very short MTBF against cheap virtual snapshots drives the interval
-  // down to its 1-task floor: a checkpoint after every commit but the last.
-  opts.mtbf_seconds = 1e-12;
-  solver::Solver s;
-  ASSERT_TRUE(s.factorize(a, opts).is_ok());
-  const auto nt = static_cast<std::int64_t>(s.stats().n_tasks);
-  EXPECT_EQ(s.stats().sim.checkpoints_written, nt - 1);
-  std::remove(path.c_str());
-
-  // A huge MTBF yields a near-free-failure regime: the optimum exceeds the
-  // task count, clamps to nt, and the run ends before a checkpoint is due.
-  const std::string path2 = temp_path("snap_yd2.bin");
-  solver::Options lazy = opts;
-  lazy.checkpoint_path = path2;
-  lazy.mtbf_seconds = 1e18;
-  solver::Solver s2;
-  ASSERT_TRUE(s2.factorize(a, lazy).is_ok());
-  EXPECT_EQ(s2.stats().sim.checkpoints_written, 0);
-  std::remove(path2.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -451,7 +451,7 @@ TEST(Selector, SsssmTreeFollowsFigure8) {
 
 TEST(Selector, PanelMergeBandIsOptIn) {
   // The G_V4 (merge) band is empty with default thresholds (== the G_V1
-  // cut) and opens only when a calibration run widens it.
+  // cut) and opens only when the caller widens it.
   EXPECT_EQ(select_gessm(13000, 10), PanelVariant::kGV2);
   SelectorThresholds t;
   t.gessm_gv4_nnz = 15000;

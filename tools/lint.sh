@@ -220,6 +220,56 @@ if [ -n "$unread" ]; then
   fail=1
 fi
 
+# Documented-option gate: every `Options::x`, `solver::Options::x`,
+# `SimOptions::x` or `ModelOptions::x` that README.md, DESIGN.md or
+# EXPERIMENTS.md names must be a member of that struct, so deleting a field
+# cannot leave the docs describing a knob that no longer exists.
+struct_members() {  # struct_members STRUCT HEADER: names declared at depth 1
+  sed -e 's|//.*||' "$2" | awk -v s="$1" '
+    !inside { if ($0 ~ ("^struct " s " \\{")) { inside = 1; depth = 1 }; next }
+    {
+      line = $0
+      if (depth == 1 && line ~ /[A-Za-z_]/) {
+        if (match(line, /^ *struct +[A-Za-z_][A-Za-z0-9_]*/)) {
+          d = substr(line, RSTART, RLENGTH); sub(/^ *struct +/, "", d)
+        } else {
+          d = line
+          while (gsub(/<[^<>]*>/, "", d)) {}
+          sub(/ *[=;{].*/, "", d)
+          if (index(d, "(")) d = substr(d, 1, index(d, "(") - 1)
+          sub(/[^A-Za-z0-9_]+$/, "", d)
+          if (match(d, /[A-Za-z_][A-Za-z0-9_]*$/)) d = substr(d, RSTART)
+          else d = ""
+        }
+        if (d != "") print d
+      }
+      depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+      if (depth <= 0) exit
+    }'
+}
+opt_fail=0
+for spec in Options:src/solver/solver.hpp SimOptions:src/runtime/sim.hpp \
+            ModelOptions:src/analysis/model_check.hpp; do
+  st=${spec%%:*} hdr=${spec#*:}
+  members=$(struct_members "$st" "$hdr")
+  if [ -z "$members" ]; then
+    echo "LINT: cannot find struct $st in $hdr for the documented-option gate"
+    opt_fail=1
+    continue
+  fi
+  while IFS=: read -r doc name; do
+    [ -z "$name" ] && continue
+    field=${name##*::}
+    if ! printf '%s\n' "$members" | grep -qx "$field"; then
+      echo "LINT: $doc names $name, which is not a member of $st ($hdr)"
+      opt_fail=1
+    fi
+  done < <(grep -oE "(^|[^A-Za-z0-9_:])([a-z]+::)?$st::[A-Za-z_][A-Za-z0-9_]*" \
+             README.md DESIGN.md EXPERIMENTS.md \
+           | sed -E 's/:[^A-Za-z_]?([a-z]+::)?/:\1/' | sort -u)
+done
+[ "$opt_fail" -ne 0 ] && fail=1
+
 # Header self-containment: every public header must compile standalone —
 # include-what-you-use at the granularity that actually bites, since a header
 # that leans on its includer's includes breaks the first new call site that
