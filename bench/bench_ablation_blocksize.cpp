@@ -19,7 +19,7 @@ int main() {
   for (const char* name : {"ASIC_680k", "audikw_1", "ecology1", "Si87H76"}) {
     Csc a = matgen::paper_matrix(name, scale);
     ordering::ReorderResult reorder;
-    ordering::reorder(a, {}, &reorder).check();
+    ordering::reorder(a, bench::paper_reorder(), &reorder).check();
     symbolic::SymbolicResult sym;
     symbolic::symbolic_symmetric(reorder.permuted, &sym).check();
     const index_t heuristic =

@@ -15,6 +15,7 @@ namespace {
 void report(const std::string& name, double scale) {
   Csc a = matgen::paper_matrix(name, scale);
   baseline::SupernodalOptions opts;
+  opts.reorder = bench::paper_reorder();
   opts.record_gemm_density = true;
   opts.execute_numerics = true;  // densities are measured on real values
   baseline::SupernodalSolver s;

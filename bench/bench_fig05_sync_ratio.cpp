@@ -25,6 +25,7 @@ int main() {
   for (const auto& name : matrices) {
     Csc a = matgen::paper_matrix(name, scale);
     baseline::SupernodalOptions opts;
+    opts.reorder = bench::paper_reorder();
     opts.execute_numerics = false;  // timing model only
     baseline::SupernodalSolver s;
     s.factorize(a, opts).check();

@@ -35,7 +35,7 @@ int main() {
   for (const auto& name : bench::bench_matrices()) {
     Csc a = matgen::paper_matrix(name, scale);
     ordering::ReorderResult reorder;
-    ordering::reorder(a, {}, &reorder).check();
+    ordering::reorder(a, bench::paper_reorder(), &reorder).check();
 
     // The baseline pays the full column-DFS reach traversal (SuperLU-style
     // symbolic without the symmetric-pruning shortcut PanguLU relies on)

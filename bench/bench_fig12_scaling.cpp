@@ -43,6 +43,7 @@ int main() {
     Csc a = p.a;
 
     baseline::SupernodalOptions bopts;
+    bopts.reorder = bench::paper_reorder();
     bopts.execute_numerics = false;
     baseline::SupernodalSolver base;
     base.factorize(a, bopts).check();

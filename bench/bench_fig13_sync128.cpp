@@ -25,6 +25,7 @@ int main() {
                                 runtime::ScheduleMode::kSyncFree);
 
     baseline::SupernodalOptions bopts;
+    bopts.reorder = bench::paper_reorder();
     bopts.execute_numerics = false;
     baseline::SupernodalSolver base;
     base.factorize(p.a, bopts).check();

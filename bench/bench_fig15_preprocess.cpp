@@ -47,6 +47,7 @@ int main() {
 
     // Baseline preprocessing: supernode relaxation + dense tile build.
     baseline::SupernodalOptions bopts;
+    bopts.reorder = bench::paper_reorder();
     bopts.n_ranks = ranks;
     bopts.execute_numerics = false;
     baseline::SupernodalSolver base;
@@ -57,6 +58,7 @@ int main() {
 
     // PanguLU preprocessing, serial front-end reference.
     solver::Options popts;
+    popts.reorder = bench::paper_reorder();
     popts.n_ranks = ranks;
     popts.preprocess_threads = 1;
     solver::Solver ser;

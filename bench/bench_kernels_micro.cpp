@@ -111,8 +111,8 @@ BENCHMARK(BM_Ssssm)
     ->Unit(benchmark::kMicrosecond);
 
 // 100%-dense blocks: every column takes the kernels' dense-mapping fast path,
-// whose inner loop is the multiversioned kernels::axpy_sub — the random
-// 2-20% blocks above never reach it. The diagonal shift keeps the
+// whose inner loop is the multiversioned kernels::axpy_sources_sub — the
+// random 2-20% blocks above never reach it. The diagonal shift keeps the
 // unpivoted factorisation well conditioned, so no pivot is perturbed and
 // no value overflows.
 Csc dense_block(index_t rows, index_t cols, std::uint64_t seed) {

@@ -84,7 +84,7 @@ ScalingCase prepare_scaling(const std::string& name, const Csc& a, bool fp32) {
   c.name = name;
   c.fp32 = fp32;
   ordering::ReorderResult r;
-  ordering::reorder(a, {}, &r).check();
+  ordering::reorder(a, bench::paper_reorder(), &r).check();
   symbolic::SymbolicResult sym;
   symbolic::symbolic_symmetric(r.permuted, &sym).check();
   c.blocks = block::BlockMatrix::from_filled(

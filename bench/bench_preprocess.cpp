@@ -60,7 +60,7 @@ int main() {
   for (const char* name : {"ASIC_680k", "Si87H76", "ecology1"}) {
     const Csc raw = matgen::paper_matrix(name, scale);
     ordering::ReorderResult reorder;
-    ordering::reorder(raw, {}, &reorder).check();
+    ordering::reorder(raw, bench::paper_reorder(), &reorder).check();
     const Csc& a = reorder.permuted;
 
     // One warm pass to obtain the structures the timed phases need.

@@ -20,6 +20,7 @@ int main() {
     auto info = matgen::paper_matrix_info(name);
 
     baseline::SupernodalOptions bopts;
+    bopts.reorder = bench::paper_reorder();
     bopts.execute_numerics = false;
     baseline::SupernodalSolver base;
     base.factorize(a, bopts).check();

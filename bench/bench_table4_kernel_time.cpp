@@ -26,6 +26,7 @@ int main() {
                                 runtime::ScheduleMode::kSyncFree);
 
     baseline::SupernodalOptions bopts;
+    bopts.reorder = bench::paper_reorder();
     bopts.n_ranks = 1;
     bopts.device = device;
     bopts.execute_numerics = false;

@@ -19,7 +19,7 @@ int main() {
   std::vector<value_t> b(static_cast<std::size_t>(a.n_rows()));
   a.spmv(x_true, b);
 
-  // Factorise: reordering (MC64 + nested dissection), symbolic
+  // Factorise: reordering (MC64 + nested dissection or AMD), symbolic
   // factorisation, 2D blocking, numeric factorisation. Default options run
   // a single simulated rank with adaptive kernel selection.
   solver::Solver solver;

@@ -55,7 +55,7 @@ struct CrcTable {
 /// The meta section travels as a fixed array of 64-bit slots (doubles are
 /// bit-cast) so the encoding is independent of struct padding and field
 /// widths on the writing host.
-constexpr std::size_t kMetaSlots = 21;
+constexpr std::size_t kMetaSlots = 22;
 
 void pack_meta(const SnapshotMeta& m, std::int64_t* s) {
   s[0] = m.n;
@@ -79,6 +79,7 @@ void pack_meta(const SnapshotMeta& m, std::int64_t* s) {
   s[18] = m.tasks_done;
   s[19] = m.incremental;
   s[20] = m.precision;
+  std::memcpy(&s[21], &m.perm_fingerprint, sizeof(std::uint64_t));
 }
 
 void unpack_meta(const std::int64_t* s, SnapshotMeta* m) {
@@ -103,6 +104,7 @@ void unpack_meta(const std::int64_t* s, SnapshotMeta* m) {
   m->tasks_done = s[18];
   m->incremental = s[19];
   m->precision = static_cast<std::int32_t>(s[20]);
+  std::memcpy(&m->perm_fingerprint, &s[21], sizeof(std::uint64_t));
 }
 
 Status put_u32(std::ostream& out, std::uint32_t v) {
@@ -351,7 +353,7 @@ Status read_snapshot(std::istream& in, Snapshot* out) {
       !within(m.incremental, 1) || !within(m.precision, 2) ||
       !within(m.policy, 2) || !within(m.schedule, 1) ||
       !within(m.verify_level, 2) || !within(m.abft_level, 2) ||
-      !within(m.fill_reducing, 4) || !within(m.balance, 1) ||
+      !within(m.fill_reducing, 5) || !within(m.balance, 1) ||
       !within(m.use_mc64, 1) || !within(m.apply_scaling, 1))
     return Status::io_error("snapshot: meta scalars out of range");
   if (out->a_col_ptr.size() != static_cast<std::size_t>(m.n) + 1 ||

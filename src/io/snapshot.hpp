@@ -44,7 +44,13 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x50474C55u;
 /// storage precision (kernels::Precision) the snapshot's block values were
 /// computed at. FP32-state values travel widened to FP64 (exact), so resume
 /// narrows them back bit for bit. v2 files are rejected.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+/// v4: `meta.perm_fingerprint` records the row and column permutations the
+/// block values were computed under. The ordering is re-derived on resume,
+/// and two orderings can give the same blocked structure (a dense block
+/// fills the same either way), so the structural cross-check alone cannot
+/// tell them apart. v3 files are rejected: they carry no fingerprint, and
+/// the default ordering and `kAmd` changed since they were written.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 /// Written as 0x01020304; a reader seeing 0x04030201 is on a foreign-endian
 /// host and rejects the file instead of mis-reading it.
 inline constexpr std::uint32_t kSnapshotEndianTag = 0x01020304;
@@ -86,6 +92,9 @@ struct SnapshotMeta {
   /// block still carries its initial pre-numeric values, which resume
   /// recomputes deterministically from A.
   std::int64_t incremental = 0;
+  /// FNV-1a hash of the row then the column permutation of the reordering
+  /// phase; resume rejects a snapshot whose re-derived ordering differs.
+  std::uint64_t perm_fingerprint = 0;
 };
 
 /// In-memory image of one snapshot. The io layer deals in flat arrays only

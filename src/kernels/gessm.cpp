@@ -11,38 +11,24 @@ namespace pangulu::kernels {
 
 namespace {
 
-/// Dense-column fast path shared by every addressing strategy: when B's
-/// column holds every row of the block, a row IS its value position (jb + r)
-/// — no slot map, search or merge needed — and a fully dense strictly-lower
-/// tail of L's pivot column turns the update into a contiguous axpy
-/// (axpy_sub), the vectorized bandwidth-bound loop where the FP32
-/// instantiation moves half the bytes of FP64 (DESIGN.md §8, §14). The
+/// Gap-free-column fast path shared by every addressing strategy: when
+/// B(:,j)'s rows have no gaps (a dense column is the common case), row r IS
+/// value position jb + (r - lo) — no slot map, search or merge needed — and
+/// eliminate_dense_column turns contiguous strictly-lower tails of L's pivot
+/// columns into axpys, the vectorized bandwidth-bound loop where the FP32
+/// instantiation moves half the bytes of FP64 (DESIGN.md §8, §14); L's rows
+/// outside B(:,j) are skipped, as the addressing variants skip them. The
 /// floating-point operation sequence is identical to the addressing
-/// variants', so results stay bitwise equal. Returns false when B(:,j) is
-/// not dense.
+/// variants', so results stay bitwise equal. Returns false when B(:,j) has
+/// gaps.
 template <class V>
-bool solve_column_dense(const CscT<V>& l, CscT<V>& b, index_t j) {
-  const nnz_t jb = b.col_begin(j), je = b.col_end(j);
-  const index_t n = b.n_rows();
-  if (je - jb != static_cast<nnz_t>(n)) return false;
-  V* bv = b.values_mut().data() + static_cast<std::size_t>(jb);
-  auto lrows = l.row_idx();
-  const V* lvals = l.values().data();
-  for (index_t k = 0; k < n; ++k) {
-    const V xk = bv[static_cast<std::size_t>(k)];  // final: unit diag
-    if (xk == V(0)) continue;
-    nnz_t lq = l.col_begin(k);
-    const nnz_t lend = l.col_end(k);
-    while (lq < lend && lrows[static_cast<std::size_t>(lq)] <= k) ++lq;
-    if (lend - lq == static_cast<nnz_t>(n - k - 1)) {
-      axpy_sub(bv + static_cast<std::size_t>(k) + 1,
-               lvals + static_cast<std::size_t>(lq), xk, n - k - 1);
-    } else {
-      for (; lq < lend; ++lq)
-        bv[static_cast<std::size_t>(lrows[static_cast<std::size_t>(lq)])] -=
-            lvals[static_cast<std::size_t>(lq)] * xk;
-    }
-  }
+bool solve_column_contiguous(const CscT<V>& l, CscT<V>& b, index_t j) {
+  index_t lo = 0, hi = 0;
+  if (!gap_free_rows(b, j, &lo, &hi)) return false;
+  // Unit diagonal: every B(k,j) is final once the pivots above it apply.
+  eliminate_dense_column(
+      l, b.values_mut().data() + static_cast<std::size_t>(b.col_begin(j)), lo,
+      hi, hi);
   return true;
 }
 
@@ -51,7 +37,7 @@ bool solve_column_dense(const CscT<V>& l, CscT<V>& b, index_t j) {
 /// of B's column pattern with two pointers.
 template <class V>
 void solve_column_merge(const CscT<V>& l, CscT<V>& b, index_t j) {
-  if (solve_column_dense(l, b, j)) return;
+  if (solve_column_contiguous(l, b, j)) return;
   auto brows = b.row_idx();
   auto bvals = b.values_mut();
   auto lrows = l.row_idx();
@@ -62,9 +48,8 @@ void solve_column_merge(const CscT<V>& l, CscT<V>& b, index_t j) {
     const V xk = bvals[static_cast<std::size_t>(p)];  // final: unit diag
     if (xk == V(0)) continue;
     // Merge L(:,k) strict-lower with B(:,j) rows after position p.
-    nnz_t lq = l.col_begin(k);
     const nnz_t lend = l.col_end(k);
-    while (lq < lend && lrows[static_cast<std::size_t>(lq)] <= k) ++lq;
+    nnz_t lq = first_row_after(lrows, l.col_begin(k), lend, k);
     nnz_t bq = p + 1;
     while (lq < lend && bq < je) {
       const index_t lr = lrows[static_cast<std::size_t>(lq)];
@@ -87,7 +72,7 @@ void solve_column_merge(const CscT<V>& l, CscT<V>& b, index_t j) {
 /// target row in B's column by binary search.
 template <class V>
 void solve_column_binsearch(const CscT<V>& l, CscT<V>& b, index_t j) {
-  if (solve_column_dense(l, b, j)) return;
+  if (solve_column_contiguous(l, b, j)) return;
   auto brows = b.row_idx();
   auto bvals = b.values_mut();
   auto lrows = l.row_idx();
@@ -97,9 +82,10 @@ void solve_column_binsearch(const CscT<V>& l, CscT<V>& b, index_t j) {
     const index_t k = brows[static_cast<std::size_t>(p)];
     const V xk = bvals[static_cast<std::size_t>(p)];
     if (xk == V(0)) continue;
-    for (nnz_t lq = l.col_begin(k); lq < l.col_end(k); ++lq) {
+    const nnz_t lend = l.col_end(k);
+    for (nnz_t lq = first_row_after(lrows, l.col_begin(k), lend, k);
+         lq < lend; ++lq) {
       const index_t r = lrows[static_cast<std::size_t>(lq)];
-      if (r <= k) continue;
       auto first = brows.begin() + (p + 1);
       auto last = brows.begin() + je;
       auto it = std::lower_bound(first, last, r);
@@ -123,7 +109,7 @@ void solve_column_binsearch(const CscT<V>& l, CscT<V>& b, index_t j) {
 template <class V>
 void solve_column_direct(const CscT<V>& l, CscT<V>& b, index_t j,
                          Workspace& ws) {
-  if (solve_column_dense(l, b, j)) return;
+  if (solve_column_contiguous(l, b, j)) return;
   auto brows = b.row_idx();
   auto bvals = b.values_mut();
   auto lrows = l.row_idx();
@@ -139,9 +125,10 @@ void solve_column_direct(const CscT<V>& l, CscT<V>& b, index_t j,
     const index_t k = brows[static_cast<std::size_t>(p)];
     const V xk = bvals[static_cast<std::size_t>(p)];  // final: unit diag
     if (xk == V(0)) continue;
-    for (nnz_t lq = l.col_begin(k); lq < l.col_end(k); ++lq) {
+    const nnz_t lend = l.col_end(k);
+    for (nnz_t lq = first_row_after(lrows, l.col_begin(k), lend, k);
+         lq < lend; ++lq) {
       const auto r = static_cast<std::size_t>(lrows[static_cast<std::size_t>(lq)]);
-      if (static_cast<index_t>(r) <= k) continue;
       if (ws.stamp[r] != gen) continue;
       bvals[static_cast<std::size_t>(ws.slot[r])] -=
           lvals[static_cast<std::size_t>(lq)] * xk;

@@ -23,35 +23,20 @@ V perturb_pivot(V pivot, V threshold, PivotStats* stats) {
 /// Dense-column fast path shared by both addressing strategies: when column
 /// j holds every row of the block, a row IS its value position (jb + r) and
 /// every earlier column k < j is present in the upper pattern, so the
-/// left-looking sweep needs no slot map or search — and a dense strictly-
-/// lower source tail turns each update into a contiguous axpy (axpy_sub),
-/// the vectorized bandwidth-bound loop where FP32 moves half the bytes of
-/// FP64 (DESIGN.md §8, §14). Identical floating-point operation sequence to
-/// the addressing variants. Returns false when the column is not dense.
+/// left-looking sweep needs no slot map or search — eliminate_dense_column
+/// turns contiguous source tails into axpys, the vectorized bandwidth-bound
+/// loop where FP32 moves half the bytes of FP64 (DESIGN.md §8, §14).
+/// Identical floating-point operation sequence to the addressing variants.
+/// Returns false when the column is not dense.
 template <class V>
 bool factor_column_dense(CscT<V>& a, index_t j, V threshold,
                          PivotStats* stats) {
-  auto rows = a.row_idx();
   auto vals = a.values_mut();
   const nnz_t jb = a.col_begin(j), je = a.col_end(j);
   const index_t n = a.n_rows();
   if (je - jb != static_cast<nnz_t>(n)) return false;
   V* cv = vals.data() + static_cast<std::size_t>(jb);
-  for (index_t k = 0; k < j; ++k) {
-    const V xk = cv[static_cast<std::size_t>(k)];  // evolving in place
-    if (xk == V(0)) continue;
-    nnz_t q = a.col_begin(k);
-    const nnz_t qe = a.col_end(k);
-    while (q < qe && rows[static_cast<std::size_t>(q)] <= k) ++q;
-    if (qe - q == static_cast<nnz_t>(n - k - 1)) {
-      axpy_sub(cv + static_cast<std::size_t>(k) + 1,
-               vals.data() + static_cast<std::size_t>(q), xk, n - k - 1);
-    } else {
-      for (; q < qe; ++q)
-        cv[static_cast<std::size_t>(rows[static_cast<std::size_t>(q)])] -=
-            vals[static_cast<std::size_t>(q)] * xk;
-    }
-  }
+  eliminate_dense_column(a, cv, 0, n, j);
   const V pivot =
       perturb_pivot(cv[static_cast<std::size_t>(j)], threshold, stats);
   cv[static_cast<std::size_t>(j)] = pivot;
@@ -88,9 +73,10 @@ void factor_column_direct(CscT<V>& a, index_t j, V threshold,
     }
     const V xk = vals[static_cast<std::size_t>(p)];  // evolving in place
     if (xk == V(0)) continue;
-    for (nnz_t q = a.col_begin(k); q < a.col_end(k); ++q) {
+    const nnz_t qe = a.col_end(k);
+    for (nnz_t q = first_row_after(rows, a.col_begin(k), qe, k); q < qe;
+         ++q) {
       const auto r = static_cast<std::size_t>(rows[static_cast<std::size_t>(q)]);
-      if (static_cast<index_t>(r) <= k) continue;
       if (ws.stamp[r] != gen) continue;
       vals[static_cast<std::size_t>(ws.slot[r])] -=
           vals[static_cast<std::size_t>(q)] * xk;
@@ -131,9 +117,10 @@ void factor_column_binsearch(CscT<V>& a, index_t j, V threshold,
     }
     const V xk = vals[static_cast<std::size_t>(p)];
     if (xk == V(0)) continue;
-    for (nnz_t q = a.col_begin(k); q < a.col_end(k); ++q) {
+    const nnz_t qe = a.col_end(k);
+    for (nnz_t q = first_row_after(rows, a.col_begin(k), qe, k); q < qe;
+         ++q) {
       const index_t r = rows[static_cast<std::size_t>(q)];
-      if (r <= k) continue;
       const V lrk = vals[static_cast<std::size_t>(q)];
       if (lrk == V(0)) continue;
       nnz_t t = find_in_j(r);

@@ -1,6 +1,6 @@
 #include "kernels/kernel_common.hpp"
 
-/// Function multiversioning for the dense axpy: GCC emits an AVX2 clone
+/// Function multiversioning for the dense axpy loops: GCC emits an AVX2 clone
 /// (x86-64-v3) next to the baseline one and an ifunc resolver picks one at
 /// load time, so the default -march build runs 256-bit vectors wherever the
 /// host has them. pangulu_kernels compiles with -ffp-contract=off, so the
@@ -20,12 +20,68 @@
 
 namespace pangulu::kernels {
 
+namespace {
+
+// The loops every clone below inlines: y[i] -= x[i] * a, and the same for
+// four columns applied in order with y[i] held in a register. Each y[i]
+// sees the same rounded multiply-subtract sequence either way.
 template <class V>
-PANGULU_AXPY_CLONES void axpy_sub(V* PANGULU_RESTRICT y,
-                                  const V* PANGULU_RESTRICT x, V a,
-                                  index_t n) {
+[[gnu::always_inline]] inline void sub1(V* PANGULU_RESTRICT y,
+                                        const V* PANGULU_RESTRICT x, V a,
+                                        index_t n) {
   for (index_t i = 0; i < n; ++i)
     y[static_cast<std::size_t>(i)] -= x[static_cast<std::size_t>(i)] * a;
+}
+
+template <class V>
+[[gnu::always_inline]] inline void sub4(
+    V* PANGULU_RESTRICT y, const V* PANGULU_RESTRICT x0,
+    const V* PANGULU_RESTRICT x1, const V* PANGULU_RESTRICT x2,
+    const V* PANGULU_RESTRICT x3, V a0, V a1, V a2, V a3, index_t n) {
+  for (index_t i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    V t = y[u];
+    t -= x0[u] * a0;
+    t -= x1[u] * a1;
+    t -= x2[u] * a2;
+    t -= x3[u] * a3;
+    y[u] = t;
+  }
+}
+
+}  // namespace
+
+template <class V>
+PANGULU_AXPY_CLONES void axpy_sources_sub(V* PANGULU_RESTRICT y, index_t lo,
+                                          const AxpySource<V>* src,
+                                          index_t m) {
+  // Rows [from, to) of one source.
+  const auto piece = [&](const AxpySource<V>& s, index_t from, index_t to) {
+    if (from < to)
+      sub1(y + static_cast<std::size_t>(from - lo),
+           s.x + static_cast<std::size_t>(from - s.begin), s.a, to - from);
+  };
+  index_t c = 0;
+  for (; c + 4 <= m; c += 4) {
+    const AxpySource<V>* g = src + c;
+    index_t b = g[0].begin, e = g[0].end;
+    for (int i = 1; i < 4; ++i) {
+      b = std::max(b, g[i].begin);
+      e = std::min(e, g[i].end);
+    }
+    if (b >= e) {
+      for (int i = 0; i < 4; ++i) piece(g[i], g[i].begin, g[i].end);
+      continue;
+    }
+    for (int i = 0; i < 4; ++i) piece(g[i], g[i].begin, b);
+    const auto at = [&](int i) {
+      return g[i].x + static_cast<std::size_t>(b - g[i].begin);
+    };
+    sub4(y + static_cast<std::size_t>(b - lo), at(0), at(1), at(2), at(3),
+         g[0].a, g[1].a, g[2].a, g[3].a, e - b);
+    for (int i = 0; i < 4; ++i) piece(g[i], e, g[i].end);
+  }
+  for (; c < m; ++c) piece(src[c], src[c].begin, src[c].end);
 }
 
 std::string to_string(GetrfVariant v) {
@@ -233,8 +289,10 @@ flops_t ssssm_flops(const CscT<V>& a, const CscT<V>& b) {
   return f;
 }
 
-template void axpy_sub<float>(float*, const float*, float, index_t);
-template void axpy_sub<double>(double*, const double*, double, index_t);
+template void axpy_sources_sub<float>(float*, index_t,
+                                      const AxpySource<float>*, index_t);
+template void axpy_sources_sub<double>(double*, index_t,
+                                       const AxpySource<double>*, index_t);
 template RowView RowView::build<float>(const CscT<float>&);
 template RowView RowView::build<double>(const CscT<double>&);
 template void spmm_sub_panel<float>(const CscT<float>&, const float*, index_t,

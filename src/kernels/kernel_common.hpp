@@ -19,8 +19,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,9 +36,9 @@ class ThreadPool;
 }
 
 /// No-alias hint for the contiguous dense fast path: the compiler can only
-/// vectorise axpy_sub without runtime overlap checks when it knows source
-/// and target values do not overlap (they never do — kernels write C, read
-/// A/B).
+/// vectorise axpy_sources_sub without runtime
+/// overlap checks when it knows source and target values do not overlap
+/// (they never do — kernels write C, read A/B).
 #if defined(__GNUC__) || defined(__clang__)
 #define PANGULU_RESTRICT __restrict__
 #else
@@ -172,16 +174,177 @@ class Workspace {
   std::vector<Workspace*> free_ PANGULU_GUARDED_BY(pool_mu_);
 };
 
-/// y[i] -= x[i] * a for i in [0, n): the contiguous dense axpy that every
-/// kernel family's dense-mapping fast path reduces to (a dense source column
-/// updating a dense target column). It is the bandwidth-bound inner loop of
-/// the numeric phase, so it is compiled once per ISA level and picked at
-/// load time (DESIGN.md §8); each y[i] still sees exactly one rounded
-/// multiply and one rounded subtract, so every clone is bitwise the scalar
-/// loop. x and y must not overlap.
+/// Position of the first entry in [begin, end) of a column's ascending row
+/// list whose row lies below row k (row > k): the start of a diagonal
+/// block's strictly-lower part of column k. A gap-free column (dense, or one
+/// row range) locates it directly, any other by binary search, so skipping
+/// the upper part never scans the up to k rows above the diagonal.
+inline nnz_t first_row_after(std::span<const index_t> rows, nnz_t begin,
+                             nnz_t end, index_t k) {
+  if (begin == end) return end;
+  const index_t r0 = rows[static_cast<std::size_t>(begin)];
+  const nnz_t len = end - begin;
+  if (rows[static_cast<std::size_t>(end - 1)] - r0 == len - 1)
+    return begin + std::clamp<nnz_t>(nnz_t{k} + 1 - r0, 0, len);
+  const auto first = rows.begin() + begin;
+  return begin + static_cast<nnz_t>(
+                     std::upper_bound(first, rows.begin() + end, k) - first);
+}
+
+/// One contiguous source of a column update: rows [begin, end), row r at
+/// x[r - begin], scaled by a.
 template <class V>
-void axpy_sub(V* PANGULU_RESTRICT y, const V* PANGULU_RESTRICT x, V a,
-              index_t n);
+struct AxpySource {
+  const V* x = nullptr;
+  V a = V(0);
+  index_t begin = 0, end = 0;
+};
+
+/// y[r] -= s.x[r - s.begin] * s.a for every row r of every source s in
+/// src[0, m), sources in order; y holds row r at y[r - lo]. Four sources at
+/// a time, the rows all four cover go through one fused loop that keeps
+/// y[r] in a register across the four updates, and each source's rows above
+/// and below that common range through a plain one; every y[r] therefore
+/// sees its updates in source order with the same rounded multiply-subtract
+/// sequence as the scalar loop per source, bitwise. No source may overlap y.
+template <class V>
+void axpy_sources_sub(V* PANGULU_RESTRICT y, index_t lo,
+                      const AxpySource<V>* src, index_t m);
+
+/// Where column k of a block keeps its entries: values [begin, end), with
+/// rows first .. first + (end - begin) - 1 when `gap_free`, else the rows
+/// listed at [begin, end). Computed once per kernel call, so the column
+/// updates below look a source column up with one load.
+struct ColumnSpan {
+  nnz_t begin = 0, end = 0;
+  index_t first = 0;
+  bool gap_free = false;
+};
+
+template <class V>
+std::vector<ColumnSpan> column_spans(const CscT<V>& m) {
+  std::vector<ColumnSpan> spans(static_cast<std::size_t>(m.n_cols()));
+  const auto rows = m.row_idx();
+  for (index_t k = 0; k < m.n_cols(); ++k) {
+    ColumnSpan& s = spans[static_cast<std::size_t>(k)];
+    s.begin = m.col_begin(k);
+    s.end = m.col_end(k);
+    if (s.begin == s.end) continue;
+    s.first = rows[static_cast<std::size_t>(s.begin)];
+    s.gap_free = rows[static_cast<std::size_t>(s.end - 1)] - s.first ==
+                 s.end - s.begin - 1;
+  }
+  return spans;
+}
+
+/// Applies y[r] -= x_k(r) * a_k to a gap-free target column — rows
+/// [lo, hi), row r at y[r - lo] — for a sequence of sparse source columns
+/// x_k, in the order they are added. Source rows outside [lo, hi) are
+/// skipped: they lie outside the target's pattern. Sources whose rows are
+/// contiguous (r0 .. r0 + len - 1, no gaps) are queued and go out in runs
+/// of up to 16 through axpy_sources_sub; any other source first drains the queue and
+/// then scatters by row index. Every y[r] thus sees its updates in the
+/// order added, with the same rounding as the scalar loop. Call flush()
+/// before reading y; no source may overlap y.
+template <class V>
+class DenseColumnUpdate {
+ public:
+  DenseColumnUpdate(V* y, index_t lo, index_t hi) : y_(y), lo_(lo), hi_(hi) {}
+
+  /// Queue y -= a * (source entries [b, e) of a column with row indices
+  /// `rows` and values `vals`).
+  void add(std::span<const index_t> rows, const V* vals, nnz_t b, nnz_t e,
+           V a) {
+    if (b == e) return;
+    const index_t r0 = rows[static_cast<std::size_t>(b)];
+    add(ColumnSpan{b, e, r0,
+                   rows[static_cast<std::size_t>(e - 1)] - r0 == e - b - 1},
+        rows, vals, a);
+  }
+
+  /// The same for a source column whose span is known.
+  void add(const ColumnSpan& s, std::span<const index_t> rows, const V* vals,
+           V a) {
+    if (!s.gap_free) {
+      flush();
+      for (nnz_t p = s.begin; p < s.end; ++p) {
+        const index_t r = rows[static_cast<std::size_t>(p)];
+        if (r >= lo_ && r < hi_)
+          y_[static_cast<std::size_t>(r - lo_)] -=
+              vals[static_cast<std::size_t>(p)] * a;
+      }
+      return;
+    }
+    const index_t first = std::max(s.first, lo_);
+    const index_t end =
+        std::min(s.first + static_cast<index_t>(s.end - s.begin), hi_);
+    if (first < end)
+      add_range(vals + static_cast<std::size_t>(s.begin + (first - s.first)),
+                first, end, a);
+  }
+
+  /// Queue y[r] -= a * x[r - begin] for the rows r in [begin, end), which
+  /// must lie inside [lo, hi).
+  void add_range(const V* x, index_t begin, index_t end, V a) {
+    q_[static_cast<std::size_t>(pending_)] = {x, a, begin, end};
+    if (++pending_ == kQueue) flush();
+  }
+
+  void flush() {
+    if (pending_ > 0) axpy_sources_sub(y_, lo_, q_.data(), pending_);
+    pending_ = 0;
+  }
+
+ private:
+  static constexpr index_t kQueue = 16;
+  V* y_;
+  index_t lo_, hi_;
+  std::array<AxpySource<V>, kQueue> q_{};
+  index_t pending_ = 0;
+};
+
+/// Left-looking elimination of a gap-free column y — rows [lo, hi), row r at
+/// y[r - lo] — by the unit-lower part of columns [lo, kend) of the square
+/// block `l` (kend <= hi): for each k in ascending order, x = y[k] and,
+/// unless x is zero, y[r] -= L(r,k) * x for every row r > k of column k
+/// inside the column. y[k] is final once columns < k have updated it, so
+/// pivots go four at a time: their updates to the group's own rows run
+/// entry by entry, and those below the group queue up in a
+/// DenseColumnUpdate, where dense tails share one fused axpy. Every y[r] sees its updates in ascending k, as in the
+/// one-pivot-at-a-time loop. y must not overlap columns [lo, kend) of `l`.
+template <class V>
+void eliminate_dense_column(const CscT<V>& l, V* y, index_t lo, index_t hi,
+                            index_t kend) {
+  auto rows = l.row_idx();
+  const V* vals = l.values().data();
+  DenseColumnUpdate<V> up(y, lo, hi);
+  for (index_t k0 = lo; k0 < kend; k0 += 4) {
+    const index_t last = std::min(k0 + 4, kend) - 1;
+    for (index_t k = k0; k <= last; ++k) {
+      const V x = y[static_cast<std::size_t>(k - lo)];
+      if (x == V(0)) continue;
+      const nnz_t e = l.col_end(k);
+      nnz_t p = first_row_after(rows, l.col_begin(k), e, k);
+      for (; p < e && rows[static_cast<std::size_t>(p)] <= last; ++p)
+        y[static_cast<std::size_t>(rows[static_cast<std::size_t>(p)] - lo)] -=
+            vals[static_cast<std::size_t>(p)] * x;
+      up.add(rows, vals, p, e, x);
+    }
+    up.flush();
+  }
+}
+
+/// The row window [first, last + 1) of column j of `m` when its rows have
+/// no gaps (a dense column is one), or false.
+template <class V>
+bool gap_free_rows(const CscT<V>& m, index_t j, index_t* lo, index_t* hi) {
+  const nnz_t b = m.col_begin(j), e = m.col_end(j);
+  if (b == e) return false;
+  const auto rows = m.row_idx();
+  *lo = rows[static_cast<std::size_t>(b)];
+  *hi = rows[static_cast<std::size_t>(e - 1)] + 1;
+  return *hi - *lo == e - b;
+}
 
 /// Panel SpMM accumulate for the multi-RHS triangular-solve sweeps:
 /// Y[:, c] -= Block * X[:, c] for c in [0, k). X/Y are row-interleaved

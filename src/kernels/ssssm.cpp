@@ -10,34 +10,30 @@ namespace pangulu::kernels {
 
 namespace {
 
-/// Column j of C -= A * B(:,j) when C(:,j) is fully dense (every row of the
-/// block present). A dense target column needs no slot map at all: row r
-/// lives at cb + r, so sparse A columns scatter by row index directly, and
-/// fully dense A columns reduce to a contiguous axpy (axpy_sub) — the
-/// vectorized, bandwidth-bound loop where the FP32 instantiation pays half
-/// the memory traffic of FP64 (DESIGN.md §8, §14). Returns false when C(:,j)
-/// is not dense.
+/// Column j of C -= A * B(:,j) when C(:,j)'s rows have no gaps (a dense
+/// column is the common case). Such a target needs no slot map at all: row
+/// r lives at cb + (r - lo), so A's columns go through DenseColumnUpdate,
+/// which turns contiguous ones into axpys, four at a time — the vectorized
+/// loop where the FP32 instantiation pays half the memory traffic of FP64
+/// (DESIGN.md §8, §14) — and scatters the rest by row index; A's rows
+/// outside C(:,j) are skipped, as the slot map skips them. Returns false
+/// when C(:,j) has gaps.
 template <class V>
-bool column_dense(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j) {
-  const nnz_t cb = c.col_begin(j), ce = c.col_end(j);
-  const index_t nrows = a.n_rows();
-  if (ce - cb != static_cast<nnz_t>(nrows)) return false;
-  V* cv = c.values_mut().data() + static_cast<std::size_t>(cb);
-  const auto arows = a.row_idx();
-  const V* av = a.values().data();
+bool column_contiguous(const CscT<V>& a, std::span<const ColumnSpan> aspans,
+                       const CscT<V>& b, CscT<V>& c, index_t j) {
+  index_t lo = 0, hi = 0;
+  if (!gap_free_rows(c, j, &lo, &hi)) return false;
+  DenseColumnUpdate<V> up(
+      c.values_mut().data() + static_cast<std::size_t>(c.col_begin(j)), lo,
+      hi);
   for (nnz_t q = b.col_begin(j); q < b.col_end(j); ++q) {
     const index_t k = b.row_idx()[static_cast<std::size_t>(q)];
     const V bkj = b.values()[static_cast<std::size_t>(q)];
     if (bkj == V(0)) continue;
-    const nnz_t ab = a.col_begin(k), ae = a.col_end(k);
-    if (ae - ab == static_cast<nnz_t>(nrows)) {
-      axpy_sub(cv, av + static_cast<std::size_t>(ab), bkj, nrows);
-    } else {
-      for (nnz_t p = ab; p < ae; ++p)
-        cv[static_cast<std::size_t>(arows[static_cast<std::size_t>(p)])] -=
-            av[static_cast<std::size_t>(p)] * bkj;
-    }
+    up.add(aspans[static_cast<std::size_t>(k)], a.row_idx(),
+           a.values().data(), bkj);
   }
+  up.flush();
   return true;
 }
 
@@ -48,9 +44,9 @@ bool column_dense(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j) {
 /// (structurally zero in the global factorisation) and are skipped — no
 /// scatter, gather or O(n_rows) reset ever happens.
 template <class V>
-void column_direct(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j,
-                   Workspace& ws) {
-  if (column_dense(a, b, c, j)) return;
+void column_direct(const CscT<V>& a, std::span<const ColumnSpan> aspans,
+                   const CscT<V>& b, CscT<V>& c, index_t j, Workspace& ws) {
+  if (column_contiguous(a, aspans, b, c, j)) return;
   auto crows = c.row_idx();
   auto cvals = c.values_mut();
   const nnz_t cb = c.col_begin(j), ce = c.col_end(j);
@@ -76,9 +72,9 @@ void column_direct(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j,
 /// Column j of C -= A * B(:,j), Bin-search addressing: each product entry
 /// locates its slot in C's column by binary search.
 template <class V>
-void column_binsearch(const CscT<V>& a, const CscT<V>& b, CscT<V>& c,
-                      index_t j) {
-  if (column_dense(a, b, c, j)) return;
+void column_binsearch(const CscT<V>& a, std::span<const ColumnSpan> aspans,
+                      const CscT<V>& b, CscT<V>& c, index_t j) {
+  if (column_contiguous(a, aspans, b, c, j)) return;
   auto crows = c.row_idx();
   auto cvals = c.values_mut();
   const nnz_t cb = c.col_begin(j), ce = c.col_end(j);
@@ -103,8 +99,9 @@ void column_binsearch(const CscT<V>& a, const CscT<V>& b, CscT<V>& c,
 /// strategy): both A's column and C's column keep ascending row order, so
 /// one two-pointer sweep pairs every product entry with its target slot.
 template <class V>
-void column_merge(const CscT<V>& a, const CscT<V>& b, CscT<V>& c, index_t j) {
-  if (column_dense(a, b, c, j)) return;
+void column_merge(const CscT<V>& a, std::span<const ColumnSpan> aspans,
+                  const CscT<V>& b, CscT<V>& c, index_t j) {
+  if (column_contiguous(a, aspans, b, c, j)) return;
   auto crows = c.row_idx();
   auto cvals = c.values_mut();
   const nnz_t cb = c.col_begin(j), ce = c.col_end(j);
@@ -166,26 +163,14 @@ Status ssssm(SsssmVariant variant, const CscT<V>& a, const CscT<V>& b,
   const index_t ncols = b.n_cols();
   const index_t nrows = a.n_rows();
   SubnormalGuard<V> ftz;
+  const std::vector<ColumnSpan> aspans = column_spans(a);
 
   switch (variant) {
     case SsssmVariant::kCV1: {
-      // Approximate equal-load partition of the column range, then a serial
-      // sweep chunk by chunk (on one CPU thread, as in Table 1's C row) with
-      // stamp-mapped target columns.
+      // A serial sweep over the columns (one CPU thread, as in Table 1's C
+      // row) with stamp-mapped target columns.
       ws.ensure(nrows);
-      fill_col_flops(a, b, ws);
-      const flops_t total =
-          std::accumulate(ws.col_flops.begin(), ws.col_flops.end(), flops_t(0));
-      const int chunks = 8;
-      const flops_t per_chunk = total / chunks;
-      // The chunk boundaries only affect traversal order/locality here, but
-      // they are exactly the split a multicore C_V1 would hand its threads.
-      flops_t acc = 0;
-      for (index_t j = 0; j < ncols; ++j) {
-        column_direct(a, b, c, j, ws);
-        acc += ws.col_flops[static_cast<std::size_t>(j)];
-        if (acc >= per_chunk) acc = 0;  // chunk boundary (bookkeeping only)
-      }
+      for (index_t j = 0; j < ncols; ++j) column_direct(a, aspans, b, c, j, ws);
       return Status::ok();
     }
     case SsssmVariant::kCV2: {
@@ -198,13 +183,13 @@ Status ssssm(SsssmVariant variant, const CscT<V>& a, const CscT<V>& b,
         return ws.col_flops[static_cast<std::size_t>(x)] >
                ws.col_flops[static_cast<std::size_t>(y)];
       });
-      for (index_t j : order) column_binsearch(a, b, c, j);
+      for (index_t j : order) column_binsearch(a, aspans, b, c, j);
       return Status::ok();
     }
     case SsssmVariant::kCV3: {
       // Serial Merge addressing: cheapest per-entry work when A's columns
       // and C's column have comparable lengths (mid-density band).
-      for (index_t j = 0; j < ncols; ++j) column_merge(a, b, c, j);
+      for (index_t j = 0; j < ncols; ++j) column_merge(a, aspans, b, c, j);
       return Status::ok();
     }
     case SsssmVariant::kGV1: {
@@ -220,9 +205,9 @@ Status ssssm(SsssmVariant variant, const CscT<V>& a, const CscT<V>& b,
         lw->ensure(nrows);
         for (index_t j = lo; j < hi; ++j) {
           if (ws.col_flops[static_cast<std::size_t>(j)] >= dense_threshold)
-            column_direct(a, b, c, j, *lw);
+            column_direct(a, aspans, b, c, j, *lw);
           else
-            column_binsearch(a, b, c, j);
+            column_binsearch(a, aspans, b, c, j);
         }
       });
       return Status::ok();
@@ -233,7 +218,7 @@ Status ssssm(SsssmVariant variant, const CscT<V>& a, const CscT<V>& b,
         SubnormalGuard<V> worker_ftz;
         Workspace::Lease lw(ws);
         lw->ensure(nrows);
-        for (index_t j = lo; j < hi; ++j) column_direct(a, b, c, j, *lw);
+        for (index_t j = lo; j < hi; ++j) column_direct(a, aspans, b, c, j, *lw);
       });
       return Status::ok();
     }
@@ -243,7 +228,7 @@ Status ssssm(SsssmVariant variant, const CscT<V>& a, const CscT<V>& b,
       ThreadPool& tp = pool ? *pool : ThreadPool::global();
       parallel_for(tp, 0, ncols, [&](index_t j) {
         SubnormalGuard<V> worker_ftz;
-        column_merge(a, b, c, j);
+        column_merge(a, aspans, b, c, j);
       });
       return Status::ok();
     }

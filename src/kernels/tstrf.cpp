@@ -12,37 +12,10 @@ namespace pangulu::kernels {
 
 namespace {
 
-/// Dense-target fast path shared by Merge and Bin-search addressing: when
-/// B's target column holds every row, a source row IS its value position, so
-/// the update scatters directly — and a dense source column makes it a
-/// contiguous axpy (axpy_sub), the vectorized loop where FP32 halves the
-/// traffic (DESIGN.md §8, §14). Same subtraction order as the addressing
-/// variants, so results stay bitwise equal. Returns false when B(:,j) is not
-/// dense.
-template <class V>
-bool axpy_dense(CscT<V>& b, index_t k, index_t j, V ukj) {
-  const nnz_t tb = b.col_begin(j), te = b.col_end(j);
-  const auto n = static_cast<nnz_t>(b.n_rows());
-  if (te - tb != n) return false;
-  const nnz_t sb = b.col_begin(k), se = b.col_end(k);
-  V* tv = b.values_mut().data() + static_cast<std::size_t>(tb);
-  const V* sv = b.values().data();
-  if (se - sb == n) {
-    axpy_sub(tv, sv + static_cast<std::size_t>(sb), ukj, b.n_rows());
-  } else {
-    auto brows = b.row_idx();
-    for (nnz_t q = sb; q < se; ++q)
-      tv[static_cast<std::size_t>(brows[static_cast<std::size_t>(q)])] -=
-          sv[static_cast<std::size_t>(q)] * ukj;
-  }
-  return true;
-}
-
 /// Apply column k's contribution to column j with Merge addressing.
 /// Source X(:,k) lives in B.
 template <class V>
 void axpy_merge(CscT<V>& b, index_t k, index_t j, V ukj) {
-  if (axpy_dense(b, k, j, ukj)) return;
   auto brows = b.row_idx();
   auto bvals = b.values_mut();
   nnz_t sq = b.col_begin(k);
@@ -67,7 +40,6 @@ void axpy_merge(CscT<V>& b, index_t k, index_t j, V ukj) {
 
 template <class V>
 void axpy_binsearch(CscT<V>& b, index_t k, index_t j, V ukj) {
-  if (axpy_dense(b, k, j, ukj)) return;
   auto brows = b.row_idx();
   auto bvals = b.values_mut();
   const nnz_t tb = b.col_begin(j), te = b.col_end(j);
@@ -90,11 +62,49 @@ void scale_column(CscT<V>& b, index_t j, V ujj) {
     bvals[static_cast<std::size_t>(p)] /= ujj;
 }
 
+/// Gap-free-target fast path shared by every addressing strategy: when
+/// B(:,j)'s rows have no gaps (a dense column is the common case), a source
+/// row r IS value position jb + (r - lo), so the solved columns B(:,k),
+/// k < j, go through DenseColumnUpdate — contiguous sources become axpys,
+/// four at a time, the vectorized loop where FP32 halves the traffic
+/// (DESIGN.md §8, §14); source rows outside B(:,j) are skipped, as the
+/// addressing variants skip them — and the divide follows. Same operation
+/// order as the addressing variants, so results stay bitwise equal. Returns
+/// false when B(:,j) has gaps.
+template <class V>
+bool solve_column_contiguous(const CscT<V>& u, CscT<V>& b, index_t j) {
+  index_t lo = 0, hi = 0;
+  if (!gap_free_rows(b, j, &lo, &hi)) return false;
+  auto urows = u.row_idx();
+  auto uvals = u.values();
+  DenseColumnUpdate<V> up(
+      b.values_mut().data() + static_cast<std::size_t>(b.col_begin(j)), lo,
+      hi);
+  const V* bv = b.values().data();
+  V ujj = V(0);
+  for (nnz_t q = u.col_begin(j); q < u.col_end(j); ++q) {
+    const index_t k = urows[static_cast<std::size_t>(q)];
+    if (k > j) break;
+    if (k == j) {
+      ujj = uvals[static_cast<std::size_t>(q)];
+      continue;
+    }
+    const V ukj = uvals[static_cast<std::size_t>(q)];
+    if (ukj == V(0)) continue;
+    up.add(b.row_idx(), bv, b.col_begin(k), b.col_end(k), ukj);
+  }
+  up.flush();
+  PANGULU_CHECK(ujj != V(0), "TSTRF: zero diagonal in U");
+  scale_column(b, j, ujj);
+  return true;
+}
+
 /// Process column j fully (all incoming axpys then the divide) with Merge or
 /// Bin-search addressing.
 template <class V>
 void solve_column_axpy(const CscT<V>& u, CscT<V>& b, index_t j,
                        Addressing addr) {
+  if (solve_column_contiguous(u, b, j)) return;
   auto urows = u.row_idx();
   auto uvals = u.values();
   V ujj = V(0);
@@ -123,11 +133,8 @@ void solve_column_axpy(const CscT<V>& u, CscT<V>& b, index_t j,
 template <class V>
 void solve_column_direct(const CscT<V>& u, CscT<V>& b, index_t j,
                          Workspace& ws) {
-  // Dense target: the axpy path needs no slot registration at all.
-  if (b.col_end(j) - b.col_begin(j) == static_cast<nnz_t>(b.n_rows())) {
-    solve_column_axpy(u, b, j, Addressing::kBinSearch);
-    return;
-  }
+  // Gap-free target: the axpy path needs no slot registration at all.
+  if (solve_column_contiguous(u, b, j)) return;
   auto urows = u.row_idx();
   auto uvals = u.values();
   auto brows = b.row_idx();

@@ -1,6 +1,10 @@
 // Facade for the reordering phase (step 1 of the PanguLU pipeline, §4.1):
 // MC64 row permutation + scaling for stability, then a symmetric
 // fill-reducing permutation of the MC64-permuted matrix.
+//
+// The enumerators' numeric values are part of the snapshot format
+// (io/snapshot.cpp bounds them, Solver::resume_from casts them back): append
+// new ones, never renumber.
 #pragma once
 
 #include <vector>
@@ -21,6 +25,9 @@ enum class FillReducing {
   kAmd,               // approximate minimum degree with supervariables
   kRcm,
   kNatural,
+  /// kNestedDissection or kAmd, whichever predicts fewer factor flops from
+  /// its column counts (a tie keeps ND). A pure function of the pattern.
+  kAuto,
 };
 
 struct ReorderResult {
@@ -38,7 +45,7 @@ struct ReorderResult {
 struct ReorderOptions {
   bool use_mc64 = true;
   bool apply_scaling = true;
-  FillReducing fill_reducing = FillReducing::kNestedDissection;
+  FillReducing fill_reducing = FillReducing::kAuto;
   index_t nd_leaf_size = 64;
 };
 

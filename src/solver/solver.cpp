@@ -449,6 +449,22 @@ std::vector<index_t> live_counters(const block::BlockMatrix& bm,
   return c;
 }
 
+/// FNV-1a over the row then the column permutation, entry by entry.
+std::uint64_t permutation_fingerprint(const ordering::ReorderResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const std::vector<index_t>& p) {
+    for (index_t v : p) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (static_cast<std::uint64_t>(v) >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+  };
+  mix(r.row_perm);
+  mix(r.col_perm);
+  return h;
+}
+
 std::unique_ptr<ThreadPool> make_preprocess_pool(int threads) {
   if (threads <= 0) return nullptr;
   return std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
@@ -616,6 +632,7 @@ Status Solver::write_checkpoint(index_t tasks_done) {
   m.n_tasks = static_cast<std::int64_t>(tasks_.size());
   m.tasks_done = tasks_done;
   m.incremental = opts_.incremental_snapshots ? 1 : 0;
+  m.perm_fingerprint = permutation_fingerprint(reorder_);
   snap.a_col_ptr.assign(original_.col_ptr().begin(), original_.col_ptr().end());
   snap.a_row_idx.assign(original_.row_idx().begin(), original_.row_idx().end());
   snap.a_values.assign(original_.values().begin(), original_.values().end());
@@ -683,7 +700,8 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
                 static_cast<int>(kernels::Precision::kMixedIR) == 2 &&
                 static_cast<int>(runtime::AbftLevel::kFull) == 2 &&
                 static_cast<int>(analysis::VerifyLevel::kFull) == 2 &&
-                static_cast<int>(ordering::FillReducing::kNatural) == 4);
+                static_cast<int>(ordering::FillReducing::kNatural) == 4 &&
+                static_cast<int>(ordering::FillReducing::kAuto) == 5);
   opts_ = base;
   opts_.block_size = m.block_size;
   opts_.n_ranks = m.n_ranks;
@@ -735,8 +753,12 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
   if (!s.is_ok()) return s;
 
   // ...and the snapshot must agree with it exactly before any value lands:
-  // task count, block table shape, per-block nnz, and the live counter
-  // array recomputed from the committed prefix.
+  // the ordering, task count, block table shape, per-block nnz, and the
+  // live counter array recomputed from the committed prefix.
+  if (permutation_fingerprint(reorder_) != m.perm_fingerprint)
+    return Status::failed_precondition(
+        "resume: the re-derived ordering differs from the one the snapshot "
+        "was factored under — snapshot from another build or wrong options");
   const auto done = static_cast<index_t>(m.tasks_done);
   if (static_cast<std::int64_t>(tasks_.size()) != m.n_tasks)
     return Status::failed_precondition(

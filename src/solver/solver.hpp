@@ -1,8 +1,8 @@
 // Public API of the PanguLU reproduction: the five-step pipeline of §4.1 —
-// reordering (MC64 + nested dissection), symbolic factorisation (symmetric
-// pruning), preprocessing (2D blocking + mapping + balancing), numeric
-// factorisation (sync-free scheduling over the simulated cluster), and
-// triangular solves — behind one Solver class.
+// reordering (MC64 + nested dissection or AMD), symbolic factorisation
+// (symmetric pruning), preprocessing (2D blocking + mapping + balancing),
+// numeric factorisation (sync-free scheduling over the simulated cluster),
+// and triangular solves — behind one Solver class.
 //
 // Quickstart:
 //   pangulu::solver::Solver s;

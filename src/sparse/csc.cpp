@@ -126,17 +126,45 @@ CscT<V> CscT<V>::permuted(std::span<const index_t> row_perm,
                           std::span<const index_t> col_perm) const {
   PANGULU_CHECK(static_cast<index_t>(row_perm.size()) == n_rows_, "row perm size");
   PANGULU_CHECK(static_cast<index_t>(col_perm.size()) == n_cols_, "col perm size");
-  CooT<V> coo(n_rows_, n_cols_);
-  coo.entries.reserve(static_cast<std::size_t>(nnz()));
-  for (index_t j = 0; j < n_cols_; ++j) {
-    for (nnz_t p = col_begin(j); p < col_end(j); ++p) {
-      index_t r = row_idx_[static_cast<std::size_t>(p)];
-      coo.add(row_perm[static_cast<std::size_t>(r)],
-              col_perm[static_cast<std::size_t>(j)],
-              values_[static_cast<std::size_t>(p)]);
+  // Column c lands as column col_perm[c] with its rows relabelled and
+  // re-sorted: the canonical CSC of the permuted entries without a global
+  // triplet sort. Bijective maps send distinct entries to distinct slots.
+  std::vector<index_t> old_col(static_cast<std::size_t>(n_cols_), -1);
+  for (index_t c = 0; c < n_cols_; ++c) {
+    const index_t c2 = col_perm[static_cast<std::size_t>(c)];
+    PANGULU_CHECK(c2 >= 0 && c2 < n_cols_ && old_col[static_cast<std::size_t>(c2)] == -1,
+                  "col perm is not a permutation");
+    old_col[static_cast<std::size_t>(c2)] = c;
+  }
+  {
+    std::vector<char> seen(static_cast<std::size_t>(n_rows_), 0);
+    for (index_t r2 : row_perm) {
+      PANGULU_CHECK(r2 >= 0 && r2 < n_rows_ && !seen[static_cast<std::size_t>(r2)],
+                    "row perm is not a permutation");
+      seen[static_cast<std::size_t>(r2)] = 1;
     }
   }
-  return from_coo(coo);
+  CscT<V> m(n_rows_, n_cols_);
+  m.row_idx_.resize(row_idx_.size());
+  m.values_.resize(values_.size());
+  std::vector<std::pair<index_t, V>> col;
+  std::size_t q = 0;
+  for (index_t c2 = 0; c2 < n_cols_; ++c2) {
+    const index_t c = old_col[static_cast<std::size_t>(c2)];
+    col.clear();
+    for (nnz_t p = col_begin(c); p < col_end(c); ++p)
+      col.emplace_back(row_perm[static_cast<std::size_t>(row_idx_[static_cast<std::size_t>(p)])],
+                       values_[static_cast<std::size_t>(p)]);
+    std::sort(col.begin(), col.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [r, v] : col) {
+      m.row_idx_[q] = r;
+      m.values_[q] = v;
+      ++q;
+    }
+    m.col_ptr_[static_cast<std::size_t>(c2) + 1] = static_cast<nnz_t>(q);
+  }
+  return m;
 }
 
 template <class V>

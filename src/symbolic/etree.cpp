@@ -28,16 +28,20 @@ std::vector<index_t> elimination_tree(const Csc& a) {
 
 std::vector<index_t> postorder(const std::vector<index_t>& parent) {
   const auto n = static_cast<index_t>(parent.size());
-  // Build child lists (reverse order so the stack visits low children first).
-  std::vector<std::vector<index_t>> children(static_cast<std::size_t>(n));
+  // Child lists as linked lists in descending order, so pushing a list onto
+  // the stack leaves the lowest child on top (visited first); roots are
+  // taken in descending order.
+  std::vector<index_t> head(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> next(static_cast<std::size_t>(n), -1);
   std::vector<index_t> roots;
-  for (index_t v = n - 1; v >= 0; --v) {
-    index_t p = parent[static_cast<std::size_t>(v)];
-    if (p < 0)
-      roots.push_back(v);
-    else
-      children[static_cast<std::size_t>(p)].push_back(v);
+  for (index_t v = 0; v < n; ++v) {
+    const index_t p = parent[static_cast<std::size_t>(v)];
+    if (p < 0) continue;
+    next[static_cast<std::size_t>(v)] = head[static_cast<std::size_t>(p)];
+    head[static_cast<std::size_t>(p)] = v;
   }
+  for (index_t v = n - 1; v >= 0; --v)
+    if (parent[static_cast<std::size_t>(v)] < 0) roots.push_back(v);
   std::vector<index_t> post;
   post.reserve(static_cast<std::size_t>(n));
   std::vector<index_t> stack;
@@ -48,7 +52,8 @@ std::vector<index_t> postorder(const std::vector<index_t>& parent) {
       index_t v = stack.back();
       if (!expanded[static_cast<std::size_t>(v)]) {
         expanded[static_cast<std::size_t>(v)] = 1;
-        for (index_t c : children[static_cast<std::size_t>(v)])
+        for (index_t c = head[static_cast<std::size_t>(v)]; c != -1;
+             c = next[static_cast<std::size_t>(c)])
           stack.push_back(c);
       } else {
         stack.pop_back();

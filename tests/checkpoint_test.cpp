@@ -84,6 +84,7 @@ io::Snapshot tiny_snapshot() {
   s.meta.pivot_tol = 1e-14;
   s.meta.n_tasks = 1;
   s.meta.tasks_done = 0;
+  s.meta.perm_fingerprint = 0xF00DFACEDEADBEEFull;  // top bit set
   s.a_col_ptr = {0, 2, 3};
   s.a_row_idx = {0, 1, 1};
   s.a_values = {4.0, -1.0, 3.0};
@@ -120,6 +121,7 @@ TEST(Snapshot, RoundTripsBitwise) {
   EXPECT_EQ(out.meta.nnz_a, in.meta.nnz_a);
   EXPECT_EQ(out.meta.tasks_done, in.meta.tasks_done);
   EXPECT_EQ(out.meta.pivot_tol, in.meta.pivot_tol);
+  EXPECT_EQ(out.meta.perm_fingerprint, in.meta.perm_fingerprint);
   EXPECT_EQ(out.a_col_ptr, in.a_col_ptr);
   EXPECT_EQ(out.a_row_idx, in.a_row_idx);
   EXPECT_EQ(out.a_values, in.a_values);
@@ -248,6 +250,44 @@ TEST(CheckpointRestart, KillAndResumeBitwiseIdentical) {
   }
 }
 
+// The default ordering (kAuto) is re-derived on resume. On a circuit whose
+// predicted flops favour AMD it takes that branch, and the resumed
+// factorisation still matches the uninterrupted one bit for bit.
+TEST(CheckpointRestart, AutoOrderingOnItsAmdBranchResumesBitwise) {
+  Csc a = matgen::circuit(1500, 3.0, 2.1, 680);
+  ordering::ReorderOptions amd_only;
+  amd_only.fill_reducing = ordering::FillReducing::kAmd;
+  ordering::ReorderResult by_auto, by_amd;
+  ASSERT_TRUE(ordering::reorder(a, {}, &by_auto).is_ok());
+  ASSERT_TRUE(ordering::reorder(a, amd_only, &by_amd).is_ok());
+  ASSERT_EQ(by_auto.col_perm, by_amd.col_perm)
+      << "the default ordering must take the AMD branch here";
+
+  solver::Options clean_opts;
+  clean_opts.n_ranks = 4;
+  solver::Solver clean;
+  ASSERT_TRUE(clean.factorize(a, clean_opts).is_ok());
+  const auto nt = static_cast<index_t>(clean.stats().n_tasks);
+  ASSERT_GT(nt, 8);
+
+  const std::string path = temp_path("snap_auto_amd.bin");
+  solver::Options kopts = clean_opts;
+  kopts.checkpoint_path = path;
+  kopts.checkpoint_interval_tasks = std::max<index_t>(1, nt / 8);
+  kopts.fault_plan.kill_after_task = nt / 2;
+  solver::Solver victim;
+  ASSERT_EQ(victim.factorize(a, kopts).code(), StatusCode::kUnavailable);
+
+  solver::Solver revived;
+  const Status s = revived.resume_from(path);
+  ASSERT_TRUE(s.is_ok()) << s.message();
+  EXPECT_GT(revived.stats().resumed_from_task, 0);
+  EXPECT_EQ(revived.options().reorder.fill_reducing,
+            ordering::FillReducing::kAuto);
+  EXPECT_TRUE(bitwise_equal(clean.factors(), revived.factors()));
+  std::remove(path.c_str());
+}
+
 // Snapshots do not carry the selector thresholds. Resuming under a tree
 // that picks other variants (every cut at 1: all G_ variants) changes only
 // the modelled statistics: with ABFT on, the one engine worker runs those
@@ -345,6 +385,63 @@ TEST(CheckpointRestart, TamperedCountersFailThePrecondition) {
   std::remove(path.c_str());
 }
 
+// Snapshots store no permutation; resume re-derives it. On a fully dense
+// matrix every symmetric ordering fills the same blocked structure, so
+// task count, block nnz and counters cannot tell two orderings apart: a
+// snapshot whose ordering changed between write and resume (another build,
+// or here a rewritten option slot) must still fail typed, through the
+// stored permutation fingerprint, instead of landing values factored
+// under one permutation onto a matrix permuted by another.
+TEST(CheckpointRestart, OrderingChangedBetweenWriteAndResumeFailsTyped) {
+  const index_t n = 48;
+  Csc a = matgen::random_rect(n, n, 1.0, 29);
+  for (index_t j = 0; j < n; ++j)
+    a.values_mut()[static_cast<std::size_t>(a.col_begin(j) + j)] += n;
+  ASSERT_EQ(a.nnz(), static_cast<nnz_t>(n) * n);
+
+  const std::string path = temp_path("snap_reordered.bin");
+  auto snapshot_under = [&](ordering::FillReducing f, io::Snapshot* out) {
+    solver::Options opts;
+    opts.n_ranks = 2;
+    opts.block_size = 8;
+    opts.reorder.fill_reducing = f;
+    opts.checkpoint_path = path;
+    opts.checkpoint_interval_tasks = 4;
+    opts.fault_plan.kill_after_task = 12;
+    solver::Solver victim;
+    ASSERT_EQ(victim.factorize(a, opts).code(), StatusCode::kUnavailable);
+    ASSERT_TRUE(io::read_snapshot_file(path, out).is_ok());
+  };
+  io::Snapshot natural, rcm;
+  snapshot_under(ordering::FillReducing::kNatural, &natural);
+  snapshot_under(ordering::FillReducing::kRcm, &rcm);
+  ASSERT_NE(natural.meta.perm_fingerprint, rcm.meta.perm_fingerprint)
+      << "the two orderings must differ on this matrix";
+  ASSERT_EQ(natural.meta.n_tasks, rcm.meta.n_tasks);
+  ASSERT_EQ(natural.block_nnz, rcm.block_nnz);
+
+  // Written under kNatural, resumed under kRcm.
+  io::Snapshot changed = natural;
+  changed.meta.fill_reducing = static_cast<std::int32_t>(ordering::FillReducing::kRcm);
+  ASSERT_TRUE(io::write_snapshot_file(path, changed).is_ok());
+  solver::Solver revived;
+  const Status st = revived.resume_from(path);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.message();
+
+  // Without the fingerprint the structural cross-check would let it
+  // through: with kRcm's fingerprint the same values resume.
+  changed.meta.perm_fingerprint = rcm.meta.perm_fingerprint;
+  ASSERT_TRUE(io::write_snapshot_file(path, changed).is_ok());
+  solver::Solver fooled;
+  EXPECT_TRUE(fooled.resume_from(path).is_ok());
+
+  // The unchanged snapshot still resumes.
+  ASSERT_TRUE(io::write_snapshot_file(path, natural).is_ok());
+  solver::Solver unchanged;
+  EXPECT_TRUE(unchanged.resume_from(path).is_ok());
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRestart, OutOfRangeMetaScalarsAreIoError) {
   Csc a = matgen::grid2d_laplacian(8, 8);
   const std::string path = temp_path("snap_meta_range.bin");
@@ -373,7 +470,7 @@ TEST(CheckpointRestart, OutOfRangeMetaScalarsAreIoError) {
       {"verify_level", &io::SnapshotMeta::verify_level, 3},
       {"abft_level", &io::SnapshotMeta::abft_level, 3},
       {"fill_reducing", &io::SnapshotMeta::fill_reducing, 7},
-      {"fill_reducing", &io::SnapshotMeta::fill_reducing, 5},
+      {"fill_reducing", &io::SnapshotMeta::fill_reducing, 6},
       {"balance", &io::SnapshotMeta::balance, 2},
       {"use_mc64", &io::SnapshotMeta::use_mc64, -1},
       {"apply_scaling", &io::SnapshotMeta::apply_scaling, 2},

@@ -84,7 +84,8 @@ INSTANTIATE_TEST_SUITE_P(
                           ordering::FillReducing::kMinDegree,
                           ordering::FillReducing::kAmd,
                           ordering::FillReducing::kRcm,
-                          ordering::FillReducing::kNatural)));
+                          ordering::FillReducing::kNatural,
+                          ordering::FillReducing::kAuto)));
 
 TEST(CrossSolver, BothSolversAgreeOnAllPaperClasses) {
   for (const auto& name : matgen::paper_matrix_names()) {

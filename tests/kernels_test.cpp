@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -270,9 +272,17 @@ TEST(Ssssm, EmptyOperandsLeaveTargetUnchanged) {
 // ------------------------------------------------------------- axpy_sub ----
 //
 // The dense fast paths of all four kernel families run through
-// kernels::axpy_sub, which is built once per ISA level (an AVX2 clone next to
-// the baseline). Whichever clone this host resolves to must be bitwise the
-// plain scalar loop below, or factor bits would depend on the CPU.
+// kernels::axpy_sources_sub, which is built once per ISA level (an AVX2
+// clone next to the baseline). Whichever clone this host resolves to must be
+// bitwise the plain scalar loop below, or factor bits would depend on the
+// CPU.
+
+/// One axpy y[i] -= x[i] * a, i in [0, n), as a single-source run.
+template <class V>
+void axpy_sub(V* y, const V* x, V a, index_t n) {
+  const AxpySource<V> s{x, a, 0, n};
+  axpy_sources_sub(y, 0, &s, 1);
+}
 
 /// Scalar y[i] -= x[i] * a with the product forced through memory, so this
 /// TU's compiler cannot fuse it into an FMA whatever its flags.
@@ -382,6 +392,231 @@ TEST(AxpySubFp32, SubnormalsFlushUnderTheGuard) {
   }
   for (float a : {0.5f, -0.75f, 1.0f, tiny}) {
     expect_axpy_matches_scalar(y, x, a, static_cast<index_t>(y.size()), 0, 0);
+  }
+}
+
+TYPED_TEST(AxpySub, SourceRunsMatchSequentialScalar) {
+  // Runs of 1..9 sources with random row ranges inside a window: nested,
+  // overlapping, disjoint and identical ranges all occur, so the fused
+  // common part, the per-source heads and tails and the leftover singles are
+  // each exercised. Every target entry must be bitwise the scalar loop
+  // applied source by source.
+  using V = TypeParam;
+  Rng rng(77);
+  constexpr index_t kLo = 3, kHi = 61;
+  for (int trial = 0; trial < 400; ++trial) {
+    const index_t m = rng.uniform_index(1, 9);
+    std::vector<V> pool(static_cast<std::size_t>(m) * kHi);
+    for (auto& v : pool) v = static_cast<V>(rng.uniform(-4.0, 4.0));
+    std::vector<AxpySource<V>> src;
+    for (index_t c = 0; c < m; ++c) {
+      index_t b = rng.uniform_index(kLo, kHi - 1);
+      index_t e = rng.uniform_index(kLo, kHi);
+      if (trial % 3 == 0) b = kLo, e = kHi;  // all sources on one range
+      if (b > e) std::swap(b, e);
+      src.push_back({pool.data() + static_cast<std::size_t>(c) * kHi,
+                     static_cast<V>(rng.uniform(-2.0, 2.0)), b, e});
+    }
+    std::vector<V> y(kHi - kLo + 2);
+    for (auto& v : y) v = static_cast<V>(rng.uniform(-4.0, 4.0));
+    std::vector<V> want = y, got = y;
+    for (const auto& s : src)
+      scalar_axpy_sub(want.data() + (s.begin - kLo), s.x, s.a, s.end - s.begin);
+    axpy_sources_sub(got.data(), kLo, src.data(), m);
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_TRUE(same_bits(got[i], want[i]))
+          << "trial " << trial << " entry " << i;
+  }
+}
+
+// ---------------------------------------------- ordered scalar references ----
+//
+// The kernels' dense and gap-free fast paths must perform, for every entry,
+// exactly the multiply-subtracts of the one-entry-at-a-time definitions
+// below, in the same order: that is what keeps factors bitwise stable across
+// kernel variants, worker counts and builds. Banded blocks give columns that
+// are dense, gap-free but partial, or (below full band density) gapped.
+
+/// Position of row r in column j of m, or -1.
+template <class V>
+nnz_t find_row(const CscT<V>& m, index_t j, index_t r) {
+  const auto rows = m.row_idx();
+  const auto first = rows.begin() + m.col_begin(j);
+  const auto last = rows.begin() + m.col_end(j);
+  const auto it = std::lower_bound(first, last, r);
+  return it != last && *it == r ? m.col_begin(j) + (it - first) : nnz_t{-1};
+}
+
+/// v -= x * a with the product rounded on its own.
+template <class V>
+void sub_product(V& v, V x, V a) {
+  volatile V prod = x * a;
+  v = v - prod;
+}
+
+template <class V>
+void ssssm_ordered(const CscT<V>& a, const CscT<V>& b, CscT<V>& c) {
+  for (index_t j = 0; j < b.n_cols(); ++j)
+    for (nnz_t q = b.col_begin(j); q < b.col_end(j); ++q) {
+      const index_t k = b.row_idx()[static_cast<std::size_t>(q)];
+      const V bkj = b.values()[static_cast<std::size_t>(q)];
+      if (bkj == V(0)) continue;
+      for (nnz_t p = a.col_begin(k); p < a.col_end(k); ++p) {
+        const nnz_t t = find_row(c, j, a.row_idx()[static_cast<std::size_t>(p)]);
+        if (t >= 0)
+          sub_product(c.values_mut()[static_cast<std::size_t>(t)],
+                      a.values()[static_cast<std::size_t>(p)], bkj);
+      }
+    }
+}
+
+template <class V>
+void gessm_ordered(const CscT<V>& l, CscT<V>& b) {
+  for (index_t j = 0; j < b.n_cols(); ++j)
+    for (nnz_t p = b.col_begin(j); p < b.col_end(j); ++p) {
+      const index_t k = b.row_idx()[static_cast<std::size_t>(p)];
+      const V x = b.values()[static_cast<std::size_t>(p)];
+      if (x == V(0)) continue;
+      for (nnz_t q = l.col_begin(k); q < l.col_end(k); ++q) {
+        const index_t r = l.row_idx()[static_cast<std::size_t>(q)];
+        if (r <= k) continue;
+        const nnz_t t = find_row(b, j, r);
+        if (t >= 0)
+          sub_product(b.values_mut()[static_cast<std::size_t>(t)],
+                      l.values()[static_cast<std::size_t>(q)], x);
+      }
+    }
+}
+
+template <class V>
+void tstrf_ordered(const CscT<V>& u, CscT<V>& b) {
+  for (index_t j = 0; j < b.n_cols(); ++j) {
+    V ujj = V(0);
+    for (nnz_t q = u.col_begin(j); q < u.col_end(j); ++q) {
+      const index_t k = u.row_idx()[static_cast<std::size_t>(q)];
+      if (k > j) break;
+      const V ukj = u.values()[static_cast<std::size_t>(q)];
+      if (k == j) {
+        ujj = ukj;
+        continue;
+      }
+      if (ukj == V(0)) continue;
+      for (nnz_t s = b.col_begin(k); s < b.col_end(k); ++s) {
+        const nnz_t t = find_row(b, j, b.row_idx()[static_cast<std::size_t>(s)]);
+        if (t >= 0)
+          sub_product(b.values_mut()[static_cast<std::size_t>(t)],
+                      b.values()[static_cast<std::size_t>(s)], ukj);
+      }
+    }
+    for (nnz_t p = b.col_begin(j); p < b.col_end(j); ++p)
+      b.values_mut()[static_cast<std::size_t>(p)] /= ujj;
+  }
+}
+
+template <class V>
+void getrf_ordered(CscT<V>& a) {
+  for (index_t j = 0; j < a.n_cols(); ++j) {
+    nnz_t diag = -1;
+    for (nnz_t p = a.col_begin(j); p < a.col_end(j); ++p) {
+      const index_t k = a.row_idx()[static_cast<std::size_t>(p)];
+      if (k >= j) {
+        diag = p;
+        break;
+      }
+      const V x = a.values()[static_cast<std::size_t>(p)];
+      if (x == V(0)) continue;
+      for (nnz_t q = a.col_begin(k); q < a.col_end(k); ++q) {
+        const index_t r = a.row_idx()[static_cast<std::size_t>(q)];
+        if (r <= k) continue;
+        const nnz_t t = find_row(a, j, r);
+        if (t >= 0)
+          sub_product(a.values_mut()[static_cast<std::size_t>(t)],
+                      a.values()[static_cast<std::size_t>(q)], x);
+      }
+    }
+    const V pivot = a.values()[static_cast<std::size_t>(diag)];
+    for (nnz_t p = diag + 1; p < a.col_end(j); ++p)
+      a.values_mut()[static_cast<std::size_t>(p)] /= pivot;
+  }
+}
+
+template <class V>
+bool bitwise_equal(const CscT<V>& x, const CscT<V>& y) {
+  if (x.nnz() != y.nnz()) return false;
+  for (nnz_t p = 0; p < x.nnz(); ++p)
+    if (!same_bits(x.values()[static_cast<std::size_t>(p)],
+                   y.values()[static_cast<std::size_t>(p)]))
+      return false;
+  return true;
+}
+
+/// A banded test block: band density 1 makes every column gap-free.
+template <class V>
+CscT<V> band_block(index_t n, index_t bw, double density, std::uint64_t seed) {
+  Csc m = matgen::banded_random(n, bw, density, 0, seed);
+  for (index_t j = 0; j < n; ++j) {
+    const nnz_t t = find_row(m, j, j);
+    if (t >= 0) m.values_mut()[static_cast<std::size_t>(t)] += 4.0 * bw;
+  }
+  return CscT<V>::converted_from(m);
+}
+
+template <class V>
+class OrderedReference : public ::testing::Test {};
+TYPED_TEST_SUITE(OrderedReference, AxpyTypes);
+
+TYPED_TEST(OrderedReference, EveryFamilyBitwiseOnBandedBlocks) {
+  using V = TypeParam;
+  std::uint64_t seed = 5;
+  for (index_t n : {9, 40}) {
+    for (index_t bw : {2, 7, n}) {
+      for (double density : {1.0, 0.6}) {
+        SCOPED_TRACE("n " + std::to_string(n) + " bw " + std::to_string(bw) +
+                     " density " + std::to_string(density));
+        // The diagonal block, factorised: GESSM's L and TSTRF's U.
+        CscT<V> lu = CscT<V>::converted_from(
+            close_lu_pattern(Csc::converted_from(band_block<V>(n, bw, density, ++seed))));
+        CscT<V> want_lu = lu;
+        getrf_ordered(want_lu);
+        for (GetrfVariant v : {GetrfVariant::kCV1, GetrfVariant::kGV1,
+                               GetrfVariant::kGV2}) {
+          CscT<V> got = lu;
+          Workspace ws;
+          ASSERT_TRUE(getrf(v, got, ws, nullptr).is_ok());
+          EXPECT_TRUE(bitwise_equal(got, want_lu)) << to_string(v);
+        }
+        const CscT<V> b0 = band_block<V>(n, bw, density, ++seed);
+        for (PanelVariant v : {PanelVariant::kCV1, PanelVariant::kCV2,
+                               PanelVariant::kGV1, PanelVariant::kGV2,
+                               PanelVariant::kGV3, PanelVariant::kGV4}) {
+          CscT<V> want = b0, got = b0;
+          gessm_ordered(want_lu, want);
+          Workspace ws;
+          ASSERT_TRUE(gessm(v, want_lu, got, ws).is_ok());
+          EXPECT_TRUE(bitwise_equal(got, want)) << "GESSM " << to_string(v);
+          want = b0;
+          got = b0;
+          tstrf_ordered(want_lu, want);
+          ASSERT_TRUE(tstrf(v, want_lu, got, ws).is_ok());
+          EXPECT_TRUE(bitwise_equal(got, want)) << "TSTRF " << to_string(v);
+        }
+        const CscT<V> a = band_block<V>(n, bw, density, ++seed);
+        const CscT<V> b = band_block<V>(n, bw, density, ++seed);
+        const CscT<V> c0 = CscT<V>::converted_from(add_product_pattern(
+            Csc::converted_from(a), Csc::converted_from(b),
+            Csc::converted_from(band_block<V>(n, bw, density, ++seed))));
+        CscT<V> want = c0;
+        ssssm_ordered(a, b, want);
+        for (SsssmVariant v : {SsssmVariant::kCV1, SsssmVariant::kCV2,
+                               SsssmVariant::kCV3, SsssmVariant::kGV1,
+                               SsssmVariant::kGV2, SsssmVariant::kGV3}) {
+          CscT<V> got = c0;
+          Workspace ws;
+          ASSERT_TRUE(ssssm(v, a, b, got, ws).is_ok());
+          EXPECT_TRUE(bitwise_equal(got, want)) << to_string(v);
+        }
+      }
+    }
   }
 }
 

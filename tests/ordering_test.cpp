@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "matgen/generators.hpp"
@@ -175,6 +176,49 @@ TEST(Reorder, FullPipelineProducesConsistentMatrix) {
   // MC64+perm must leave the diagonal structurally nonzero.
   for (index_t j = 0; j < r.permuted.n_cols(); ++j)
     EXPECT_NE(r.permuted.at(j, j), 0.0);
+}
+
+// The triplet route Csc::permuted used to take: relabel every entry, then
+// one global (col, row) sort.
+Csc coo_permuted(const Csc& a, const std::vector<index_t>& rp,
+                 const std::vector<index_t>& cp) {
+  Coo coo(a.n_rows(), a.n_cols());
+  for (index_t j = 0; j < a.n_cols(); ++j)
+    for (nnz_t p = a.col_begin(j); p < a.col_end(j); ++p)
+      coo.add(rp[static_cast<std::size_t>(a.row_idx()[static_cast<std::size_t>(p)])],
+              cp[static_cast<std::size_t>(j)], a.values()[static_cast<std::size_t>(p)]);
+  return Csc::from_coo(coo);
+}
+
+// reorder() permutes A once and scales it in place; its output matches the
+// scale, row-permute, symmetric-permute sequence it replaced bit for bit.
+TEST(Reorder, SinglePermuteMatchesScaleThenTwoPermutesBitwise) {
+  for (const Csc& a : {matgen::fem3d(12, 12, 12, 3, 101),
+                       matgen::circuit(6000, 3.0, 2.1, 680),
+                       matgen::grid2d_laplacian(200, 200)}) {
+    ReorderOptions opts;
+    opts.fill_reducing = FillReducing::kNestedDissection;
+    ReorderResult r;
+    ASSERT_TRUE(reorder(a, opts, &r).is_ok());
+
+    Mc64Result m;
+    ASSERT_TRUE(mc64(a, &m).is_ok());
+    Csc work = a;
+    work.scale(m.row_scale, m.col_scale);
+    work = coo_permuted(work, m.row_perm, identity_permutation(a.n_cols()));
+    NdOptions nd;
+    nd.leaf_size = opts.nd_leaf_size;
+    const auto sym = nested_dissection(Graph::from_matrix(work), nd);
+    const Csc expected = coo_permuted(work, sym, sym);
+
+    EXPECT_EQ(r.col_perm, sym);
+    EXPECT_EQ(r.row_perm, compose(sym, m.row_perm));
+    EXPECT_EQ(r.row_scale, m.row_scale);
+    EXPECT_EQ(r.col_scale, m.col_scale);
+    EXPECT_TRUE(std::ranges::equal(r.permuted.col_ptr(), expected.col_ptr()));
+    EXPECT_TRUE(std::ranges::equal(r.permuted.row_idx(), expected.row_idx()));
+    EXPECT_TRUE(std::ranges::equal(r.permuted.values(), expected.values()));
+  }
 }
 
 TEST(Reorder, NaturalAndNoMc64IsIdentity) {

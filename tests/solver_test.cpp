@@ -58,7 +58,8 @@ TEST(Solver, AllOrderingChoicesWork) {
                   ordering::FillReducing::kMinDegree,
                   ordering::FillReducing::kAmd,
                   ordering::FillReducing::kRcm,
-                  ordering::FillReducing::kNatural}) {
+                  ordering::FillReducing::kNatural,
+                  ordering::FillReducing::kAuto}) {
     Options opts;
     opts.reorder.fill_reducing = fr;
     check_solve(a, opts);

@@ -270,6 +270,28 @@ for spec in Options:src/solver/solver.hpp SimOptions:src/runtime/sim.hpp \
 done
 [ "$opt_fail" -ne 0 ] && fail=1
 
+# Documented-enumerator gate: every `FillReducing::kX` that README.md,
+# DESIGN.md or EXPERIMENTS.md names must be an enumerator of
+# src/ordering/reorder.hpp, so renaming or dropping an ordering cannot leave
+# the docs naming one that no longer exists.
+fr_members=$(sed -e 's|//.*||' src/ordering/reorder.hpp \
+  | awk '/^enum class FillReducing \{/ { inside = 1; next }
+         inside && /\}/ { exit }
+         inside' \
+  | grep -oE '\bk[A-Za-z0-9_]+')
+if [ -z "$fr_members" ]; then
+  echo "LINT: cannot find enum FillReducing in src/ordering/reorder.hpp"
+  fail=1
+fi
+while IFS=: read -r doc name; do
+  [ -z "$name" ] && continue
+  if ! printf '%s\n' "$fr_members" | grep -qx "${name##*::}"; then
+    echo "LINT: $doc names $name, which src/ordering/reorder.hpp does not declare"
+    fail=1
+  fi
+done < <(grep -oE "FillReducing::k[A-Za-z0-9_]+" README.md DESIGN.md EXPERIMENTS.md \
+         | sort -u)
+
 # Header self-containment: every public header must compile standalone —
 # include-what-you-use at the granularity that actually bites, since a header
 # that leans on its includer's includes breaks the first new call site that
