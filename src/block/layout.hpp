@@ -76,8 +76,8 @@ class BlockMatrixT {
 
   /// Structure-preserving precision conversion: every first-layer array is
   /// shared verbatim and each block converts via CscT::converted_from, so
-  /// the result is positionally identical to the source — the pattern-only
-  /// scatter maps built against one twin address the other unchanged.
+  /// the result is positionally identical to the source: a (block position,
+  /// index in block) slot found in one addresses the same entry in the other.
   template <class U>
   static BlockMatrixT converted_from(const BlockMatrixT<U>& other) {
     BlockMatrixT bm;

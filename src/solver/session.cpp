@@ -145,16 +145,16 @@ std::size_t Session::footprint_bytes() const {
   const auto nnz_a = static_cast<std::size_t>(st.nnz_a);
   const auto n = static_cast<std::size_t>(st.n);
   std::size_t bytes = 0;
-  // Factor blocks + the filled pattern each hold nnz_lu (value, row) pairs;
-  // the refactorisation scatter maps hold one position per filled entry.
-  bytes += 2 * nnz_lu * (sizeof(value_t) + sizeof(index_t));
-  bytes += 2 * nnz_lu * sizeof(nnz_t);
-  // FP32 storage keeps the FP32 twin's values alongside the widened FP64
-  // view (the twin shares the structure arrays, so only values count).
+  // FP64 factor blocks: nnz_lu (value, row) pairs.
+  bytes += nnz_lu * (sizeof(value_t) + sizeof(index_t));
+  // FP32 storage adds the FP32 store: its own values and row indices (the
+  // blocks are copies of factors()'s, narrowed).
   if (kernels::stores_fp32(solver_.options().precision))
-    bytes += nnz_lu * sizeof(float);
-  // Original + permuted copies of A.
-  bytes += 2 * nnz_a * (sizeof(value_t) + sizeof(index_t));
+    bytes += nnz_lu * (sizeof(float) + sizeof(index_t));
+  // The original A, and refactorisation's map from each of its entries to a
+  // factor slot (two 32-bit indices).
+  bytes += nnz_a * (sizeof(value_t) + sizeof(index_t));
+  bytes += nnz_a * 2 * sizeof(index_t);
   // Task graph, permutations/scalings, solve-plan arrays (order-ish each).
   bytes += st.n_tasks * sizeof(block::Task);
   bytes += 8 * n * sizeof(value_t);

@@ -78,8 +78,10 @@ class Session {
   std::uint64_t pattern_hash() const;
   FactorStats stats() const;
 
-  /// Rough resident-set estimate of the pattern-derived state (factors,
-  /// filled pattern, original matrix, task graph) for SessionPool budgeting.
+  /// Rough resident-set estimate of what the solver holds (factor blocks,
+  /// the FP32 store under FP32 storage, the original matrix and the
+  /// refactorisation's slot map, task graph, permutations and plans) for
+  /// SessionPool budgeting.
   std::size_t footprint_bytes() const;
 
   /// The wrapped solver, for introspection beyond stats() (determinant,

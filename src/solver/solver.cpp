@@ -520,13 +520,17 @@ Status Solver::prepare_structure(ThreadPool* pool) {
   if (!s.is_ok()) return s;
   stats_.reorder_seconds = timer.seconds();
 
-  // (2) Symbolic factorisation with symmetric pruning.
+  // (2) Symbolic factorisation with symmetric pruning. Its filled matrix
+  // (the scaled, permuted A with zero fill-ins) lives until the blocking
+  // has split it; the permuted copy of A is not read again.
   timer.reset();
-  s = symbolic::symbolic_symmetric(reorder_.permuted, &symbolic_, pool);
+  symbolic::SymbolicResult sym;
+  s = symbolic::symbolic_symmetric(reorder_.permuted, &sym, pool);
+  reorder_.permuted = Csc{};
   if (!s.is_ok()) return s;
   stats_.symbolic_seconds = timer.seconds();
-  stats_.nnz_lu = symbolic_.nnz_lu;
-  stats_.flops = symbolic::factorization_flops(symbolic_.filled);
+  stats_.nnz_lu = sym.nnz_lu;
+  stats_.flops = symbolic::factorization_flops(sym.filled);
 
   // (3) Preprocessing: regular 2D blocking, cyclic mapping, balancing.
   timer.reset();
@@ -536,7 +540,8 @@ Status Solver::prepare_structure(ThreadPool* pool) {
   stats_.block_size = bs;
   s = block::check_blocking_bounds(stats_.n, bs, stats_.nnz_lu);
   if (!s.is_ok()) return s;
-  factors_ = block::BlockMatrix::from_filled(symbolic_.filled, bs, pool);
+  factors_ = block::BlockMatrix::from_filled(sym.filled, bs, pool);
+  sym = symbolic::SymbolicResult{};
   stats_.nb = factors_.nb();
   tasks_ = block::enumerate_tasks(factors_);
   if (tasks_.size() >
@@ -565,6 +570,12 @@ Status Solver::prepare_structure(ThreadPool* pool) {
     if (!s.is_ok()) return s;
     stats_.verify_seconds = vr.seconds;
   }
+  // Under FP32 storage the numeric phase runs on an FP32 store of the same
+  // structure, narrowed once here from the assembled FP64 values.
+  if (kernels::stores_fp32(opts_.precision))
+    factors32_ = decltype(factors32_)::converted_from(factors_);
+  else
+    factors32_ = {};
   return Status::ok();
 }
 
@@ -577,8 +588,7 @@ Status Solver::factorize(const Csc& a, const Options& opts) {
   opts_ = opts;
   original_ = a;
   factorized_ = false;
-  permuted_to_filled_.clear();
-  block_src_.clear();
+  value_slots_.clear();
   stats_ = FactorStats{};
   stats_.n = a.n_cols();
   stats_.nnz_a = a.nnz();
@@ -631,7 +641,7 @@ Status Solver::write_checkpoint(index_t tasks_done) {
   m.checkpoint_interval = opts_.checkpoint_interval_tasks;
   m.n_tasks = static_cast<std::int64_t>(tasks_.size());
   m.tasks_done = tasks_done;
-  m.incremental = opts_.incremental_snapshots ? 1 : 0;
+  m.incremental = 1;
   m.perm_fingerprint = permutation_fingerprint(reorder_);
   snap.a_col_ptr.assign(original_.col_ptr().begin(), original_.col_ptr().end());
   snap.a_row_idx.assign(original_.row_idx().begin(), original_.row_idx().end());
@@ -641,35 +651,25 @@ Status Solver::write_checkpoint(index_t tasks_done) {
   snap.block_nnz.reserve(nblocks);
   for (nnz_t pos = 0; pos < static_cast<nnz_t>(nblocks); ++pos)
     snap.block_nnz.push_back(factors_.block(pos).nnz());
-  // Snapshot values always travel as FP64. Under FP32 storage the live
-  // numeric state is factors32_ (factors_ is stale mid-run), widened exactly
-  // on encode so resume's narrowing round-trips bit for bit.
-  auto append_block_values = [&](nnz_t pos) {
-    with_factors(*this, [&](const auto& f) {
-      const auto v = f.block(pos).values();
-      snap.block_values.insert(snap.block_values.end(), v.begin(), v.end());
-    });
-  };
-  if (opts_.incremental_snapshots) {
-    // Advance the dirty marks over the newly committed tasks; every task
-    // kind mutates exactly its target block, so the dirty set of the prefix
-    // [0, tasks_done) is the union of those targets. Only dirty blocks'
-    // values travel — every clean block still holds the initial pre-numeric
-    // values, which resume recomputes deterministically from A.
-    for (index_t t = ckpt_marked_upto_; t < tasks_done; ++t)
-      ckpt_dirty_[static_cast<std::size_t>(
-          tasks_[static_cast<std::size_t>(t)].target)] = 1;
-    ckpt_marked_upto_ = std::max(ckpt_marked_upto_, tasks_done);
+  // Advance the dirty marks over the newly committed tasks; every task kind
+  // mutates exactly its target block, so the dirty set of the prefix
+  // [0, tasks_done) is the union of those targets. Only dirty blocks' values
+  // travel — every clean block still holds the initial pre-numeric values,
+  // which resume recomputes deterministically from A. Values travel as FP64:
+  // under FP32 storage the live numeric state is factors32_, widened
+  // exactly on encode so resume's narrowing round-trips bit for bit.
+  for (index_t t = ckpt_marked_upto_; t < tasks_done; ++t)
+    ckpt_dirty_[static_cast<std::size_t>(
+        tasks_[static_cast<std::size_t>(t)].target)] = 1;
+  ckpt_marked_upto_ = std::max(ckpt_marked_upto_, tasks_done);
+  with_factors(*this, [&](const auto& f) {
     for (nnz_t pos = 0; pos < static_cast<nnz_t>(nblocks); ++pos) {
       if (!ckpt_dirty_[static_cast<std::size_t>(pos)]) continue;
       snap.dirty_pos.push_back(pos);
-      append_block_values(pos);
+      const auto v = f.block(pos).values();
+      snap.block_values.insert(snap.block_values.end(), v.begin(), v.end());
     }
-  } else {
-    snap.block_values.reserve(static_cast<std::size_t>(factors_.total_nnz()));
-    for (nnz_t pos = 0; pos < static_cast<nnz_t>(nblocks); ++pos)
-      append_block_values(pos);
-  }
+  });
   // The safe point has paid only for the state copy above; CRC, encoding and
   // file I/O overlap the factorisation on the writer thread. One write in
   // flight at a time, so a failure surfaces at the next safe point (or at
@@ -739,8 +739,7 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
     original_ = std::move(a);
   }
   factorized_ = false;
-  permuted_to_filled_.clear();
-  block_src_.clear();
+  value_slots_.clear();
   stats_ = FactorStats{};
   stats_.n = m.n;
   stats_.nnz_a = m.nnz_a;
@@ -780,14 +779,15 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
         "resume: snapshot sync-free counters are inconsistent with its "
         "committed-task prefix");
 
-  // Land the checkpointed block values: the numeric state at task `done`.
-  // Full snapshots carry every block. Incremental ones carry only the dirty
-  // blocks (targets of the committed prefix); prepare_structure left every
-  // block holding its initial pre-numeric values, which is exactly the
-  // state of a clean block, so nothing else needs touching. The stored
-  // dirty list must match the one recomputed from the task prefix bit for
-  // bit — a mismatch means the snapshot and the recomputed task graph
-  // disagree.
+  // Land the checkpointed block values in the numeric store: the state at
+  // task `done`. Full snapshots (meta.incremental == 0, still read) carry
+  // every block. Incremental ones carry only the dirty blocks (targets of
+  // the committed prefix); prepare_structure left every block holding its
+  // initial pre-numeric values, which is exactly the state of a clean
+  // block, so nothing else needs touching. The stored dirty list must match
+  // the one recomputed from the task prefix bit for bit — a mismatch means
+  // the snapshot and the recomputed task graph disagree. Under FP32 storage
+  // the FP64 values are widened FP32 ones, so narrowing them is exact.
   std::vector<char> dirty(static_cast<std::size_t>(factors_.n_blocks()),
                           m.incremental == 0 ? 1 : 0);
   for (index_t t = 0; t < done; ++t)
@@ -803,13 +803,13 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
         " blocks) does not match the targets of its committed-task "
         "prefix (" +
         std::to_string(landing.size()) + " blocks)");
-  std::size_t off = 0;
-  for (nnz_t pos : landing) {
-    auto vals = factors_.block(pos).values_mut();
-    std::copy_n(snap.block_values.begin() + static_cast<std::ptrdiff_t>(off),
-                vals.size(), vals.begin());
-    off += vals.size();
-  }
+  with_factors(*this, [&](auto& f) {
+    using V = typename std::remove_reference_t<decltype(f)>::value_type;
+    std::size_t off = 0;
+    for (nnz_t pos : landing)
+      for (V& v : f.block(pos).values_mut())
+        v = static_cast<V>(snap.block_values[off++]);
+  });
   stats_.resumed_from_task = done;
 
   // Continue the canonical execution from the cut.
@@ -881,14 +881,10 @@ Status Solver::run_numeric_phase(index_t resume_from_task) {
   }
   Status s;
   if (kernels::stores_fp32(opts_.precision)) {
-    // FP32 numeric phase (DESIGN.md §14): narrow the assembled FP64 state
-    // through the structure-sharing conversion (a pattern-only scatter — the
-    // twins are positionally identical), run the identical canonical
-    // execution in FP32, then widen the finished factors back so every FP64
-    // consumer (determinant, condest, snapshots) keeps working. The widening
-    // is exact, so factors_ is a faithful view of the FP32 bits, not a
-    // reround.
-    factors32_ = decltype(factors32_)::converted_from(factors_);
+    // FP32 numeric phase (DESIGN.md §14): run the canonical execution on the
+    // FP32 store, then widen the finished factors into factors_ so every
+    // FP64 consumer (determinant, condest) keeps working. The widening is
+    // exact, so factors_ is a faithful view of the FP32 bits, not a reround.
     s = runtime::simulate_factorization(factors32_, tasks_, mapping_, so,
                                         &stats_.sim);
     if (s.is_ok()) {
@@ -948,94 +944,47 @@ Status Solver::refactorize_values(std::span<const value_t> values) {
         "refactorize: " + std::to_string(values.size()) +
         " values do not match the analysed matrix's nnz (" +
         std::to_string(original_.nnz()) + ")");
-  std::vector<value_t> prev_values;
+  // With a cancel token armed, a refactorisation can stop at any commit
+  // safe point. A cancelled refactorize never publishes a partial factor
+  // and keeps the previous one solvable, so keep A's values and the numeric
+  // store's values (patterns never change here) and reinstate them on a
+  // cancel-typed failure. Under FP32 storage factors_ is written only after
+  // a successful run, so the store's copy restores both views. Other
+  // failures leave the solver un-factorised.
+  std::vector<value_t> prev_a;
+  std::vector<value_t> prev_factors;
   if (opts_.cancel) {
     const auto ov = original_.values();
-    prev_values.assign(ov.begin(), ov.end());
+    prev_a.assign(ov.begin(), ov.end());
+    with_factors(*this, [&](const auto& f) { prev_factors = flat_values(f); });
   }
   // `values` may alias matrix().values() (refactorize(matrix()) does).
   if (values.data() != original_.values().data())
     std::copy(values.begin(), values.end(), original_.values_mut().begin());
-  Status s = refactorize_reuse();
-  if (!s.is_ok() && opts_.cancel && is_cancel_code(s)) {
-    std::copy(prev_values.begin(), prev_values.end(),
-              original_.values_mut().begin());
-  }
-  return s;
-}
-
-void Solver::build_reuse_maps() {
-  const Csc& ap = reorder_.permuted;
-  const Csc& filled = symbolic_.filled;
-  permuted_to_filled_.resize(static_cast<std::size_t>(ap.nnz()));
-  for (index_t j = 0; j < ap.n_cols(); ++j) {
-    for (nnz_t p = ap.col_begin(j); p < ap.col_end(j); ++p) {
-      const nnz_t q = filled.find(ap.row_idx()[static_cast<std::size_t>(p)], j);
-      PANGULU_CHECK(q >= 0, "refactorize: entry outside filled pattern");
-      permuted_to_filled_[static_cast<std::size_t>(p)] = q;
+  if (value_slots_.empty()) build_value_slots();
+  // Zero the store (fill-ins stay zero), then land each scaled value in its
+  // slot, rounded once to the store's type: the bits a fresh analysis's
+  // scale, permute, fill, blocking and narrowing produce.
+  with_factors(*this, [&](auto& f) {
+    using V = typename std::remove_reference_t<decltype(f)>::value_type;
+    for (nnz_t pos = 0; pos < static_cast<nnz_t>(f.n_blocks()); ++pos) {
+      auto bv = f.block(pos).values_mut();
+      std::fill(bv.begin(), bv.end(), V(0));
     }
-  }
-  block_src_.clear();
-  block_src_.reserve(static_cast<std::size_t>(factors_.total_nnz()));
-  const auto& grid = factors_.grid();
-  for (nnz_t pos = 0; pos < static_cast<nnz_t>(factors_.n_blocks()); ++pos) {
-    const Csc& blk = factors_.block(pos);
-    const index_t r0 = grid.block_start(factors_.block_row_of(pos));
-    const index_t c0 = grid.block_start(factors_.block_col_of(pos));
-    for (index_t lj = 0; lj < blk.n_cols(); ++lj) {
-      for (nnz_t p = blk.col_begin(lj); p < blk.col_end(lj); ++p) {
-        const nnz_t q = filled.find(
-            r0 + blk.row_idx()[static_cast<std::size_t>(p)], c0 + lj);
-        PANGULU_CHECK(q >= 0, "refactorize: block slot outside filled pattern");
-        block_src_.push_back(q);
+    const auto av = original_.values();
+    const auto rows = original_.row_idx();
+    for (index_t j = 0; j < original_.n_cols(); ++j) {
+      const value_t cs = reorder_.col_scale[static_cast<std::size_t>(j)];
+      for (nnz_t p = original_.col_begin(j); p < original_.col_end(j); ++p) {
+        const auto q = static_cast<std::size_t>(p);
+        const FactorSlot slot = value_slots_[q];
+        f.block(slot.pos).values_mut()[static_cast<std::size_t>(slot.at)] =
+            static_cast<V>(scaled_entry(
+                av[q], reorder_.row_scale[static_cast<std::size_t>(rows[q])],
+                cs));
       }
     }
-  }
-}
-
-Status Solver::refactorize_reuse() {
-  // With a cancel token armed, a refactorisation can stop at any commit
-  // safe point. The contract is that a cancelled refactorize never
-  // publishes a partial factor AND keeps the previous one solvable, so
-  // snapshot every value array the re-scatter and numeric phase overwrite
-  // (patterns never change here) and reinstate them on a cancel-typed
-  // failure. Other failures keep the historical behaviour: the solver
-  // drops to un-factorised.
-  const bool snapshot = opts_.cancel != nullptr;
-  std::vector<value_t> prev_permuted;
-  std::vector<value_t> prev_filled;
-  std::vector<value_t> prev_factors;
-  if (snapshot) {
-    const auto pv = reorder_.permuted.values();
-    prev_permuted.assign(pv.begin(), pv.end());
-    const auto sfv = symbolic_.filled.values();
-    prev_filled.assign(sfv.begin(), sfv.end());
-    // The twin the numeric phase overwrites; under FP32 storage factors_
-    // is its exact widening, so this one copy restores both.
-    with_factors(*this, [&](const auto& f) { prev_factors = flat_values(f); });
-  }
-  // Re-apply the frozen scaling + permutations to the new values.
-  Csc work = original_;
-  work.scale(reorder_.row_scale, reorder_.col_scale);
-  reorder_.permuted = work.permuted(reorder_.row_perm, reorder_.col_perm);
-  // The scatter maps depend only on the (unchanged) pattern; build them on
-  // the first refactorisation, then reuse forever.
-  if (permuted_to_filled_.empty()) build_reuse_maps();
-  // Scatter into the filled pattern: zero the fill-ins, land the new values.
-  // Bitwise the state a fresh symbolic assembly of these values produces.
-  auto fv = symbolic_.filled.values_mut();
-  std::fill(fv.begin(), fv.end(), value_t(0));
-  const auto apv = reorder_.permuted.values();
-  for (std::size_t p = 0; p < apv.size(); ++p)
-    fv[static_cast<std::size_t>(permuted_to_filled_[p])] = apv[p];
-  // Rewrite the factor blocks' values in place — the slots line up with
-  // from_filled's extraction order, so no structure is rebuilt.
-  std::size_t cur = 0;
-  for (nnz_t pos = 0; pos < static_cast<nnz_t>(factors_.n_blocks()); ++pos) {
-    auto bv = factors_.block(pos).values_mut();
-    for (value_t& v : bv)
-      v = fv[static_cast<std::size_t>(block_src_[cur++])];
-  }
+  });
   // Every structure phase is skipped outright: ordering, symbolic, blocking,
   // mapping, planning and verification all carry over from the analysis.
   stats_.reorder_seconds = 0;
@@ -1048,16 +997,8 @@ Status Solver::refactorize_reuse() {
   stats_.resumed_from_task = 0;
   Status s = run_numeric_phase(0);
   if (!s.is_ok()) {
-    if (snapshot && is_cancel_code(s)) {
-      // Reinstate the previous factorisation value-for-value; the solver
-      // stays solvable with the pre-refactorize factors.
-      std::copy(prev_permuted.begin(), prev_permuted.end(),
-                reorder_.permuted.values_mut().begin());
-      std::copy(prev_filled.begin(), prev_filled.end(),
-                symbolic_.filled.values_mut().begin());
-      // factors_ directly, then the FP32 twin under FP32 storage (under
-      // kDouble the twin is factors_ itself and the repeat is a no-op).
-      set_flat_values(factors_, prev_factors);
+    if (opts_.cancel && is_cancel_code(s)) {
+      std::copy(prev_a.begin(), prev_a.end(), original_.values_mut().begin());
       with_factors(*this, [&](auto& f) { set_flat_values(f, prev_factors); });
       return s;
     }
@@ -1067,6 +1008,28 @@ Status Solver::refactorize_reuse() {
   // Pattern, mapping and device model are unchanged, and the solve plans
   // read only those: solve_plan_/trsv_fwd_/trsv_bwd_ stay valid as built.
   return Status::ok();
+}
+
+void Solver::build_value_slots() {
+  // A(i, j) sits at (row_perm[i], col_perm[j]) of the permuted matrix, in
+  // the block holding that cell, at its row within the block's column.
+  const block::BlockGrid& grid = factors_.grid();
+  value_slots_.resize(static_cast<std::size_t>(original_.nnz()));
+  for (index_t j = 0; j < original_.n_cols(); ++j) {
+    const index_t c = reorder_.col_perm[static_cast<std::size_t>(j)];
+    for (nnz_t p = original_.col_begin(j); p < original_.col_end(j); ++p) {
+      const index_t r = reorder_.row_perm[static_cast<std::size_t>(
+          original_.row_idx()[static_cast<std::size_t>(p)])];
+      const nnz_t pos = factors_.find_block(grid.block_of(r), grid.block_of(c));
+      PANGULU_CHECK(pos >= 0, "refactorize: entry outside the factor blocks");
+      const nnz_t at =
+          factors_.block(pos).find(grid.offset_of(r), grid.offset_of(c));
+      PANGULU_CHECK(at >= 0 && at <= std::numeric_limits<index_t>::max(),
+                    "refactorize: entry outside its factor block");
+      value_slots_[static_cast<std::size_t>(p)] = {static_cast<index_t>(pos),
+                                                   static_cast<index_t>(at)};
+    }
+  }
 }
 
 namespace {

@@ -113,13 +113,6 @@ struct Options {
   /// while capping lost work at about a quarter of it. An explicit interval
   /// is obeyed exactly, with no worthiness floor.
   index_t checkpoint_interval_tasks = 0;
-  /// Write incremental snapshots: only the blocks mutated by the committed
-  /// task prefix carry values in the checkpoint file; every other block's
-  /// initial pre-numeric values are recomputed deterministically on resume.
-  /// Early checkpoints shrink dramatically (the dirty set grows with the
-  /// run); resumed factors stay bitwise identical either way. false writes
-  /// full snapshots (every stored block's values).
-  bool incremental_snapshots = true;
   /// Silent-corruption audits over the numeric phase (runtime/abft.hpp),
   /// mirroring verify_level's off/cheap/full ladder: kCheap audits every
   /// kernel's source blocks, kFull adds targets and a final sweep. Detected
@@ -236,14 +229,16 @@ class Solver {
   /// Numeric-only re-factorisation: `a` must have exactly the pattern of the
   /// previously factorised matrix (the Newton-iteration workflow of circuit
   /// simulation — same topology, new conductances). Reuses the ordering,
-  /// scaling, symbolic pattern, blocking, mapping, task graph AND the cached
-  /// solve plans; only the numeric phase runs — every structure phase is
-  /// skipped outright (their stats() timings read 0 after this call). The
-  /// factors are bitwise identical to a from-scratch factorize() on the same
-  /// pattern and options. Note the safe-reuse contract: value-derived MC64
-  /// scaling/permutation is frozen at factorize() time, so with use_mc64 on
-  /// and *different* values, a from-scratch run would pick a different
-  /// scaling — refactorize() deliberately keeps the analysed one.
+  /// scaling, blocking, mapping, task graph AND the cached solve plans: each
+  /// new value is scaled and written straight into its factor slot, and only
+  /// the numeric phase runs (every structure phase's stats() timing reads 0
+  /// after this call). factors() and factors32() are bitwise identical to a
+  /// from-scratch factorize() on the same pattern and options, also after
+  /// resume_from() (SessionRefactorize.BitwiseIdenticalToFreshFactorize).
+  /// Note the safe-reuse contract: value-derived MC64 scaling/permutation is
+  /// frozen at factorize() time, so with use_mc64 on and *different* values,
+  /// a from-scratch run would pick a different scaling — refactorize()
+  /// deliberately keeps the analysed one.
   Status refactorize(const Csc& a);
 
   /// As refactorize(), but from a bare value array in the analysed matrix's
@@ -303,12 +298,11 @@ class Solver {
   const FactorStats& stats() const { return stats_; }
   const Options& options() const { return opts_; }
   const block::BlockMatrix& factors() const { return factors_; }
-  /// FP32 factor twin, valid after a kSingle/kMixedIR factorisation: the
-  /// matrix the numeric phase actually ran on (factors() is its exact
-  /// widening). Structure-identical to factors() by construction.
+  /// FP32 factor store, valid after a kSingle/kMixedIR factorisation: the
+  /// matrix the numeric phase runs on (after a successful run, factors() is
+  /// its exact widening). Structure-identical to factors(); empty at kDouble.
   const block::BlockMatrixT<float>& factors32() const { return factors32_; }
   const block::Mapping& mapping() const { return mapping_; }
-  const symbolic::SymbolicResult& symbolic() const { return symbolic_; }
   /// The original (unpermuted, unscaled) matrix held by the solver — after
   /// resume_from(), the matrix recovered from the snapshot.
   const Csc& matrix() const { return original_; }
@@ -316,8 +310,9 @@ class Solver {
  private:
   /// Steps 1–3b of the pipeline (reorder, symbolic, blocking + mapping,
   /// static verification) from original_/opts_ — shared by factorize() and
-  /// resume_from(), whose outputs are bitwise-deterministic by PR 4's
-  /// contract.
+  /// resume_from(), whose outputs are bitwise-deterministic. Leaves the
+  /// numeric store (factors32_ under FP32 storage, else factors_) holding
+  /// the scaled, permuted A with zero fill-ins.
   Status prepare_structure(ThreadPool* pool);
   Status run_numeric_phase(index_t resume_from_task);
   /// Checkpoint sink: copy the current numeric state (canonical tasks
@@ -332,13 +327,9 @@ class Solver {
   /// Called at the end of factorize(); any failure leaves the solver
   /// un-factorised, so a valid solver always has valid plans.
   Status build_solve_plans();
-  /// Shared tail of refactorize()/refactorize_values(): original_ already
-  /// holds the new values on the analysed pattern; re-scatter them through
-  /// the cached reuse maps and run the numeric phase only.
-  Status refactorize_reuse();
-  /// Build the pattern-only scatter maps refactorize_reuse() consumes
-  /// (lazily, on the first refactorisation after an analysis).
-  void build_reuse_maps();
+  /// Fill value_slots_ from the analysed pattern, the permutations and the
+  /// block layout (lazily, on the first refactorisation after an analysis).
+  void build_value_slots();
   /// The one solve driver behind solve/solve_multi/solve_transpose/
   /// solve_multi_transpose (DESIGN.md §13): `b` and `x` are n x k
   /// column-major panels, `x` an internal buffer the entry point publishes
@@ -360,20 +351,23 @@ class Solver {
                 value_t* x, int* iters, value_t* resid,
                 const CancelToken* cancel) const;
   /// The one precision dispatch outside the numeric phase (solves, plan
-  /// building, checkpoint encode, the refactorize rollback): fn(factors32_)
-  /// under FP32 storage (kSingle/kMixedIR), fn(factors_) under kDouble.
-  /// `Self` carries the constness through to the twin.
+  /// building, checkpoint encode and resume, refactorize and its rollback):
+  /// fn(factors32_) under FP32 storage (kSingle/kMixedIR), fn(factors_)
+  /// under kDouble. `Self` carries the constness through to the store.
   template <class Self, class Fn>
   static auto with_factors(Self& self, Fn&& fn);
 
   Options opts_;
   Csc original_;
+  // Permutations and scalings of the analysis; `permuted` is cleared once
+  // the symbolic step has read it.
   ordering::ReorderResult reorder_;
-  symbolic::SymbolicResult symbolic_;
+  // FP64 factors. The numeric store at kDouble; under FP32 storage written
+  // only by the exact widening of factors32_ after a successful run.
   block::BlockMatrix factors_;
-  // FP32 twin of factors_ under kSingle/kMixedIR (empty at kDouble): shares
-  // the first-layer structure via BlockMatrixT::converted_from, holds the
-  // FP32 numeric state, and backs the FP32 solve sweeps.
+  // The numeric store under kSingle/kMixedIR (empty at kDouble): built once
+  // per analysis with factors_'s structure (BlockMatrixT::converted_from),
+  // then written in place by resume and refactorize; backs the FP32 sweeps.
   block::BlockMatrixT<float> factors32_;
   std::vector<block::Task> tasks_;
   block::Mapping mapping_;
@@ -384,13 +378,15 @@ class Solver {
   SolvePlan solve_plan_;
   runtime::TrsvPlan trsv_fwd_;
   runtime::TrsvPlan trsv_bwd_;
-  // Pattern-derived scatter maps for numeric-only refactorisation, built
-  // lazily on the first refactorize() after an analysis and invalidated by
-  // factorize()/resume_from(): permuted-A entry -> filled-pattern position,
-  // and flattened per-block slot -> filled-pattern position (blocks in
-  // position order, slots in CSC order).
-  std::vector<nnz_t> permuted_to_filled_;
-  std::vector<nnz_t> block_src_;
+  // Where refactorize lands each value: entry p of original_ (CSC order) is
+  // value `at` of factor block `pos`. Pattern-only, so one map addresses
+  // both stores; built lazily on the first refactorize() after an analysis
+  // and cleared by factorize()/resume_from().
+  struct FactorSlot {
+    index_t pos;
+    index_t at;
+  };
+  std::vector<FactorSlot> value_slots_;
   // In-flight background snapshot write (at most one at a time).
   std::future<Status> checkpoint_writer_;
   // Incremental-checkpoint dirty tracking: ckpt_dirty_[pos] is set once any

@@ -174,9 +174,10 @@ void CscT<V>::scale(std::span<const V> row_scale, std::span<const V> col_scale) 
   for (index_t j = 0; j < n_cols_; ++j) {
     const V cs = col_scale[static_cast<std::size_t>(j)];
     for (nnz_t p = col_begin(j); p < col_end(j); ++p) {
-      values_[static_cast<std::size_t>(p)] *=
-          cs * row_scale[static_cast<std::size_t>(
-                   row_idx_[static_cast<std::size_t>(p)])];
+      V& v = values_[static_cast<std::size_t>(p)];
+      v = scaled_entry(v, row_scale[static_cast<std::size_t>(
+                              row_idx_[static_cast<std::size_t>(p)])],
+                       cs);
     }
   }
 }

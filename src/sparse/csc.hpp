@@ -19,6 +19,15 @@
 
 namespace pangulu {
 
+/// One scaled entry, v * (col_scale * row_scale): the single place the
+/// rounding of row/column scaling is defined. CscT::scale (and through it
+/// the reordering phase) and the solver's refactorisation both go through
+/// it, so every path lands the same bits.
+template <class V>
+inline V scaled_entry(V v, V row_scale, V col_scale) {
+  return v * (col_scale * row_scale);
+}
+
 template <class V>
 class CscT {
  public:
@@ -101,7 +110,7 @@ class CscT {
   CscT permuted(std::span<const index_t> row_perm,
                 std::span<const index_t> col_perm) const;
 
-  /// Scale: A(i,j) *= row_scale[i] * col_scale[j].
+  /// Scale: A(i,j) = scaled_entry(A(i,j), row_scale[i], col_scale[j]).
   void scale(std::span<const V> row_scale, std::span<const V> col_scale);
 
   /// Pattern of A + A^T (values summed; explicit zeros kept). Ensures a

@@ -16,6 +16,7 @@
 #include "block/layout.hpp"
 #include "block/mapping.hpp"
 #include "block/tasks.hpp"
+#include "kernels/precision.hpp"
 #include "matgen/generators.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/sim.hpp"
@@ -49,6 +50,16 @@ std::vector<value_t> make_rhs(const Csc& a) {
 std::vector<value_t> factor_bits(const Solver& s) {
   std::vector<value_t> v;
   const auto& f = s.factors();
+  for (nnz_t pos = 0; pos < static_cast<nnz_t>(f.n_blocks()); ++pos) {
+    auto vals = f.block(pos).values();
+    v.insert(v.end(), vals.begin(), vals.end());
+  }
+  return v;
+}
+
+std::vector<float> factor32_bits(const Solver& s) {
+  std::vector<float> v;
+  const auto& f = s.factors32();
   for (nnz_t pos = 0; pos < static_cast<nnz_t>(f.n_blocks()); ++pos) {
     auto vals = f.block(pos).values();
     v.insert(v.end(), vals.begin(), vals.end());
@@ -356,49 +367,61 @@ TEST(CancelSweep, SolveMultiReportsTheFirstGroupsCancel) {
 }
 
 // Refactorize sweep: a cancelled numeric-only refactorisation rolls back to
-// the previous factors (bitwise) and the solver keeps solving the OLD
-// system; an eventual clean refactorize then matches a fresh factorisation
-// of the new values.
+// the previous factors (bitwise, in both factor views) and the solver keeps
+// solving the OLD system; an eventual clean refactorize then matches a fresh
+// factorisation of the new values. Run at FP64 and under FP32 storage.
 TEST(CancelSweep, RefactorizeEveryCommitRollsBackToOldFactors) {
   const Csc a = matgen::grid2d_laplacian(8, 8);
   const Csc a2 = perturb_values(a, 99);
-  const Options opts = cancel_sweep_options();
+  for (kernels::Precision prec :
+       {kernels::Precision::kDouble, kernels::Precision::kMixedIR}) {
+    SCOPED_TRACE("precision " + std::to_string(static_cast<int>(prec)));
+    Options opts = cancel_sweep_options();
+    opts.precision = prec;
 
-  Solver fresh2;
-  ASSERT_TRUE(fresh2.factorize(a2, opts).is_ok());
-  const std::vector<value_t> want_new = factor_bits(fresh2);
+    Solver fresh2;
+    ASSERT_TRUE(fresh2.factorize(a2, opts).is_ok());
+    const std::vector<value_t> want_new = factor_bits(fresh2);
+    const std::vector<float> want_new32 = factor32_bits(fresh2);
 
-  CancelToken tok;
-  Options copts = opts;
-  copts.cancel = &tok;
-  Solver s;
-  ASSERT_TRUE(s.factorize(a, copts).is_ok());
-  const std::vector<value_t> want_old = factor_bits(s);
-  const auto b = make_rhs(a);
-  std::vector<value_t> x_old(b.size(), 0.0);
-  ASSERT_TRUE(s.solve(b, x_old).is_ok());
+    CancelToken tok;
+    Options copts = opts;
+    copts.cancel = &tok;
+    Solver s;
+    ASSERT_TRUE(s.factorize(a, copts).is_ok());
+    const std::vector<value_t> want_old = factor_bits(s);
+    const std::vector<float> want_old32 = factor32_bits(s);
+    const auto b = make_rhs(a);
+    std::vector<value_t> x_old(b.size(), 0.0);
+    ASSERT_TRUE(s.solve(b, x_old).is_ok());
 
-  long long cancelled_runs = 0;
-  for (long long n = 0; n <= kMaxSafePoints; ++n) {
-    tok.cancel_after_checks(n);
-    const Status st = s.refactorize(a2);
-    if (st.is_ok()) {
-      EXPECT_EQ(factor_bits(s), want_new);
-      EXPECT_GT(cancelled_runs, 0) << "the sweep never fired";
-      return;
+    long long cancelled_runs = 0;
+    bool completed = false;
+    for (long long n = 0; n <= kMaxSafePoints; ++n) {
+      tok.cancel_after_checks(n);
+      const Status st = s.refactorize(a2);
+      if (st.is_ok()) {
+        EXPECT_EQ(factor_bits(s), want_new);
+        EXPECT_EQ(factor32_bits(s), want_new32);
+        EXPECT_GT(cancelled_runs, 0) << "the sweep never fired";
+        completed = true;
+        break;
+      }
+      SCOPED_TRACE("cancelled after " + std::to_string(n) + " checks");
+      ASSERT_TRUE(is_cancel_code(st)) << st.message();
+      ++cancelled_runs;
+      tok.cancel_after_checks(-1);  // disarm for the witness solves
+      ASSERT_EQ(factor_bits(s), want_old)
+          << "cancelled refactorize must restore the previous factors";
+      ASSERT_EQ(factor32_bits(s), want_old32)
+          << "cancelled refactorize must restore the previous FP32 store";
+      std::vector<value_t> x(b.size(), 0.0);
+      ASSERT_TRUE(s.solve(b, x).is_ok());
+      ASSERT_EQ(x, x_old) << "the session must keep solving the old system";
     }
-    SCOPED_TRACE("cancelled after " + std::to_string(n) + " checks");
-    ASSERT_TRUE(is_cancel_code(st)) << st.message();
-    ++cancelled_runs;
-    tok.cancel_after_checks(-1);  // disarm for the witness solves
-    ASSERT_EQ(factor_bits(s), want_old)
-        << "cancelled refactorize must restore the previous factors";
-    std::vector<value_t> x(b.size(), 0.0);
-    ASSERT_TRUE(s.solve(b, x).is_ok());
-    ASSERT_EQ(x, x_old) << "the session must keep solving the old system";
+    ASSERT_TRUE(completed) << "refactorize never completed within "
+                           << kMaxSafePoints << " free checks";
   }
-  FAIL() << "refactorize never completed within " << kMaxSafePoints
-         << " free checks";
 }
 
 // Virtual-clock deadline: a simulated factorisation that cannot finish

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,6 +44,16 @@ std::vector<value_t> factor_bits(const Solver& s) {
   return v;
 }
 
+std::vector<float> factor32_bits(const Solver& s) {
+  std::vector<float> v;
+  const auto& f = s.factors32();
+  for (nnz_t pos = 0; pos < static_cast<nnz_t>(f.n_blocks()); ++pos) {
+    auto vals = f.block(pos).values();
+    v.insert(v.end(), vals.begin(), vals.end());
+  }
+  return v;
+}
+
 /// Deterministic same-pattern value perturbation (a Newton-style update):
 /// scale each entry, keeping diagonal dominance intact.
 Csc perturb_values(const Csc& a, unsigned seed) {
@@ -67,25 +79,52 @@ TEST(SessionRefactorize, BitwiseIdenticalToFreshFactorize) {
   const Csc mats[] = {matgen::grid2d_laplacian(16, 16),
                       matgen::circuit(250, 2.0, 2.2, 17),
                       matgen::cage_style(180, 3, 9)};
+  const std::string path =
+      ::testing::TempDir() + "/session_refactorize_resume.bin";
   int family = 0;
   for (const Csc& a : mats) {
     SCOPED_TRACE("family " + std::to_string(family++));
-    Options opts = no_mc64_options();
-    opts.n_ranks = 4;
-    Solver reused;
-    ASSERT_TRUE(reused.factorize(a, opts).is_ok());
     const Csc a2 = perturb_values(a, 1234);
-    ASSERT_TRUE(reused.refactorize(a2).is_ok());
-    Solver fresh;
-    ASSERT_TRUE(fresh.factorize(a2, opts).is_ok());
-    EXPECT_EQ(factor_bits(reused), factor_bits(fresh));
-    EXPECT_EQ(reused.stats().nnz_lu, fresh.stats().nnz_lu);
-    // And the reused solver still solves the new system.
-    auto b = make_rhs(a2);
-    std::vector<value_t> x(b.size(), 0.0);
-    ASSERT_TRUE(reused.solve(b, x).is_ok());
-    EXPECT_LT(relative_residual(a2, x, b), 1e-9);
+    for (kernels::Precision prec :
+         {kernels::Precision::kDouble, kernels::Precision::kSingle,
+          kernels::Precision::kMixedIR}) {
+      SCOPED_TRACE("precision " + std::to_string(static_cast<int>(prec)));
+      Options opts = no_mc64_options();
+      opts.n_ranks = 4;
+      opts.precision = prec;
+      Solver fresh;
+      ASSERT_TRUE(fresh.factorize(a2, opts).is_ok());
+      // The reused solver comes from a factorize() or from resume_from() of
+      // a checkpoint of one; either way refactorize(a2) lands on fresh's bits
+      // in both factor views.
+      for (bool resumed : {false, true}) {
+        SCOPED_TRACE(resumed ? "resumed" : "factorized");
+        Solver reused;
+        if (resumed) {
+          Options copts = opts;
+          copts.checkpoint_path = path;
+          copts.checkpoint_interval_tasks = 3;
+          Solver writer;
+          ASSERT_TRUE(writer.factorize(a, copts).is_ok());
+          ASSERT_TRUE(reused.resume_from(path).is_ok());
+          ASSERT_GT(reused.stats().resumed_from_task, 0);
+        } else {
+          ASSERT_TRUE(reused.factorize(a, opts).is_ok());
+        }
+        ASSERT_TRUE(reused.refactorize(a2).is_ok());
+        EXPECT_EQ(factor_bits(reused), factor_bits(fresh));
+        EXPECT_EQ(factor32_bits(reused), factor32_bits(fresh));
+        EXPECT_EQ(reused.stats().nnz_lu, fresh.stats().nnz_lu);
+        // And the reused solver still solves the new system.
+        auto b = make_rhs(a2);
+        std::vector<value_t> x(b.size(), 0.0);
+        ASSERT_TRUE(reused.solve(b, x).is_ok());
+        EXPECT_LT(relative_residual(a2, x, b),
+                  prec == kernels::Precision::kSingle ? 1e-4 : 1e-9);
+      }
+    }
   }
+  std::remove(path.c_str());
 }
 
 TEST(SessionRefactorize, BitwiseIdenticalWithMc64OnOriginalValues) {
