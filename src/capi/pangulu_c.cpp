@@ -240,8 +240,8 @@ int pangulu_session_create(int32_t n, const int64_t* col_ptr,
 int pangulu_session_create_ex(int32_t n, const int64_t* col_ptr,
                               const int32_t* row_idx, const double* values,
                               int32_t n_ranks, int32_t block_size,
-                              pangulu_precision precision,
-                              double ir_tolerance, int32_t ir_max_iters,
+                              int32_t precision, double ir_tolerance,
+                              int32_t ir_max_iters,
                               pangulu_session** out) {
   if (!out || !col_ptr || n <= 0 || !row_idx || !values ||
       precision < PANGULU_PRECISION_DOUBLE ||
@@ -252,7 +252,7 @@ int pangulu_session_create_ex(int32_t n, const int64_t* col_ptr,
   auto* s = new pangulu_session();
   const int rc = guarded(s, [&]() -> int {
     s->matrix = csc_from_c_parts(n, col_ptr, row_idx, values);
-    s->precision = precision;
+    s->precision = static_cast<pangulu_precision>(precision);
     pangulu::solver::Options opts;
     opts.n_ranks = n_ranks > 0 ? n_ranks : 1;
     opts.block_size = block_size;

@@ -137,7 +137,9 @@ int pangulu_session_create(int32_t n, const int64_t* col_ptr,
                            int32_t n_ranks, int32_t block_size,
                            pangulu_session** out);
 
-/* As pangulu_session_create with an explicit numeric precision.
+/* As pangulu_session_create with an explicit numeric precision, one of
+ * the pangulu_precision values, passed as int32_t so that any other value
+ * is a defined input that fails with PANGULU_INVALID_ARGUMENT.
  * ir_tolerance and ir_max_iters configure the MIXED_IR refinement loop
  * (pass 0 for the defaults, 1e-12 and 30); both are ignored by the other
  * precisions. Under MIXED_IR a solve whose refinement stalls or exhausts
@@ -145,8 +147,8 @@ int pangulu_session_create(int32_t n, const int64_t* col_ptr,
 int pangulu_session_create_ex(int32_t n, const int64_t* col_ptr,
                               const int32_t* row_idx, const double* values,
                               int32_t n_ranks, int32_t block_size,
-                              pangulu_precision precision,
-                              double ir_tolerance, int32_t ir_max_iters,
+                              int32_t precision, double ir_tolerance,
+                              int32_t ir_max_iters,
                               pangulu_session** out);
 
 /* Numeric-only refactorisation from the new values of the analysed matrix

@@ -84,6 +84,121 @@ PANGULU_AXPY_CLONES void axpy_sources_sub(V* PANGULU_RESTRICT y, index_t lo,
   for (; c < m; ++c) piece(src[c], src[c].begin, src[c].end);
 }
 
+namespace {
+
+// y[r] -= v[p] * a over the entries p in [b, e) of a column whose rows are
+// first, first + 1, ... when first != kScatter, else rows[p].
+template <class V>
+[[gnu::always_inline]] inline void column_sub(V* y, const V* v,
+                                              const index_t* rows, nnz_t b,
+                                              nnz_t e, index_t first, V a) {
+  if (first != SweepColumn::kScatter) {
+    sub1(y + first, v + b, a, static_cast<index_t>(e - b));
+    return;
+  }
+  for (nnz_t p = b; p < e; ++p) y[rows[p]] -= v[p] * a;
+}
+
+// The dot of entries [b, e) of such a column with x, in row order from +0.
+template <class V>
+[[gnu::always_inline]] inline V column_dot(const V* v, const index_t* rows,
+                                           nnz_t b, nnz_t e, index_t first,
+                                           const V* x) {
+  V acc = 0;
+  if (first != SweepColumn::kScatter) {
+    for (nnz_t p = b; p < e; ++p) acc += v[p] * x[first + (p - b)];
+  } else {
+    for (nnz_t p = b; p < e; ++p) acc += v[p] * x[rows[p]];
+  }
+  return acc;
+}
+
+// First row of the strictly-lower part of column j: j + 1 when the column
+// has no gaps (its diagonal entry is present), else a scatter.
+inline index_t lower_first(const SweepColumn& c, index_t j) {
+  return c.first == SweepColumn::kScatter ? SweepColumn::kScatter : j + 1;
+}
+
+}  // namespace
+
+template <class V>
+PANGULU_AXPY_CLONES void sweep_columns_sub(const CscT<V>& b,
+                                           std::span<const SweepColumn> cols,
+                                           const V* x, V* y) {
+  const index_t* rows = b.row_idx().data();
+  const V* v = b.values().data();
+  for (const SweepColumn& c : cols) {
+    const V xj = x[c.col];
+    if (xj == V(0)) continue;
+    column_sub(y, v, rows, b.col_begin(c.col), b.col_end(c.col), c.first, xj);
+  }
+}
+
+template <class V>
+void sweep_columns_t_sub(const CscT<V>& b, std::span<const SweepColumn> cols,
+                         const V* x, V* y) {
+  const index_t* rows = b.row_idx().data();
+  const V* v = b.values().data();
+  for (const SweepColumn& c : cols)
+    y[c.col] -= column_dot(v, rows, b.col_begin(c.col), b.col_end(c.col),
+                           c.first, x);
+}
+
+template <class V>
+PANGULU_AXPY_CLONES void diag_lower_sweep(const CscT<V>& d,
+                                          std::span<const SweepColumn> cols,
+                                          const nnz_t* diag, V* x) {
+  const index_t* rows = d.row_idx().data();
+  const V* v = d.values().data();
+  for (index_t j = 0; j < d.n_cols(); ++j) {
+    const V xj = x[j];
+    if (xj == V(0)) continue;
+    column_sub(x, v, rows, diag[j] + 1, d.col_end(j),
+               lower_first(cols[static_cast<std::size_t>(j)], j), xj);
+  }
+}
+
+template <class V>
+PANGULU_AXPY_CLONES void diag_upper_sweep(const CscT<V>& d,
+                                          std::span<const SweepColumn> cols,
+                                          const nnz_t* diag, V* x) {
+  const index_t* rows = d.row_idx().data();
+  const V* v = d.values().data();
+  for (index_t j = d.n_cols() - 1; j >= 0; --j) {
+    const V djj = v[diag[j]];
+    PANGULU_CHECK(djj != V(0), "upper solve: zero diagonal");
+    x[j] /= djj;
+    const V xj = x[j];
+    if (xj == V(0)) continue;
+    column_sub(x, v, rows, d.col_begin(j), diag[j],
+               cols[static_cast<std::size_t>(j)].first, xj);
+  }
+}
+
+template <class V>
+void diag_upper_t_sweep(const CscT<V>& d, std::span<const SweepColumn> cols,
+                        const nnz_t* diag, V* x) {
+  const index_t* rows = d.row_idx().data();
+  const V* v = d.values().data();
+  for (index_t j = 0; j < d.n_cols(); ++j) {
+    const V acc = column_dot(v, rows, d.col_begin(j), diag[j],
+                             cols[static_cast<std::size_t>(j)].first, x);
+    const V djj = v[diag[j]];
+    PANGULU_CHECK(djj != V(0), "transpose solve: zero diagonal");
+    x[j] = (x[j] - acc) / djj;
+  }
+}
+
+template <class V>
+void diag_lower_t_sweep(const CscT<V>& d, std::span<const SweepColumn> cols,
+                        const nnz_t* diag, V* x) {
+  const index_t* rows = d.row_idx().data();
+  const V* v = d.values().data();
+  for (index_t j = d.n_cols() - 1; j >= 0; --j)
+    x[j] -= column_dot(v, rows, diag[j] + 1, d.col_end(j),
+                       lower_first(cols[static_cast<std::size_t>(j)], j), x);
+}
+
 std::string to_string(GetrfVariant v) {
   switch (v) {
     case GetrfVariant::kCV1: return "GETRF_C_V1";
@@ -293,6 +408,30 @@ template void axpy_sources_sub<float>(float*, index_t,
                                       const AxpySource<float>*, index_t);
 template void axpy_sources_sub<double>(double*, index_t,
                                        const AxpySource<double>*, index_t);
+template void sweep_columns_sub<float>(const CscT<float>&,
+    std::span<const SweepColumn>, const float*, float*);
+template void sweep_columns_sub<double>(const CscT<double>&,
+    std::span<const SweepColumn>, const double*, double*);
+template void sweep_columns_t_sub<float>(const CscT<float>&,
+    std::span<const SweepColumn>, const float*, float*);
+template void sweep_columns_t_sub<double>(const CscT<double>&,
+    std::span<const SweepColumn>, const double*, double*);
+template void diag_lower_sweep<float>(const CscT<float>&,
+    std::span<const SweepColumn>, const nnz_t*, float*);
+template void diag_lower_sweep<double>(const CscT<double>&,
+    std::span<const SweepColumn>, const nnz_t*, double*);
+template void diag_upper_sweep<float>(const CscT<float>&,
+    std::span<const SweepColumn>, const nnz_t*, float*);
+template void diag_upper_sweep<double>(const CscT<double>&,
+    std::span<const SweepColumn>, const nnz_t*, double*);
+template void diag_upper_t_sweep<float>(const CscT<float>&,
+    std::span<const SweepColumn>, const nnz_t*, float*);
+template void diag_upper_t_sweep<double>(const CscT<double>&,
+    std::span<const SweepColumn>, const nnz_t*, double*);
+template void diag_lower_t_sweep<float>(const CscT<float>&,
+    std::span<const SweepColumn>, const nnz_t*, float*);
+template void diag_lower_t_sweep<double>(const CscT<double>&,
+    std::span<const SweepColumn>, const nnz_t*, double*);
 template RowView RowView::build<float>(const CscT<float>&);
 template RowView RowView::build<double>(const CscT<double>&);
 template void spmm_sub_panel<float>(const CscT<float>&, const float*, index_t,

@@ -1,6 +1,7 @@
 #include "solver/solver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -17,114 +18,6 @@
 #include "util/timer.hpp"
 
 namespace pangulu::solver {
-
-namespace {
-
-/// y_segment -= Block * x_segment (sparse block SpMV accumulate).
-template <class V>
-void block_spmv_sub(const CscT<V>& blk, const V* x, V* y) {
-  for (index_t j = 0; j < blk.n_cols(); ++j) {
-    const V xj = x[j];
-    if (xj == V(0)) continue;
-    for (nnz_t p = blk.col_begin(j); p < blk.col_end(j); ++p) {
-      y[blk.row_idx()[static_cast<std::size_t>(p)]] -=
-          blk.values()[static_cast<std::size_t>(p)] * xj;
-    }
-  }
-}
-
-/// In-block forward solve with the unit-lower part of a factorised diagonal
-/// block (strictly-lower entries are L; diagonal is implicit 1).
-template <class V>
-void diag_lower_solve(const CscT<V>& d, V* x) {
-  for (index_t j = 0; j < d.n_cols(); ++j) {
-    const V xj = x[j];
-    if (xj == V(0)) continue;
-    for (nnz_t p = d.col_begin(j); p < d.col_end(j); ++p) {
-      const index_t r = d.row_idx()[static_cast<std::size_t>(p)];
-      if (r > j) x[r] -= d.values()[static_cast<std::size_t>(p)] * xj;
-    }
-  }
-}
-
-/// In-block backward solve with the upper part (diagonal included).
-template <class V>
-void diag_upper_solve(const CscT<V>& d, V* x) {
-  for (index_t j = d.n_cols() - 1; j >= 0; --j) {
-    // Find the diagonal; entries above it are the U column.
-    V djj = V(0);
-    nnz_t diag_pos = -1;
-    for (nnz_t p = d.col_begin(j); p < d.col_end(j); ++p) {
-      if (d.row_idx()[static_cast<std::size_t>(p)] == j) {
-        djj = d.values()[static_cast<std::size_t>(p)];
-        diag_pos = p;
-        break;
-      }
-    }
-    PANGULU_CHECK(diag_pos >= 0 && djj != V(0),
-                  "upper solve: missing/zero diagonal");
-    x[j] /= djj;
-    const V xj = x[j];
-    if (xj == V(0)) continue;
-    for (nnz_t p = d.col_begin(j); p < diag_pos; ++p) {
-      x[d.row_idx()[static_cast<std::size_t>(p)]] -=
-          d.values()[static_cast<std::size_t>(p)] * xj;
-    }
-  }
-}
-
-}  // namespace
-
-namespace {
-
-/// y_segment -= Block^T * x_segment: for each column j of the block, the
-/// dot product of the column with x lands in y[j].
-template <class V>
-void block_spmv_t_sub(const CscT<V>& blk, const V* x, V* y) {
-  for (index_t j = 0; j < blk.n_cols(); ++j) {
-    V acc = 0;
-    for (nnz_t p = blk.col_begin(j); p < blk.col_end(j); ++p) {
-      acc += blk.values()[static_cast<std::size_t>(p)] *
-             x[blk.row_idx()[static_cast<std::size_t>(p)]];
-    }
-    y[j] -= acc;
-  }
-}
-
-/// In-block solve of U^T y = z (U^T is lower-triangular): ascending j,
-/// x[j] = (z[j] - U(:<j, j) . x) / U(j,j) — one CSC column dot per unknown.
-template <class V>
-void diag_upper_transpose_solve(const CscT<V>& d, V* x) {
-  for (index_t j = 0; j < d.n_cols(); ++j) {
-    V acc = 0;
-    V djj = 0;
-    for (nnz_t p = d.col_begin(j); p < d.col_end(j); ++p) {
-      const index_t r = d.row_idx()[static_cast<std::size_t>(p)];
-      if (r < j)
-        acc += d.values()[static_cast<std::size_t>(p)] * x[r];
-      else if (r == j)
-        djj = d.values()[static_cast<std::size_t>(p)];
-    }
-    PANGULU_CHECK(djj != V(0), "transpose solve: zero diagonal");
-    x[j] = (x[j] - acc) / djj;
-  }
-}
-
-/// In-block solve of L^T w = y (L^T upper, unit diagonal): descending j,
-/// x[j] -= L(>j, j) . x.
-template <class V>
-void diag_lower_transpose_solve(const CscT<V>& d, V* x) {
-  for (index_t j = d.n_cols() - 1; j >= 0; --j) {
-    V acc = 0;
-    for (nnz_t p = d.col_begin(j); p < d.col_end(j); ++p) {
-      const index_t r = d.row_idx()[static_cast<std::size_t>(p)];
-      if (r > j) acc += d.values()[static_cast<std::size_t>(p)] * x[r];
-    }
-    x[j] -= acc;
-  }
-}
-
-}  // namespace
 
 template <class BM>
 SolvePlan SolvePlan::build(const BM& f) {
@@ -170,6 +63,54 @@ SolvePlan SolvePlan::build(const BM& f) {
     plan.tlow_ptr[static_cast<std::size_t>(bk) + 1] =
         static_cast<nnz_t>(plan.tlow_pos.size());
   }
+  // The single-vector sweeps' column lists and diagonal positions, in block
+  // position order (block columns ascending). Two passes over the block
+  // columns on the global pool: count each block's non-empty columns (and
+  // find the diagonal entries), then fill the lists at their prefix-sum
+  // offsets. Nothing is allocated on a worker, and the plan does not
+  // depend on the pool.
+  const auto n_blocks = static_cast<std::size_t>(f.n_blocks());
+  plan.col_ptr.assign(n_blocks + 1, 0);
+  plan.diag_at.resize(static_cast<std::size_t>(f.grid().n));
+  std::atomic<bool> diag_missing{false};
+  ThreadPool& pool = ThreadPool::global();
+  parallel_for(pool, 0, nb, [&](index_t bj) {
+    for (nnz_t pos = f.col_begin(bj); pos < f.col_end(bj); ++pos) {
+      const auto& b = f.block(pos);
+      const nnz_t* cp = b.col_ptr().data();
+      nnz_t count = 0;
+      for (index_t j = 0; j < b.n_cols(); ++j) count += cp[j + 1] > cp[j];
+      plan.col_ptr[static_cast<std::size_t>(pos) + 1] = count;
+      if (f.block_row(pos) != bj) continue;
+      for (index_t j = 0; j < b.n_cols(); ++j) {
+        const nnz_t at = b.find(j, j);
+        if (at < 0) diag_missing = true;
+        plan.diag_at[static_cast<std::size_t>(f.grid().block_start(bj) + j)] =
+            at;
+      }
+    }
+  });
+  PANGULU_CHECK(!diag_missing, "solve plan: missing diagonal entry");
+  for (std::size_t pos = 0; pos < n_blocks; ++pos)
+    plan.col_ptr[pos + 1] += plan.col_ptr[pos];
+  plan.cols.resize(static_cast<std::size_t>(plan.col_ptr[n_blocks]));
+  parallel_for(pool, 0, nb, [&](index_t bj) {
+    for (nnz_t pos = f.col_begin(bj); pos < f.col_end(bj); ++pos) {
+      const auto& b = f.block(pos);
+      const nnz_t* cp = b.col_ptr().data();
+      const index_t* rows = b.row_idx().data();
+      kernels::SweepColumn* out =
+          plan.cols.data() + plan.col_ptr[static_cast<std::size_t>(pos)];
+      for (index_t j = 0; j < b.n_cols(); ++j) {
+        const nnz_t lo = cp[j], hi = cp[j + 1];
+        if (lo == hi) continue;
+        const index_t r0 = rows[lo];
+        *out++ = {j, rows[hi - 1] - r0 == hi - lo - 1
+                         ? r0
+                         : kernels::SweepColumn::kScatter};
+      }
+    }
+  });
   return plan;
 }
 
@@ -193,12 +134,15 @@ Status block_lower_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
     V* seg = x.data() + grid.block_start(bk);
     for (nnz_t q = plan.low_ptr[static_cast<std::size_t>(bk)];
          q < plan.low_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      block_spmv_sub(
-          f.block(plan.low_pos[static_cast<std::size_t>(q)]),
+      const nnz_t pos = plan.low_pos[static_cast<std::size_t>(q)];
+      kernels::sweep_columns_sub(
+          f.block(pos), plan.columns(pos),
           x.data() + grid.block_start(plan.low_src[static_cast<std::size_t>(q)]),
           seg);
     }
-    diag_lower_solve(f.block(plan.diag_pos[static_cast<std::size_t>(bk)]), seg);
+    const nnz_t d = plan.diag_pos[static_cast<std::size_t>(bk)];
+    kernels::diag_lower_sweep(f.block(d), plan.columns(d),
+                              plan.diag_at.data() + grid.block_start(bk), seg);
   }
   return Status::ok();
 }
@@ -214,12 +158,15 @@ Status block_upper_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
     V* seg = x.data() + grid.block_start(bk);
     for (nnz_t q = plan.up_ptr[static_cast<std::size_t>(bk)];
          q < plan.up_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      block_spmv_sub(
-          f.block(plan.up_pos[static_cast<std::size_t>(q)]),
+      const nnz_t pos = plan.up_pos[static_cast<std::size_t>(q)];
+      kernels::sweep_columns_sub(
+          f.block(pos), plan.columns(pos),
           x.data() + grid.block_start(plan.up_src[static_cast<std::size_t>(q)]),
           seg);
     }
-    diag_upper_solve(f.block(plan.diag_pos[static_cast<std::size_t>(bk)]), seg);
+    const nnz_t d = plan.diag_pos[static_cast<std::size_t>(bk)];
+    kernels::diag_upper_sweep(f.block(d), plan.columns(d),
+                              plan.diag_at.data() + grid.block_start(bk), seg);
   }
   return Status::ok();
 }
@@ -236,13 +183,16 @@ Status block_upper_transpose_solve(const block::BlockMatrixT<V>& f,
     V* seg = x.data() + grid.block_start(bk);
     for (nnz_t q = plan.tup_ptr[static_cast<std::size_t>(bk)];
          q < plan.tup_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      block_spmv_t_sub(
-          f.block(plan.tup_pos[static_cast<std::size_t>(q)]),
+      const nnz_t pos = plan.tup_pos[static_cast<std::size_t>(q)];
+      kernels::sweep_columns_t_sub(
+          f.block(pos), plan.columns(pos),
           x.data() + grid.block_start(plan.tup_src[static_cast<std::size_t>(q)]),
           seg);
     }
-    diag_upper_transpose_solve(
-        f.block(plan.diag_pos[static_cast<std::size_t>(bk)]), seg);
+    const nnz_t d = plan.diag_pos[static_cast<std::size_t>(bk)];
+    kernels::diag_upper_t_sweep(f.block(d), plan.columns(d),
+                                plan.diag_at.data() + grid.block_start(bk),
+                                seg);
   }
   return Status::ok();
 }
@@ -259,13 +209,17 @@ Status block_lower_transpose_solve(const block::BlockMatrixT<V>& f,
     V* seg = x.data() + grid.block_start(bk);
     for (nnz_t q = plan.tlow_ptr[static_cast<std::size_t>(bk)];
          q < plan.tlow_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      block_spmv_t_sub(
-          f.block(plan.tlow_pos[static_cast<std::size_t>(q)]),
-          x.data() + grid.block_start(plan.tlow_src[static_cast<std::size_t>(q)]),
+      const nnz_t pos = plan.tlow_pos[static_cast<std::size_t>(q)];
+      kernels::sweep_columns_t_sub(
+          f.block(pos), plan.columns(pos),
+          x.data() +
+              grid.block_start(plan.tlow_src[static_cast<std::size_t>(q)]),
           seg);
     }
-    diag_lower_transpose_solve(
-        f.block(plan.diag_pos[static_cast<std::size_t>(bk)]), seg);
+    const nnz_t d = plan.diag_pos[static_cast<std::size_t>(bk)];
+    kernels::diag_lower_t_sweep(f.block(d), plan.columns(d),
+                                plan.diag_at.data() + grid.block_start(bk),
+                                seg);
   }
   return Status::ok();
 }
@@ -587,6 +541,7 @@ Status Solver::factorize(const Csc& a, const Options& opts) {
   if (!s.is_ok()) return s;
   opts_ = opts;
   original_ = a;
+  norm1_ = norm1(original_);
   factorized_ = false;
   value_slots_.clear();
   stats_ = FactorStats{};
@@ -737,6 +692,7 @@ Status Solver::resume_from(const std::string& path, const Options& base) {
       return Status::io_error("snapshot: matrix section is not a valid CSC (" +
                               v.message() + ")");
     original_ = std::move(a);
+    norm1_ = norm1(original_);
   }
   factorized_ = false;
   value_slots_.clear();
@@ -953,6 +909,7 @@ Status Solver::refactorize_values(std::span<const value_t> values) {
   // failures leave the solver un-factorised.
   std::vector<value_t> prev_a;
   std::vector<value_t> prev_factors;
+  const value_t prev_norm1 = norm1_;
   if (opts_.cancel) {
     const auto ov = original_.values();
     prev_a.assign(ov.begin(), ov.end());
@@ -961,6 +918,7 @@ Status Solver::refactorize_values(std::span<const value_t> values) {
   // `values` may alias matrix().values() (refactorize(matrix()) does).
   if (values.data() != original_.values().data())
     std::copy(values.begin(), values.end(), original_.values_mut().begin());
+  norm1_ = norm1(original_);
   if (value_slots_.empty()) build_value_slots();
   // Zero the store (fill-ins stay zero), then land each scaled value in its
   // slot, rounded once to the store's type: the bits a fresh analysis's
@@ -999,6 +957,7 @@ Status Solver::refactorize_values(std::span<const value_t> values) {
   if (!s.is_ok()) {
     if (opts_.cancel && is_cancel_code(s)) {
       std::copy(prev_a.begin(), prev_a.end(), original_.values_mut().begin());
+      norm1_ = prev_norm1;
       with_factors(*this, [&](auto& f) { set_flat_values(f, prev_factors); });
       return s;
     }
@@ -1160,7 +1119,6 @@ Status Solver::refine(const block::BlockMatrixT<V>& f, const value_t* b,
   const value_t target =
       mixed ? opts_.ir_tolerance : std::numeric_limits<value_t>::epsilon();
   const value_t shrink = mixed ? value_t(0.9) : value_t(0.5);
-  const value_t norm_a = norm1(original_);
   std::vector<value_t> ax(nn);
   std::vector<value_t> rp(nn * kk);
   std::vector<value_t> dx(nn * kk);
@@ -1183,7 +1141,7 @@ Status Solver::refine(const block::BlockMatrixT<V>& f, const value_t* b,
       original_.spmv(xc, ax);
       for (std::size_t i = 0; i < nn; ++i) r[i] = bc[i] - ax[i];
       resid[j] = norm_inf(r) /
-                 std::max<value_t>(norm_a * norm_inf(xc) + norm_inf(bc), 1);
+                 std::max<value_t>(norm1_ * norm_inf(xc) + norm_inf(bc), 1);
       if (resid[j] <= target || it >= budget || resid[j] >= prev[j] * shrink)
         continue;
       prev[j] = resid[j];
@@ -1366,7 +1324,7 @@ Status Solver::condest(value_t* cond_1) const {
     x[static_cast<std::size_t>(j)] = 1;
     last_j = j;
   }
-  *cond_1 = norm1(original_) * est;
+  *cond_1 = norm1_ * est;
   return Status::ok();
 }
 

@@ -20,6 +20,7 @@
 #include "analysis/verify.hpp"
 #include "block/layout.hpp"
 #include "block/mapping.hpp"
+#include "kernels/kernel_common.hpp"
 #include "kernels/precision.hpp"
 #include "ordering/reorder.hpp"
 #include "runtime/sim.hpp"
@@ -195,7 +196,22 @@ struct SolvePlan {
   std::vector<nnz_t> tlow_pos;
   std::vector<index_t> tlow_src;
 
+  // Single-vector sweeps: the non-empty columns of each block position, in
+  // ascending order, each with its gap-free first row or a scatter marker
+  // (a diagonal block lists every column: each holds its diagonal entry).
+  std::vector<nnz_t> col_ptr;  // [n_blocks + 1]
+  std::vector<kernels::SweepColumn> cols;
+  // [n] position of global column j's diagonal entry within its diagonal
+  // block's value array.
+  std::vector<nnz_t> diag_at;
+
   bool valid() const { return !diag_pos.empty(); }
+
+  /// The listed non-empty columns of the block at `pos`.
+  std::span<const kernels::SweepColumn> columns(nnz_t pos) const {
+    return {cols.data() + col_ptr[static_cast<std::size_t>(pos)],
+            cols.data() + col_ptr[static_cast<std::size_t>(pos) + 1]};
+  }
 
   /// Build from a factorised block matrix (requires all diagonal blocks).
   /// The plan is pure structure, so the one built against either precision
@@ -359,6 +375,8 @@ class Solver {
 
   Options opts_;
   Csc original_;
+  // ||original_||_1, kept with its values (refinement residuals, condest).
+  value_t norm1_ = 0;
   // Permutations and scalings of the analysis; `permuted` is cleared once
   // the symbolic step has read it.
   ordering::ReorderResult reorder_;

@@ -279,11 +279,14 @@ TEST(CApi, MixedPrecisionSessionRoundTrip) {
   EXPECT_EQ(pangulu_session_precision(d), PANGULU_PRECISION_DOUBLE);
   pangulu_session_destroy(d);
 
-  // Out-of-range precision and negative IR knobs are rejected up front.
+  // Out-of-range precision and negative IR knobs are rejected up front
+  // (the precision travels as int32_t, so 7 is a defined input).
   EXPECT_EQ(pangulu_session_create_ex(n, a.col_ptr.data(), a.row_idx.data(),
                                       a.values.data(), 1, 0,
-                                      static_cast<pangulu_precision>(7), 0, 0,
-                                      &s),
+                                      7, 0, 0, &s),
+            PANGULU_INVALID_ARGUMENT);
+  EXPECT_EQ(pangulu_session_create_ex(n, a.col_ptr.data(), a.row_idx.data(),
+                                      a.values.data(), 1, 0, -1, 0, 0, &s),
             PANGULU_INVALID_ARGUMENT);
   EXPECT_EQ(pangulu_session_create_ex(n, a.col_ptr.data(), a.row_idx.data(),
                                       a.values.data(), 1, 0,

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,10 +116,19 @@ TEST(SessionRefactorize, BitwiseIdenticalToFreshFactorize) {
         EXPECT_EQ(factor_bits(reused), factor_bits(fresh));
         EXPECT_EQ(factor32_bits(reused), factor32_bits(fresh));
         EXPECT_EQ(reused.stats().nnz_lu, fresh.stats().nnz_lu);
-        // And the reused solver still solves the new system.
+        // And the reused solver still solves the new system, with the bits
+        // and refinement statistics of a fresh solver's solve.
         auto b = make_rhs(a2);
         std::vector<value_t> x(b.size(), 0.0);
-        ASSERT_TRUE(reused.solve(b, x).is_ok());
+        std::vector<value_t> x_fresh(b.size(), 0.0);
+        SolveStats st, st_fresh;
+        ASSERT_TRUE(reused.solve(b, x, &st).is_ok());
+        ASSERT_TRUE(fresh.solve(b, x_fresh, &st_fresh).is_ok());
+        EXPECT_EQ(0, std::memcmp(x.data(), x_fresh.data(),
+                                 x.size() * sizeof(value_t)));
+        EXPECT_EQ(st.refine_iterations, st_fresh.refine_iterations);
+        EXPECT_EQ(0, std::memcmp(&st.final_residual, &st_fresh.final_residual,
+                                 sizeof(value_t)));
         EXPECT_LT(relative_residual(a2, x, b),
                   prec == kernels::Precision::kSingle ? 1e-4 : 1e-9);
       }
