@@ -225,44 +225,6 @@ Status gessm(PanelVariant variant, const CscT<V>& diag, CscT<V>& b,
 }
 
 template <class V>
-void gessm_dense_panel(const CscT<V>& diag, V* x, index_t stride, index_t k) {
-  for (index_t j = 0; j < diag.n_cols(); ++j) {
-    // x[c][j] is final once the sweep reaches column j (only rows > j are
-    // written below), so reading it per entry matches the single-vector
-    // sweep that hoists it out of the entry loop.
-    const V* xj = x + static_cast<std::size_t>(j) * stride;
-    for (nnz_t p = diag.col_begin(j); p < diag.col_end(j); ++p) {
-      const index_t r = diag.row_idx()[static_cast<std::size_t>(p)];
-      if (r <= j) continue;  // unit diagonal; only the strictly-lower part
-      const V v = diag.values()[static_cast<std::size_t>(p)];
-      V* xr = x + static_cast<std::size_t>(r) * stride;
-      for (index_t c = 0; c < k; ++c) {
-        const V xcj = xj[c];
-        if (xcj == V(0)) continue;
-        xr[c] -= v * xcj;
-      }
-    }
-  }
-}
-
-template <class V>
-void gessm_dense_panel_transpose(const CscT<V>& diag, V* x, index_t stride,
-                                 index_t k, V* acc) {
-  for (index_t j = diag.n_cols() - 1; j >= 0; --j) {
-    for (index_t c = 0; c < k; ++c) acc[c] = V(0);
-    for (nnz_t p = diag.col_begin(j); p < diag.col_end(j); ++p) {
-      const index_t r = diag.row_idx()[static_cast<std::size_t>(p)];
-      if (r <= j) continue;
-      const V v = diag.values()[static_cast<std::size_t>(p)];
-      const V* xr = x + static_cast<std::size_t>(r) * stride;
-      for (index_t c = 0; c < k; ++c) acc[c] += v * xr[c];
-    }
-    V* xj = x + static_cast<std::size_t>(j) * stride;
-    for (index_t c = 0; c < k; ++c) xj[c] -= acc[c];
-  }
-}
-
-template <class V>
 Status gessm_reference(const CscT<V>& diag, CscT<V>& b) {
   const index_t n = diag.n_rows();
   DenseT<V> l = DenseT<V>::from_csc(diag);
@@ -286,14 +248,6 @@ template Status gessm<float>(PanelVariant, const CscT<float>&, CscT<float>&,
                              Workspace&, ThreadPool*);
 template Status gessm<double>(PanelVariant, const CscT<double>&, CscT<double>&,
                               Workspace&, ThreadPool*);
-template void gessm_dense_panel<float>(const CscT<float>&, float*, index_t,
-                                       index_t);
-template void gessm_dense_panel<double>(const CscT<double>&, double*, index_t,
-                                        index_t);
-template void gessm_dense_panel_transpose<float>(const CscT<float>&, float*,
-                                                 index_t, index_t, float*);
-template void gessm_dense_panel_transpose<double>(const CscT<double>&, double*,
-                                                  index_t, index_t, double*);
 template Status gessm_reference<float>(const CscT<float>&, CscT<float>&);
 template Status gessm_reference<double>(const CscT<double>&, CscT<double>&);
 

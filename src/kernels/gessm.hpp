@@ -31,20 +31,4 @@ Status gessm(PanelVariant variant, const CscT<V>& diag, CscT<V>& b,
 template <class V>
 Status gessm_reference(const CscT<V>& diag, CscT<V>& b);
 
-/// Dense-RHS panel variant for the triangular-solve phase: X <- L^-1 X where
-/// X is an n x k row-interleaved panel — column c of row r at
-/// x[r * stride + c] (stride 1 with k == 1 is the plain vector layout). The
-/// block's pattern is decoded once per entry for all k columns and the
-/// k-wide inner loop runs over contiguous memory; per column the operation
-/// sequence (including the zero-skip) is exactly the single-vector sweep's,
-/// so column c of the panel is bitwise identical to solving column c alone.
-template <class V>
-void gessm_dense_panel(const CscT<V>& diag, V* x, index_t stride, index_t k);
-
-/// Transposed panel variant: X <- L^-T X (backward sweep, unit diagonal).
-/// `acc` is caller-provided scratch of at least k values.
-template <class V>
-void gessm_dense_panel_transpose(const CscT<V>& diag, V* x, index_t stride,
-                                 index_t k, V* acc);
-
 }  // namespace pangulu::kernels

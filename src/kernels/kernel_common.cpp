@@ -86,31 +86,89 @@ PANGULU_AXPY_CLONES void axpy_sources_sub(V* PANGULU_RESTRICT y, index_t lo,
 
 namespace {
 
-// y[r] -= v[p] * a over the entries p in [b, e) of a column whose rows are
-// first, first + 1, ... when first != kScatter, else rows[p].
+// Lanes a panel kernel works on at a time: a chunk's multipliers or dot
+// accumulators stay in a small local array, whatever the panel's width.
+constexpr index_t kLanes = 16;
+
+// Row of entry p in [b, e) of a column whose rows are first, first + 1, ...
+// when first != kScatter, else rows[p].
+[[gnu::always_inline]] inline index_t row_of(const index_t* rows, nnz_t b,
+                                             nnz_t p, index_t first) {
+  return first != SweepColumn::kScatter ? first + static_cast<index_t>(p - b)
+                                        : rows[p];
+}
+
+// y[r] -= v[p] * a[c] in every lane c whose multiplier a[c] (lane c of one
+// panel row) is non-zero, over the entries p in [b, e) of such a column.
+// One vector (stride 1) runs the contiguous sub1 loop on a gap-free column.
 template <class V>
 [[gnu::always_inline]] inline void column_sub(V* y, const V* v,
                                               const index_t* rows, nnz_t b,
-                                              nnz_t e, index_t first, V a) {
-  if (first != SweepColumn::kScatter) {
-    sub1(y + first, v + b, a, static_cast<index_t>(e - b));
+                                              nnz_t e, index_t first,
+                                              const V* a, index_t stride,
+                                              index_t k) {
+  if (stride == 1) {
+    const V a0 = *a;
+    if (a0 == V(0)) return;
+    if (first != SweepColumn::kScatter) {
+      sub1(y + first, v + b, a0, static_cast<index_t>(e - b));
+      return;
+    }
+    for (nnz_t p = b; p < e; ++p) y[rows[p]] -= v[p] * a0;
     return;
   }
-  for (nnz_t p = b; p < e; ++p) y[rows[p]] -= v[p] * a;
+  for (index_t c0 = 0; c0 < k; c0 += kLanes) {
+    const index_t w = std::min(kLanes, k - c0);
+    V al[kLanes];
+    index_t live = 0;
+    for (index_t c = 0; c < w; ++c) {
+      al[c] = a[c0 + c];
+      live += al[c] != V(0);
+    }
+    if (live == 0) continue;
+    for (nnz_t p = b; p < e; ++p) {
+      V* yr = y + static_cast<std::size_t>(row_of(rows, b, p, first)) *
+                      stride + c0;
+      const V vp = v[p];
+      if (live < w) {
+        for (index_t c = 0; c < w; ++c)
+          if (al[c] != V(0)) yr[c] -= vp * al[c];
+      } else if (w == 2) {  // a loop of two costs more than the update
+        yr[0] -= vp * al[0];
+        yr[1] -= vp * al[1];
+      } else {
+        for (index_t c = 0; c < w; ++c) yr[c] -= vp * al[c];
+      }
+    }
+  }
 }
 
-// The dot of entries [b, e) of such a column with x, in row order from +0.
-template <class V>
-[[gnu::always_inline]] inline V column_dot(const V* v, const index_t* rows,
-                                           nnz_t b, nnz_t e, index_t first,
-                                           const V* x) {
-  V acc = 0;
-  if (first != SweepColumn::kScatter) {
-    for (nnz_t p = b; p < e; ++p) acc += v[p] * x[first + (p - b)];
-  } else {
-    for (nnz_t p = b; p < e; ++p) acc += v[p] * x[rows[p]];
+// out[c] = finish(out[c], dot_c) in every lane c, dot_c the dot of the
+// entries [b, e) of such a column with lane c of x, in row order from +0.
+template <class V, class Finish>
+[[gnu::always_inline]] inline void column_dots(const V* v, const index_t* rows,
+                                               nnz_t b, nnz_t e, index_t first,
+                                               const V* x, V* out,
+                                               index_t stride, index_t k,
+                                               Finish finish) {
+  if (stride == 1) {
+    V acc = 0;
+    for (nnz_t p = b; p < e; ++p) acc += v[p] * x[row_of(rows, b, p, first)];
+    *out = finish(*out, acc);
+    return;
   }
-  return acc;
+  for (index_t c0 = 0; c0 < k; c0 += kLanes) {
+    const index_t w = std::min(kLanes, k - c0);
+    V acc[kLanes] = {};
+    for (nnz_t p = b; p < e; ++p) {
+      const V* xr =
+          x + static_cast<std::size_t>(row_of(rows, b, p, first)) * stride +
+          c0;
+      const V vp = v[p];
+      for (index_t c = 0; c < w; ++c) acc[c] += vp * xr[c];
+    }
+    for (index_t c = 0; c < w; ++c) out[c0 + c] = finish(out[c0 + c], acc[c]);
+  }
 }
 
 // First row of the strictly-lower part of column j: j + 1 when the column
@@ -119,84 +177,88 @@ inline index_t lower_first(const SweepColumn& c, index_t j) {
   return c.first == SweepColumn::kScatter ? SweepColumn::kScatter : j + 1;
 }
 
+constexpr auto minus = [](auto y, auto dot) { return y - dot; };
+
 }  // namespace
 
 template <class V>
 PANGULU_AXPY_CLONES void sweep_columns_sub(const CscT<V>& b,
                                            std::span<const SweepColumn> cols,
-                                           const V* x, V* y) {
+                                           const V* x, V* y, index_t stride,
+                                           index_t k) {
   const index_t* rows = b.row_idx().data();
   const V* v = b.values().data();
-  for (const SweepColumn& c : cols) {
-    const V xj = x[c.col];
-    if (xj == V(0)) continue;
-    column_sub(y, v, rows, b.col_begin(c.col), b.col_end(c.col), c.first, xj);
-  }
+  for (const SweepColumn& c : cols)
+    column_sub(y, v, rows, b.col_begin(c.col), b.col_end(c.col), c.first,
+               x + static_cast<std::size_t>(c.col) * stride, stride, k);
 }
 
 template <class V>
 void sweep_columns_t_sub(const CscT<V>& b, std::span<const SweepColumn> cols,
-                         const V* x, V* y) {
+                         const V* x, V* y, index_t stride, index_t k) {
   const index_t* rows = b.row_idx().data();
   const V* v = b.values().data();
   for (const SweepColumn& c : cols)
-    y[c.col] -= column_dot(v, rows, b.col_begin(c.col), b.col_end(c.col),
-                           c.first, x);
+    column_dots(v, rows, b.col_begin(c.col), b.col_end(c.col), c.first, x,
+                y + static_cast<std::size_t>(c.col) * stride, stride, k,
+                minus);
 }
 
 template <class V>
 PANGULU_AXPY_CLONES void diag_lower_sweep(const CscT<V>& d,
                                           std::span<const SweepColumn> cols,
-                                          const nnz_t* diag, V* x) {
+                                          const nnz_t* diag, V* x,
+                                          index_t stride, index_t k) {
   const index_t* rows = d.row_idx().data();
   const V* v = d.values().data();
-  for (index_t j = 0; j < d.n_cols(); ++j) {
-    const V xj = x[j];
-    if (xj == V(0)) continue;
+  for (index_t j = 0; j < d.n_cols(); ++j)
     column_sub(x, v, rows, diag[j] + 1, d.col_end(j),
-               lower_first(cols[static_cast<std::size_t>(j)], j), xj);
-  }
+               lower_first(cols[static_cast<std::size_t>(j)], j),
+               x + static_cast<std::size_t>(j) * stride, stride, k);
 }
 
 template <class V>
 PANGULU_AXPY_CLONES void diag_upper_sweep(const CscT<V>& d,
                                           std::span<const SweepColumn> cols,
-                                          const nnz_t* diag, V* x) {
+                                          const nnz_t* diag, V* x,
+                                          index_t stride, index_t k) {
   const index_t* rows = d.row_idx().data();
   const V* v = d.values().data();
   for (index_t j = d.n_cols() - 1; j >= 0; --j) {
     const V djj = v[diag[j]];
     PANGULU_CHECK(djj != V(0), "upper solve: zero diagonal");
-    x[j] /= djj;
-    const V xj = x[j];
-    if (xj == V(0)) continue;
+    V* xj = x + static_cast<std::size_t>(j) * stride;
+    for (index_t c = 0; c < k; ++c) xj[c] /= djj;
     column_sub(x, v, rows, d.col_begin(j), diag[j],
-               cols[static_cast<std::size_t>(j)].first, xj);
+               cols[static_cast<std::size_t>(j)].first, xj, stride, k);
   }
 }
 
 template <class V>
 void diag_upper_t_sweep(const CscT<V>& d, std::span<const SweepColumn> cols,
-                        const nnz_t* diag, V* x) {
+                        const nnz_t* diag, V* x, index_t stride, index_t k) {
   const index_t* rows = d.row_idx().data();
   const V* v = d.values().data();
   for (index_t j = 0; j < d.n_cols(); ++j) {
-    const V acc = column_dot(v, rows, d.col_begin(j), diag[j],
-                             cols[static_cast<std::size_t>(j)].first, x);
     const V djj = v[diag[j]];
     PANGULU_CHECK(djj != V(0), "transpose solve: zero diagonal");
-    x[j] = (x[j] - acc) / djj;
+    column_dots(v, rows, d.col_begin(j), diag[j],
+                cols[static_cast<std::size_t>(j)].first, x,
+                x + static_cast<std::size_t>(j) * stride, stride, k,
+                [djj](V y, V dot) { return (y - dot) / djj; });
   }
 }
 
 template <class V>
 void diag_lower_t_sweep(const CscT<V>& d, std::span<const SweepColumn> cols,
-                        const nnz_t* diag, V* x) {
+                        const nnz_t* diag, V* x, index_t stride, index_t k) {
   const index_t* rows = d.row_idx().data();
   const V* v = d.values().data();
   for (index_t j = d.n_cols() - 1; j >= 0; --j)
-    x[j] -= column_dot(v, rows, diag[j] + 1, d.col_end(j),
-                       lower_first(cols[static_cast<std::size_t>(j)], j), x);
+    column_dots(v, rows, diag[j] + 1, d.col_end(j),
+                lower_first(cols[static_cast<std::size_t>(j)], j), x,
+                x + static_cast<std::size_t>(j) * stride, stride, k,
+                minus);
 }
 
 std::string to_string(GetrfVariant v) {
@@ -332,40 +394,6 @@ flops_t getrf_flops(const CscT<V>& a) {
 }
 
 template <class V>
-void spmm_sub_panel(const CscT<V>& blk, const V* x, index_t xstride, V* y,
-                    index_t ystride, index_t k) {
-  for (index_t j = 0; j < blk.n_cols(); ++j) {
-    const V* xj = x + static_cast<std::size_t>(j) * xstride;
-    for (nnz_t p = blk.col_begin(j); p < blk.col_end(j); ++p) {
-      const index_t r = blk.row_idx()[static_cast<std::size_t>(p)];
-      const V v = blk.values()[static_cast<std::size_t>(p)];
-      V* yr = y + static_cast<std::size_t>(r) * ystride;
-      for (index_t c = 0; c < k; ++c) {
-        const V xcj = xj[c];
-        if (xcj == V(0)) continue;
-        yr[c] -= v * xcj;
-      }
-    }
-  }
-}
-
-template <class V>
-void spmm_t_sub_panel(const CscT<V>& blk, const V* x, index_t xstride, V* y,
-                      index_t ystride, index_t k, V* acc) {
-  for (index_t j = 0; j < blk.n_cols(); ++j) {
-    for (index_t c = 0; c < k; ++c) acc[c] = V(0);
-    for (nnz_t p = blk.col_begin(j); p < blk.col_end(j); ++p) {
-      const index_t r = blk.row_idx()[static_cast<std::size_t>(p)];
-      const V v = blk.values()[static_cast<std::size_t>(p)];
-      const V* xr = x + static_cast<std::size_t>(r) * xstride;
-      for (index_t c = 0; c < k; ++c) acc[c] += v * xr[c];
-    }
-    V* yj = y + static_cast<std::size_t>(j) * ystride;
-    for (index_t c = 0; c < k; ++c) yj[c] -= acc[c];
-  }
-}
-
-template <class V>
 flops_t panel_solve_flops(const CscT<V>& diag, const CscT<V>& b, bool lower) {
   // For each column/row pivot k used by an entry of B, the solve applies the
   // corresponding strictly-triangular column of the diagonal block. Estimate
@@ -409,41 +437,31 @@ template void axpy_sources_sub<float>(float*, index_t,
 template void axpy_sources_sub<double>(double*, index_t,
                                        const AxpySource<double>*, index_t);
 template void sweep_columns_sub<float>(const CscT<float>&,
-    std::span<const SweepColumn>, const float*, float*);
+    std::span<const SweepColumn>, const float*, float*, index_t, index_t);
 template void sweep_columns_sub<double>(const CscT<double>&,
-    std::span<const SweepColumn>, const double*, double*);
+    std::span<const SweepColumn>, const double*, double*, index_t, index_t);
 template void sweep_columns_t_sub<float>(const CscT<float>&,
-    std::span<const SweepColumn>, const float*, float*);
+    std::span<const SweepColumn>, const float*, float*, index_t, index_t);
 template void sweep_columns_t_sub<double>(const CscT<double>&,
-    std::span<const SweepColumn>, const double*, double*);
+    std::span<const SweepColumn>, const double*, double*, index_t, index_t);
 template void diag_lower_sweep<float>(const CscT<float>&,
-    std::span<const SweepColumn>, const nnz_t*, float*);
+    std::span<const SweepColumn>, const nnz_t*, float*, index_t, index_t);
 template void diag_lower_sweep<double>(const CscT<double>&,
-    std::span<const SweepColumn>, const nnz_t*, double*);
+    std::span<const SweepColumn>, const nnz_t*, double*, index_t, index_t);
 template void diag_upper_sweep<float>(const CscT<float>&,
-    std::span<const SweepColumn>, const nnz_t*, float*);
+    std::span<const SweepColumn>, const nnz_t*, float*, index_t, index_t);
 template void diag_upper_sweep<double>(const CscT<double>&,
-    std::span<const SweepColumn>, const nnz_t*, double*);
+    std::span<const SweepColumn>, const nnz_t*, double*, index_t, index_t);
 template void diag_upper_t_sweep<float>(const CscT<float>&,
-    std::span<const SweepColumn>, const nnz_t*, float*);
+    std::span<const SweepColumn>, const nnz_t*, float*, index_t, index_t);
 template void diag_upper_t_sweep<double>(const CscT<double>&,
-    std::span<const SweepColumn>, const nnz_t*, double*);
+    std::span<const SweepColumn>, const nnz_t*, double*, index_t, index_t);
 template void diag_lower_t_sweep<float>(const CscT<float>&,
-    std::span<const SweepColumn>, const nnz_t*, float*);
+    std::span<const SweepColumn>, const nnz_t*, float*, index_t, index_t);
 template void diag_lower_t_sweep<double>(const CscT<double>&,
-    std::span<const SweepColumn>, const nnz_t*, double*);
+    std::span<const SweepColumn>, const nnz_t*, double*, index_t, index_t);
 template RowView RowView::build<float>(const CscT<float>&);
 template RowView RowView::build<double>(const CscT<double>&);
-template void spmm_sub_panel<float>(const CscT<float>&, const float*, index_t,
-                                    float*, index_t, index_t);
-template void spmm_sub_panel<double>(const CscT<double>&, const double*,
-                                     index_t, double*, index_t, index_t);
-template void spmm_t_sub_panel<float>(const CscT<float>&, const float*,
-                                      index_t, float*, index_t, index_t,
-                                      float*);
-template void spmm_t_sub_panel<double>(const CscT<double>&, const double*,
-                                       index_t, double*, index_t, index_t,
-                                       double*);
 template flops_t getrf_flops<float>(const CscT<float>&);
 template flops_t getrf_flops<double>(const CscT<double>&);
 template flops_t panel_solve_flops<float>(const CscT<float>&,

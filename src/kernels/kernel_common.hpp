@@ -346,73 +346,55 @@ bool gap_free_rows(const CscT<V>& m, index_t j, index_t* lo, index_t* hi) {
   return *hi - *lo == e - b;
 }
 
-/// One non-empty column of a block as the single-vector triangular-solve
-/// sweeps walk it: its index and, when its rows have no gaps, the first of
-/// them (kScatter otherwise). solver::SolvePlan keeps one ascending list of
-/// these per block position; it is pure structure, so one list serves both
-/// precision twins.
+/// One non-empty column of a block as the triangular-solve sweeps walk it:
+/// its index and, when its rows have no gaps, the first of them (kScatter
+/// otherwise). runtime::ColumnLists keeps one ascending list of these per
+/// block position; it is pure structure, so one list serves both precision
+/// twins.
 struct SweepColumn {
   static constexpr index_t kScatter = -1;
   index_t col = 0;
   index_t first = kScatter;
 };
 
-/// The single-vector sweep kernels. Each walks only the listed non-empty
-/// columns of a block; a gap-free column (or part of one) is one contiguous
-/// vector loop, any other scatters by row index. Every x or y entry sees
-/// its updates in the order of the walk over every column and entry, with
-/// the same rounding, so results are bitwise that walk's.
+/// The triangular-solve sweep kernels, for one vector or a row-interleaved
+/// panel of k vectors: lane c of row r at x[r * stride + c], so one vector
+/// is k = 1, stride 1. Each walks only the listed non-empty columns of a
+/// block; a gap-free column (or part of one) is one contiguous loop, any
+/// other scatters by row index. Every lane sees its updates in the order of
+/// the entry-by-entry walk over every column of the block, with the same
+/// rounding, so each lane is bitwise that walk run on it alone.
 ///
 /// Off-diagonal block `b`: y[r] -= b(r, j) * x[j] over the listed columns,
-/// skipping a column whose x[j] is zero; the transposed form does
+/// skipping a lane whose x[j] is zero; the transposed form does
 /// y[j] -= b(:, j) . x, the dot accumulated in row order from +0 (an empty
 /// column's y[j] -= +0 is the identity, also for -0).
 template <class V>
 void sweep_columns_sub(const CscT<V>& b, std::span<const SweepColumn> cols,
-                       const V* x, V* y);
+                       const V* x, V* y, index_t stride, index_t k);
 template <class V>
 void sweep_columns_t_sub(const CscT<V>& b, std::span<const SweepColumn> cols,
-                         const V* x, V* y);
+                         const V* x, V* y, index_t stride, index_t k);
 
 /// In-place solves with a factorised diagonal block `d` (GETRF's layout:
 /// unit-lower L below the diagonal, U on and above it). `cols` lists every
 /// column of `d` and diag[j] is the position of column j's diagonal entry.
-/// Lower: L x' = x, ascending j, skipping x[j] == 0. Upper: U x' = x,
-/// descending, dividing by U(j,j) before the zero skip. The transposed
-/// forms solve U^T x' = x (ascending) and L^T x' = x (descending) by column
-/// dots. A zero U(j,j) throws.
+/// Lower: L x' = x, ascending j, skipping a lane whose x[j] is zero. Upper:
+/// U x' = x, descending, dividing by U(j,j) before the zero skip. The
+/// transposed forms solve U^T x' = x (ascending) and L^T x' = x
+/// (descending) by column dots. A zero U(j,j) throws.
 template <class V>
 void diag_lower_sweep(const CscT<V>& d, std::span<const SweepColumn> cols,
-                      const nnz_t* diag, V* x);
+                      const nnz_t* diag, V* x, index_t stride, index_t k);
 template <class V>
 void diag_upper_sweep(const CscT<V>& d, std::span<const SweepColumn> cols,
-                      const nnz_t* diag, V* x);
+                      const nnz_t* diag, V* x, index_t stride, index_t k);
 template <class V>
 void diag_upper_t_sweep(const CscT<V>& d, std::span<const SweepColumn> cols,
-                        const nnz_t* diag, V* x);
+                        const nnz_t* diag, V* x, index_t stride, index_t k);
 template <class V>
 void diag_lower_t_sweep(const CscT<V>& d, std::span<const SweepColumn> cols,
-                        const nnz_t* diag, V* x);
-
-/// Panel SpMM accumulate for the multi-RHS triangular-solve sweeps:
-/// Y[:, c] -= Block * X[:, c] for c in [0, k). X/Y are row-interleaved
-/// panels — column c of row r lives at x[r * xstride + c] — so the k-wide
-/// inner loop runs over contiguous memory and the block's indices are
-/// decoded once per entry for all k columns (the amortisation the panel
-/// sweep buys; a stride of 1 with k == 1 is the plain vector layout). Per
-/// column the floating-point operation sequence — including the zero-skip —
-/// is exactly the single-vector SpMV-subtract's, so results are bitwise
-/// identical column-for-column.
-template <class V>
-void spmm_sub_panel(const CscT<V>& blk, const V* x, index_t xstride, V* y,
-                    index_t ystride, index_t k);
-
-/// Transposed panel accumulate: Y[:, c] -= Block^T * X[:, c]. `acc` is
-/// caller-provided scratch of at least k values (one dot accumulator per
-/// column).
-template <class V>
-void spmm_t_sub_panel(const CscT<V>& blk, const V* x, index_t xstride, V* y,
-                      index_t ystride, index_t k, V* acc);
+                        const nnz_t* diag, V* x, index_t stride, index_t k);
 
 /// FLOP estimators (2*mul-add counted as 2 flops, divisions as 1) used for
 /// task weights (§4.2), decision trees (§4.3) and the device time model.

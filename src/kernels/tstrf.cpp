@@ -344,58 +344,6 @@ Status tstrf(PanelVariant variant, const CscT<V>& diag, CscT<V>& b,
 }
 
 template <class V>
-void tstrf_dense_panel(const CscT<V>& diag, V* x, index_t stride, index_t k) {
-  for (index_t j = diag.n_cols() - 1; j >= 0; --j) {
-    V djj = V(0);
-    nnz_t dp = -1;
-    for (nnz_t p = diag.col_begin(j); p < diag.col_end(j); ++p) {
-      if (diag.row_idx()[static_cast<std::size_t>(p)] == j) {
-        djj = diag.values()[static_cast<std::size_t>(p)];
-        dp = p;
-        break;
-      }
-    }
-    PANGULU_CHECK(dp >= 0 && djj != V(0),
-                  "panel upper solve: missing/zero diagonal");
-    V* xj = x + static_cast<std::size_t>(j) * stride;
-    for (index_t c = 0; c < k; ++c) xj[c] /= djj;
-    // Entries above the diagonal propagate x[j] upward; x[c][j] is final here.
-    for (nnz_t p = diag.col_begin(j); p < dp; ++p) {
-      const index_t r = diag.row_idx()[static_cast<std::size_t>(p)];
-      const V v = diag.values()[static_cast<std::size_t>(p)];
-      V* xr = x + static_cast<std::size_t>(r) * stride;
-      for (index_t c = 0; c < k; ++c) {
-        const V xcj = xj[c];
-        if (xcj == V(0)) continue;
-        xr[c] -= v * xcj;
-      }
-    }
-  }
-}
-
-template <class V>
-void tstrf_dense_panel_transpose(const CscT<V>& diag, V* x, index_t stride,
-                                 index_t k, V* acc) {
-  for (index_t j = 0; j < diag.n_cols(); ++j) {
-    for (index_t c = 0; c < k; ++c) acc[c] = V(0);
-    V djj = V(0);
-    for (nnz_t p = diag.col_begin(j); p < diag.col_end(j); ++p) {
-      const index_t r = diag.row_idx()[static_cast<std::size_t>(p)];
-      if (r < j) {
-        const V v = diag.values()[static_cast<std::size_t>(p)];
-        const V* xr = x + static_cast<std::size_t>(r) * stride;
-        for (index_t c = 0; c < k; ++c) acc[c] += v * xr[c];
-      } else if (r == j) {
-        djj = diag.values()[static_cast<std::size_t>(p)];
-      }
-    }
-    PANGULU_CHECK(djj != V(0), "panel transpose solve: zero diagonal");
-    V* xj = x + static_cast<std::size_t>(j) * stride;
-    for (index_t c = 0; c < k; ++c) xj[c] = (xj[c] - acc[c]) / djj;
-  }
-}
-
-template <class V>
 Status tstrf_reference(const CscT<V>& diag, CscT<V>& b) {
   const index_t n = diag.n_cols();
   DenseT<V> u = DenseT<V>::from_csc(diag);
@@ -422,14 +370,6 @@ template Status tstrf<float>(PanelVariant, const CscT<float>&, CscT<float>&,
                              Workspace&, ThreadPool*);
 template Status tstrf<double>(PanelVariant, const CscT<double>&, CscT<double>&,
                               Workspace&, ThreadPool*);
-template void tstrf_dense_panel<float>(const CscT<float>&, float*, index_t,
-                                       index_t);
-template void tstrf_dense_panel<double>(const CscT<double>&, double*, index_t,
-                                        index_t);
-template void tstrf_dense_panel_transpose<float>(const CscT<float>&, float*,
-                                                 index_t, index_t, float*);
-template void tstrf_dense_panel_transpose<double>(const CscT<double>&, double*,
-                                                  index_t, index_t, double*);
 template Status tstrf_reference<float>(const CscT<float>&, CscT<float>&);
 template Status tstrf_reference<double>(const CscT<double>&, CscT<double>&);
 

@@ -30,20 +30,4 @@ Status tstrf(PanelVariant variant, const CscT<V>& diag, CscT<V>& b,
 template <class V>
 Status tstrf_reference(const CscT<V>& diag, CscT<V>& b);
 
-/// Dense-RHS panel variant for the triangular-solve phase: X <- U^-1 X where
-/// X is an n x k row-interleaved panel (column c of row r at
-/// x[r * stride + c]; see gessm_dense_panel) and U is the upper part
-/// (diagonal included) of a factorised diagonal block. One sweep of the
-/// factor block serves all k columns over a contiguous inner loop; per
-/// column the operation sequence matches the single-vector upper solve bit
-/// for bit.
-template <class V>
-void tstrf_dense_panel(const CscT<V>& diag, V* x, index_t stride, index_t k);
-
-/// Transposed panel variant: X <- U^-T X (forward sweep). `acc` is
-/// caller-provided scratch of at least k values.
-template <class V>
-void tstrf_dense_panel_transpose(const CscT<V>& diag, V* x, index_t stride,
-                                 index_t k, V* acc);
-
 }  // namespace pangulu::kernels

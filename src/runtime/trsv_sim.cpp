@@ -1,17 +1,70 @@
 #include "runtime/trsv_sim.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <optional>
 #include <queue>
 #include <string>
 #include <vector>
 
-#include "kernels/gessm.hpp"
-#include "kernels/tstrf.hpp"
+#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
 #include "runtime/cluster.hpp"
 
 namespace pangulu::runtime {
+
+template <class V>
+ColumnLists build_column_lists(const block::BlockMatrixT<V>& f) {
+  // Block position order (block columns ascending). Two passes over the
+  // block columns on the global pool: count each block's non-empty columns
+  // (and find the diagonal entries), then fill the lists at their
+  // prefix-sum offsets. Nothing is allocated on a worker.
+  ColumnLists lists;
+  const auto n_blocks = static_cast<std::size_t>(f.n_blocks());
+  lists.col_ptr.assign(n_blocks + 1, 0);
+  lists.diag_at.resize(static_cast<std::size_t>(f.grid().n));
+  std::atomic<bool> diag_missing{false};
+  ThreadPool& pool = ThreadPool::global();
+  parallel_for(pool, 0, f.nb(), [&](index_t bj) {
+    for (nnz_t pos = f.col_begin(bj); pos < f.col_end(bj); ++pos) {
+      const auto& b = f.block(pos);
+      const nnz_t* cp = b.col_ptr().data();
+      nnz_t count = 0;
+      for (index_t j = 0; j < b.n_cols(); ++j) count += cp[j + 1] > cp[j];
+      lists.col_ptr[static_cast<std::size_t>(pos) + 1] = count;
+      if (f.block_row(pos) != bj) continue;
+      for (index_t j = 0; j < b.n_cols(); ++j) {
+        const nnz_t at = b.find(j, j);
+        if (at < 0) diag_missing = true;
+        lists.diag_at[static_cast<std::size_t>(f.grid().block_start(bj) + j)] =
+            at;
+      }
+    }
+  });
+  PANGULU_CHECK(!diag_missing, "column lists: missing diagonal entry");
+  for (std::size_t pos = 0; pos < n_blocks; ++pos)
+    lists.col_ptr[pos + 1] += lists.col_ptr[pos];
+  lists.cols.resize(static_cast<std::size_t>(lists.col_ptr[n_blocks]));
+  parallel_for(pool, 0, f.nb(), [&](index_t bj) {
+    for (nnz_t pos = f.col_begin(bj); pos < f.col_end(bj); ++pos) {
+      const auto& b = f.block(pos);
+      const nnz_t* cp = b.col_ptr().data();
+      const index_t* rows = b.row_idx().data();
+      kernels::SweepColumn* out =
+          lists.cols.data() + lists.col_ptr[static_cast<std::size_t>(pos)];
+      for (index_t j = 0; j < b.n_cols(); ++j) {
+        const nnz_t lo = cp[j], hi = cp[j + 1];
+        if (lo == hi) continue;
+        const index_t r0 = rows[lo];
+        *out++ = {j, rows[hi - 1] - r0 == hi - lo - 1
+                         ? r0
+                         : kernels::SweepColumn::kScatter};
+      }
+    }
+  });
+  return lists;
+}
 
 template <class V>
 Status build_trsv_plan(const block::BlockMatrixT<V>& f,
@@ -110,6 +163,7 @@ Status build_trsv_plan(const block::BlockMatrixT<V>& f,
   for (index_t k = 0; k < nb; ++k)
     plan->seg_bytes[static_cast<std::size_t>(k)] =
         static_cast<std::size_t>(grid.block_dim(k)) * sizeof(V);
+  if (opts.execute_numerics) plan->lists = build_column_lists(f);
   return Status::ok();
 }
 
@@ -121,8 +175,7 @@ Status simulate_trsv(const block::BlockMatrixT<V>& f, const TrsvPlan& plan,
     *result = SimResult{};
     return Status::invalid_argument("trsv: vector size mismatch");
   }
-  // The k = 1 panel is the single-vector solve: same numerics (the panel
-  // kernels reduce to the scalar sweeps column for column), same cost
+  // The k = 1 panel is the single-vector solve: same kernels, same cost
   // (x1.0) and message payload (x1), hence the same makespan and traffic.
   return simulate_trsv_panel(f, plan, x.data(), 1, 1, opts, result);
 }
@@ -336,6 +389,9 @@ Status simulate_trsv_panel(const block::BlockMatrixT<V>& f,
     return Status::invalid_argument("trsv: plan rank count mismatch");
   if (nb != f.nb())
     return Status::invalid_argument("trsv: plan built for a different grid");
+  if (opts.execute_numerics && plan.lists.empty())
+    return Status::invalid_argument(
+        "trsv: numerics requested on a plan built without them");
   if (!opts.elastic.empty()) {
     if (!opts.mapping)
       return Status::invalid_argument(
@@ -362,9 +418,12 @@ Status simulate_trsv_panel(const block::BlockMatrixT<V>& f,
   // bitwise identical across all of them.
   if (opts.execute_numerics) {
     const auto& grid = f.grid();
-    const bool lower = plan.lower;
+    const ColumnLists& lists = plan.lists;
+    const auto seg = [&](index_t b) {
+      return x + static_cast<std::size_t>(grid.block_start(b)) * stride;
+    };
     for (index_t level = 0; level < nb; ++level) {
-      const index_t bj = lower ? level : nb - 1 - level;
+      const index_t bj = plan.lower ? level : nb - 1 - level;
       // Sweep-level boundary = solve safe point: segment bj and everything
       // it feeds are not yet committed when the poll sheds the solve.
       if (opts.cancel) {
@@ -372,24 +431,22 @@ Status simulate_trsv_panel(const block::BlockMatrixT<V>& f,
             ("trsv sweep level " + std::to_string(level)).c_str());
         if (!cs.is_ok()) return cs;
       }
-      V* seg = x + static_cast<std::size_t>(grid.block_start(bj)) * stride;
-      const CscT<V>& d = f.block(plan.diag_pos[static_cast<std::size_t>(bj)]);
-      if (lower)
-        kernels::gessm_dense_panel(d, seg, stride, k);
+      const nnz_t dp = plan.diag_pos[static_cast<std::size_t>(bj)];
+      const nnz_t* diag = lists.diag_at.data() + grid.block_start(bj);
+      if (plan.lower)
+        kernels::diag_lower_sweep(f.block(dp), lists.columns(dp), diag,
+                                  seg(bj), stride, k);
       else
-        kernels::tstrf_dense_panel(d, seg, stride, k);
+        kernels::diag_upper_sweep(f.block(dp), lists.columns(dp), diag,
+                                  seg(bj), stride, k);
       for (index_t p = plan.from_ptr[static_cast<std::size_t>(bj)];
            p < plan.from_ptr[static_cast<std::size_t>(bj) + 1]; ++p) {
         const auto u =
             static_cast<std::size_t>(plan.from_adj[static_cast<std::size_t>(p)]);
-        kernels::spmm_sub_panel(
-            f.block(plan.upd_pos[u]),
-            x + static_cast<std::size_t>(grid.block_start(plan.upd_src[u])) *
-                    stride,
-            stride,
-            x + static_cast<std::size_t>(grid.block_start(plan.upd_dst[u])) *
-                    stride,
-            stride, k);
+        kernels::sweep_columns_sub(f.block(plan.upd_pos[u]),
+                                   lists.columns(plan.upd_pos[u]),
+                                   seg(plan.upd_src[u]), seg(plan.upd_dst[u]),
+                                   stride, k);
       }
     }
   }
@@ -409,6 +466,8 @@ Status simulate_trsv(const block::BlockMatrixT<V>& f,
   return simulate_trsv(f, plan, x, opts, result);
 }
 
+template ColumnLists build_column_lists(const block::BlockMatrixT<float>&);
+template ColumnLists build_column_lists(const block::BlockMatrixT<double>&);
 template Status build_trsv_plan(const block::BlockMatrixT<float>&,
                                 const block::Mapping&, bool,
                                 const TrsvOptions&, TrsvPlan*);

@@ -23,6 +23,7 @@
 
 #include "block/layout.hpp"
 #include "block/mapping.hpp"
+#include "kernels/kernel_common.hpp"
 #include "runtime/sim.hpp"
 #include "util/status.hpp"
 
@@ -55,6 +56,33 @@ struct TrsvOptions {
   const CancelToken* cancel = nullptr;
 };
 
+/// The sweep kernels' view of a factor's blocks (kernels::sweep_columns_sub
+/// and the diag_*_sweep family): the non-empty columns of each block
+/// position in ascending order, each with its gap-free first row or a
+/// scatter marker (a diagonal block lists every column: each holds its
+/// diagonal entry), and the position of every diagonal entry. Pure
+/// structure, so the lists built from either precision twin serve both.
+struct ColumnLists {
+  std::vector<nnz_t> col_ptr;  // [n_blocks + 1]
+  std::vector<kernels::SweepColumn> cols;
+  // [n] position of global column j's diagonal entry within its diagonal
+  // block's value array.
+  std::vector<nnz_t> diag_at;
+
+  bool empty() const { return col_ptr.empty(); }
+
+  /// The listed non-empty columns of the block at `pos`.
+  std::span<const kernels::SweepColumn> columns(nnz_t pos) const {
+    return {cols.data() + col_ptr[static_cast<std::size_t>(pos)],
+            cols.data() + col_ptr[static_cast<std::size_t>(pos) + 1]};
+  }
+};
+
+/// Build the lists of `f` on the global pool; the result does not depend
+/// on the pool. Every diagonal block must hold its diagonal entries.
+template <class V>
+ColumnLists build_column_lists(const block::BlockMatrixT<V>& f);
+
 /// Cached triangular-solve schedule. Task ids: [0, nb) are diagonal solves
 /// (one per vector segment); [nb, n_tasks) are off-diagonal updates. All
 /// arrays are flat (TaskAdjacency style) so a solve touches no per-task heap
@@ -81,15 +109,20 @@ struct TrsvPlan {
   // Packed ready-queue key (crit << 33 | kind << 32 | id); smaller pops first.
   std::vector<std::uint64_t> prio;      // [n_tasks]
   std::vector<std::size_t> seg_bytes;   // [nb] message payload per segment
+  // The canonical numerics' column lists; built only with
+  // TrsvOptions::execute_numerics, so a timing-only plan costs nothing.
+  ColumnLists lists;
 
   bool valid() const { return nb > 0; }
 };
 
 /// Build the solve schedule for L (lower=true) or U against `f`/`mapping`.
 /// Costs are evaluated against `opts.device`, so the plan must be rebuilt if
-/// the device model changes. Templated on the factor value type: the plan is
-/// pure structure except `seg_bytes`, which bakes in sizeof(V) so an FP32
-/// plan models FP32 message traffic (DESIGN.md §14).
+/// the device model changes. A plan built without `opts.execute_numerics`
+/// holds no column lists, and a numeric run on it fails kInvalidArgument.
+/// Templated on the factor value type: the plan is pure structure except
+/// `seg_bytes`, which bakes in sizeof(V) so an FP32 plan models FP32
+/// message traffic (DESIGN.md §14).
 template <class V>
 Status build_trsv_plan(const block::BlockMatrixT<V>& f,
                        const block::Mapping& mapping, bool lower,
@@ -103,14 +136,14 @@ Status simulate_trsv(const block::BlockMatrixT<V>& f, const TrsvPlan& plan,
                      SimResult* result);
 
 /// Panel (multi-RHS) run over a prebuilt plan: `x` is an n x k
-/// row-interleaved panel — column c of row r at x[r * stride + c], so each
-/// task's k-wide sweep runs over contiguous memory (stride 1 with k == 1 is
-/// the plain vector layout). The schedule is the single-vector one — each
-/// task visits its block once and sweeps all k columns, with its kernel cost
-/// and message payload scaled by k. Per column the numerics are bitwise
-/// identical to a single-vector run, and with k == 1 the makespan, message
-/// and byte counts also match exactly (the single-vector overload delegates
-/// here).
+/// row-interleaved panel — column c of row r at x[r * stride + c] (stride 1
+/// with k == 1 is the plain vector layout). The schedule is the
+/// single-vector one — each task walks its block's column lists once for
+/// all k columns, through the sweep kernels Solver's sweeps run, with its
+/// kernel cost and message payload scaled by k. Per column the numerics are
+/// bitwise identical to a single-vector run, and with k == 1 the makespan,
+/// message and byte counts also match exactly (the single-vector overload
+/// delegates here).
 template <class V>
 Status simulate_trsv_panel(const block::BlockMatrixT<V>& f,
                            const TrsvPlan& plan, V* x, index_t stride,

@@ -1,7 +1,7 @@
 #include "solver/solver.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -9,8 +9,6 @@
 #include <numeric>
 
 #include "io/snapshot.hpp"
-#include "kernels/gessm.hpp"
-#include "kernels/tstrf.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/trsv_sim.hpp"
@@ -63,54 +61,7 @@ SolvePlan SolvePlan::build(const BM& f) {
     plan.tlow_ptr[static_cast<std::size_t>(bk) + 1] =
         static_cast<nnz_t>(plan.tlow_pos.size());
   }
-  // The single-vector sweeps' column lists and diagonal positions, in block
-  // position order (block columns ascending). Two passes over the block
-  // columns on the global pool: count each block's non-empty columns (and
-  // find the diagonal entries), then fill the lists at their prefix-sum
-  // offsets. Nothing is allocated on a worker, and the plan does not
-  // depend on the pool.
-  const auto n_blocks = static_cast<std::size_t>(f.n_blocks());
-  plan.col_ptr.assign(n_blocks + 1, 0);
-  plan.diag_at.resize(static_cast<std::size_t>(f.grid().n));
-  std::atomic<bool> diag_missing{false};
-  ThreadPool& pool = ThreadPool::global();
-  parallel_for(pool, 0, nb, [&](index_t bj) {
-    for (nnz_t pos = f.col_begin(bj); pos < f.col_end(bj); ++pos) {
-      const auto& b = f.block(pos);
-      const nnz_t* cp = b.col_ptr().data();
-      nnz_t count = 0;
-      for (index_t j = 0; j < b.n_cols(); ++j) count += cp[j + 1] > cp[j];
-      plan.col_ptr[static_cast<std::size_t>(pos) + 1] = count;
-      if (f.block_row(pos) != bj) continue;
-      for (index_t j = 0; j < b.n_cols(); ++j) {
-        const nnz_t at = b.find(j, j);
-        if (at < 0) diag_missing = true;
-        plan.diag_at[static_cast<std::size_t>(f.grid().block_start(bj) + j)] =
-            at;
-      }
-    }
-  });
-  PANGULU_CHECK(!diag_missing, "solve plan: missing diagonal entry");
-  for (std::size_t pos = 0; pos < n_blocks; ++pos)
-    plan.col_ptr[pos + 1] += plan.col_ptr[pos];
-  plan.cols.resize(static_cast<std::size_t>(plan.col_ptr[n_blocks]));
-  parallel_for(pool, 0, nb, [&](index_t bj) {
-    for (nnz_t pos = f.col_begin(bj); pos < f.col_end(bj); ++pos) {
-      const auto& b = f.block(pos);
-      const nnz_t* cp = b.col_ptr().data();
-      const index_t* rows = b.row_idx().data();
-      kernels::SweepColumn* out =
-          plan.cols.data() + plan.col_ptr[static_cast<std::size_t>(pos)];
-      for (index_t j = 0; j < b.n_cols(); ++j) {
-        const nnz_t lo = cp[j], hi = cp[j + 1];
-        if (lo == hi) continue;
-        const index_t r0 = rows[lo];
-        *out++ = {j, rows[hi - 1] - r0 == hi - lo - 1
-                         ? r0
-                         : kernels::SweepColumn::kScatter};
-      }
-    }
-  });
+  plan.lists = runtime::build_column_lists(f);
   return plan;
 }
 
@@ -123,155 +74,59 @@ inline Status sweep_poll(const CancelToken* cancel, const char* sweep,
       (std::string(sweep) + " sweep level " + std::to_string(bk)).c_str());
 }
 
-template <class V>
-Status block_lower_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
-                         std::type_identity_t<std::span<V>> x,
-                         const CancelToken* cancel) {
+namespace {
+
+/// One triangular sweep over a row-interleaved panel: block rows (L, U) or
+/// block columns (U^T, L^T) ascending or descending; at each, the blocks of
+/// the plan's list [ptr[bk], ptr[bk + 1]) update segment bk from their
+/// source segments, then the diagonal block solves it.
+template <class V, class OffDiag, class Diag>
+Status sweep(const block::BlockMatrixT<V>& f, const SolvePlan& plan, V* x,
+             index_t stride, index_t k, const CancelToken* cancel,
+             const char* name, bool ascending, const std::vector<nnz_t>& ptr,
+             const std::vector<nnz_t>& pos, const std::vector<index_t>& src,
+             OffDiag off_diag, Diag diag) {
   const auto& grid = f.grid();
-  for (index_t bk = 0; bk < f.nb(); ++bk) {
-    Status cs = sweep_poll(cancel, "lower", bk);
+  const runtime::ColumnLists& lists = plan.lists;
+  const auto seg = [&](index_t b) {
+    return x + static_cast<std::size_t>(grid.block_start(b)) * stride;
+  };
+  const index_t nb = f.nb();
+  for (index_t i = 0; i < nb; ++i) {
+    const index_t bk = ascending ? i : nb - 1 - i;
+    Status cs = sweep_poll(cancel, name, bk);
     if (!cs.is_ok()) return cs;
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t q = plan.low_ptr[static_cast<std::size_t>(bk)];
-         q < plan.low_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      const nnz_t pos = plan.low_pos[static_cast<std::size_t>(q)];
-      kernels::sweep_columns_sub(
-          f.block(pos), plan.columns(pos),
-          x.data() + grid.block_start(plan.low_src[static_cast<std::size_t>(q)]),
-          seg);
+    for (nnz_t q = ptr[static_cast<std::size_t>(bk)];
+         q < ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
+      const nnz_t p = pos[static_cast<std::size_t>(q)];
+      off_diag(f.block(p), lists.columns(p),
+               seg(src[static_cast<std::size_t>(q)]), seg(bk), stride, k);
     }
     const nnz_t d = plan.diag_pos[static_cast<std::size_t>(bk)];
-    kernels::diag_lower_sweep(f.block(d), plan.columns(d),
-                              plan.diag_at.data() + grid.block_start(bk), seg);
+    diag(f.block(d), lists.columns(d),
+         lists.diag_at.data() + grid.block_start(bk), seg(bk), stride, k);
   }
   return Status::ok();
 }
 
-template <class V>
-Status block_upper_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
-                         std::type_identity_t<std::span<V>> x,
-                         const CancelToken* cancel) {
-  const auto& grid = f.grid();
-  for (index_t bk = f.nb() - 1; bk >= 0; --bk) {
-    Status cs = sweep_poll(cancel, "upper", bk);
-    if (!cs.is_ok()) return cs;
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t q = plan.up_ptr[static_cast<std::size_t>(bk)];
-         q < plan.up_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      const nnz_t pos = plan.up_pos[static_cast<std::size_t>(q)];
-      kernels::sweep_columns_sub(
-          f.block(pos), plan.columns(pos),
-          x.data() + grid.block_start(plan.up_src[static_cast<std::size_t>(q)]),
-          seg);
-    }
-    const nnz_t d = plan.diag_pos[static_cast<std::size_t>(bk)];
-    kernels::diag_upper_sweep(f.block(d), plan.columns(d),
-                              plan.diag_at.data() + grid.block_start(bk), seg);
-  }
-  return Status::ok();
-}
-
-template <class V>
-Status block_upper_transpose_solve(const block::BlockMatrixT<V>& f,
-                                   const SolvePlan& plan,
-                                   std::type_identity_t<std::span<V>> x,
-                                   const CancelToken* cancel) {
-  const auto& grid = f.grid();
-  for (index_t bk = 0; bk < f.nb(); ++bk) {
-    Status cs = sweep_poll(cancel, "upper-transpose", bk);
-    if (!cs.is_ok()) return cs;
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t q = plan.tup_ptr[static_cast<std::size_t>(bk)];
-         q < plan.tup_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      const nnz_t pos = plan.tup_pos[static_cast<std::size_t>(q)];
-      kernels::sweep_columns_t_sub(
-          f.block(pos), plan.columns(pos),
-          x.data() + grid.block_start(plan.tup_src[static_cast<std::size_t>(q)]),
-          seg);
-    }
-    const nnz_t d = plan.diag_pos[static_cast<std::size_t>(bk)];
-    kernels::diag_upper_t_sweep(f.block(d), plan.columns(d),
-                                plan.diag_at.data() + grid.block_start(bk),
-                                seg);
-  }
-  return Status::ok();
-}
-
-template <class V>
-Status block_lower_transpose_solve(const block::BlockMatrixT<V>& f,
-                                   const SolvePlan& plan,
-                                   std::type_identity_t<std::span<V>> x,
-                                   const CancelToken* cancel) {
-  const auto& grid = f.grid();
-  for (index_t bk = f.nb() - 1; bk >= 0; --bk) {
-    Status cs = sweep_poll(cancel, "lower-transpose", bk);
-    if (!cs.is_ok()) return cs;
-    V* seg = x.data() + grid.block_start(bk);
-    for (nnz_t q = plan.tlow_ptr[static_cast<std::size_t>(bk)];
-         q < plan.tlow_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      const nnz_t pos = plan.tlow_pos[static_cast<std::size_t>(q)];
-      kernels::sweep_columns_t_sub(
-          f.block(pos), plan.columns(pos),
-          x.data() +
-              grid.block_start(plan.tlow_src[static_cast<std::size_t>(q)]),
-          seg);
-    }
-    const nnz_t d = plan.diag_pos[static_cast<std::size_t>(bk)];
-    kernels::diag_lower_t_sweep(f.block(d), plan.columns(d),
-                                plan.diag_at.data() + grid.block_start(bk),
-                                seg);
-  }
-  return Status::ok();
-}
+}  // namespace
 
 template <class V>
 Status block_lower_solve_multi(const block::BlockMatrixT<V>& f,
                                const SolvePlan& plan, V* x, index_t stride,
                                index_t k, const CancelToken* cancel) {
-  const auto& grid = f.grid();
-  for (index_t bk = 0; bk < f.nb(); ++bk) {
-    Status cs = sweep_poll(cancel, "lower-panel", bk);
-    if (!cs.is_ok()) return cs;
-    V* seg =
-        x + static_cast<std::size_t>(grid.block_start(bk)) * stride;
-    for (nnz_t q = plan.low_ptr[static_cast<std::size_t>(bk)];
-         q < plan.low_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      kernels::spmm_sub_panel(
-          f.block(plan.low_pos[static_cast<std::size_t>(q)]),
-          x + static_cast<std::size_t>(grid.block_start(
-                  plan.low_src[static_cast<std::size_t>(q)])) *
-                  stride,
-          stride, seg, stride, k);
-    }
-    kernels::gessm_dense_panel(
-        f.block(plan.diag_pos[static_cast<std::size_t>(bk)]), seg, stride, k);
-  }
-  return Status::ok();
+  return sweep(f, plan, x, stride, k, cancel, "lower", true, plan.low_ptr,
+               plan.low_pos, plan.low_src, kernels::sweep_columns_sub<V>,
+               kernels::diag_lower_sweep<V>);
 }
 
 template <class V>
 Status block_upper_solve_multi(const block::BlockMatrixT<V>& f,
                                const SolvePlan& plan, V* x, index_t stride,
                                index_t k, const CancelToken* cancel) {
-  const auto& grid = f.grid();
-  for (index_t bk = f.nb() - 1; bk >= 0; --bk) {
-    Status cs = sweep_poll(cancel, "upper-panel", bk);
-    if (!cs.is_ok()) return cs;
-    V* seg =
-        x + static_cast<std::size_t>(grid.block_start(bk)) * stride;
-    for (nnz_t q = plan.up_ptr[static_cast<std::size_t>(bk)];
-         q < plan.up_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      kernels::spmm_sub_panel(
-          f.block(plan.up_pos[static_cast<std::size_t>(q)]),
-          x + static_cast<std::size_t>(grid.block_start(
-                  plan.up_src[static_cast<std::size_t>(q)])) *
-                  stride,
-          stride, seg, stride, k);
-    }
-    kernels::tstrf_dense_panel(
-        f.block(plan.diag_pos[static_cast<std::size_t>(bk)]), seg, stride, k);
-  }
-  return Status::ok();
+  return sweep(f, plan, x, stride, k, cancel, "upper", false, plan.up_ptr,
+               plan.up_pos, plan.up_src, kernels::sweep_columns_sub<V>,
+               kernels::diag_upper_sweep<V>);
 }
 
 template <class V>
@@ -279,27 +134,9 @@ Status block_upper_transpose_solve_multi(const block::BlockMatrixT<V>& f,
                                          const SolvePlan& plan, V* x,
                                          index_t stride, index_t k,
                                          const CancelToken* cancel) {
-  const auto& grid = f.grid();
-  std::vector<V> acc(static_cast<std::size_t>(k));
-  for (index_t bk = 0; bk < f.nb(); ++bk) {
-    Status cs = sweep_poll(cancel, "upper-transpose-panel", bk);
-    if (!cs.is_ok()) return cs;
-    V* seg =
-        x + static_cast<std::size_t>(grid.block_start(bk)) * stride;
-    for (nnz_t q = plan.tup_ptr[static_cast<std::size_t>(bk)];
-         q < plan.tup_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      kernels::spmm_t_sub_panel(
-          f.block(plan.tup_pos[static_cast<std::size_t>(q)]),
-          x + static_cast<std::size_t>(grid.block_start(
-                  plan.tup_src[static_cast<std::size_t>(q)])) *
-                  stride,
-          stride, seg, stride, k, acc.data());
-    }
-    kernels::tstrf_dense_panel_transpose(
-        f.block(plan.diag_pos[static_cast<std::size_t>(bk)]), seg, stride, k,
-        acc.data());
-  }
-  return Status::ok();
+  return sweep(f, plan, x, stride, k, cancel, "upper-transpose", true,
+               plan.tup_ptr, plan.tup_pos, plan.tup_src,
+               kernels::sweep_columns_t_sub<V>, kernels::diag_upper_t_sweep<V>);
 }
 
 template <class V>
@@ -307,59 +144,15 @@ Status block_lower_transpose_solve_multi(const block::BlockMatrixT<V>& f,
                                          const SolvePlan& plan, V* x,
                                          index_t stride, index_t k,
                                          const CancelToken* cancel) {
-  const auto& grid = f.grid();
-  std::vector<V> acc(static_cast<std::size_t>(k));
-  for (index_t bk = f.nb() - 1; bk >= 0; --bk) {
-    Status cs = sweep_poll(cancel, "lower-transpose-panel", bk);
-    if (!cs.is_ok()) return cs;
-    V* seg =
-        x + static_cast<std::size_t>(grid.block_start(bk)) * stride;
-    for (nnz_t q = plan.tlow_ptr[static_cast<std::size_t>(bk)];
-         q < plan.tlow_ptr[static_cast<std::size_t>(bk) + 1]; ++q) {
-      kernels::spmm_t_sub_panel(
-          f.block(plan.tlow_pos[static_cast<std::size_t>(q)]),
-          x + static_cast<std::size_t>(grid.block_start(
-                  plan.tlow_src[static_cast<std::size_t>(q)])) *
-                  stride,
-          stride, seg, stride, k, acc.data());
-    }
-    kernels::gessm_dense_panel_transpose(
-        f.block(plan.diag_pos[static_cast<std::size_t>(bk)]), seg, stride, k,
-        acc.data());
-  }
-  return Status::ok();
+  return sweep(f, plan, x, stride, k, cancel, "lower-transpose", false,
+               plan.tlow_ptr, plan.tlow_pos, plan.tlow_src,
+               kernels::sweep_columns_t_sub<V>, kernels::diag_lower_t_sweep<V>);
 }
 
 // Explicit instantiations over both precision twins: the FP64 set serves
 // the historical API, the FP32 set backs the kSingle/kMixedIR solve paths.
 template SolvePlan SolvePlan::build(const block::BlockMatrixT<float>&);
 template SolvePlan SolvePlan::build(const block::BlockMatrixT<double>&);
-template Status block_lower_solve(const block::BlockMatrixT<float>&,
-                                  const SolvePlan&, std::span<float>,
-                                  const CancelToken*);
-template Status block_lower_solve(const block::BlockMatrixT<double>&,
-                                  const SolvePlan&, std::span<double>,
-                                  const CancelToken*);
-template Status block_upper_solve(const block::BlockMatrixT<float>&,
-                                  const SolvePlan&, std::span<float>,
-                                  const CancelToken*);
-template Status block_upper_solve(const block::BlockMatrixT<double>&,
-                                  const SolvePlan&, std::span<double>,
-                                  const CancelToken*);
-template Status block_upper_transpose_solve(const block::BlockMatrixT<float>&,
-                                            const SolvePlan&, std::span<float>,
-                                            const CancelToken*);
-template Status block_upper_transpose_solve(const block::BlockMatrixT<double>&,
-                                            const SolvePlan&,
-                                            std::span<double>,
-                                            const CancelToken*);
-template Status block_lower_transpose_solve(const block::BlockMatrixT<float>&,
-                                            const SolvePlan&, std::span<float>,
-                                            const CancelToken*);
-template Status block_lower_transpose_solve(const block::BlockMatrixT<double>&,
-                                            const SolvePlan&,
-                                            std::span<double>,
-                                            const CancelToken*);
 template Status block_lower_solve_multi(const block::BlockMatrixT<float>&,
                                         const SolvePlan&, float*, index_t,
                                         index_t, const CancelToken*);
@@ -1000,35 +793,26 @@ struct PermScale {
   std::span<const value_t> scale;
 };
 
-/// A solve's two triangular sweeps, in single-vector and panel form.
+/// A solve's two triangular sweeps.
 template <class V>
-struct SweepPair {
-  using Vec = Status (*)(const block::BlockMatrixT<V>&, const SolvePlan&,
-                         std::span<V>, const CancelToken*);
-  using Panel = Status (*)(const block::BlockMatrixT<V>&, const SolvePlan&,
-                           V*, index_t, index_t, const CancelToken*);
-  Vec vec[2];
-  Panel panel[2];
-};
+using SweepPair =
+    std::array<Status (*)(const block::BlockMatrixT<V>&, const SolvePlan&, V*,
+                          index_t, index_t, const CancelToken*),
+               2>;
 
 // A x = b: L y = z, then U x = y.
 template <class V>
-constexpr SweepPair<V> kForwardSweeps{
-    {&block_lower_solve<V>, &block_upper_solve<V>},
-    {&block_lower_solve_multi<V>, &block_upper_solve_multi<V>}};
+constexpr SweepPair<V> kForwardSweeps{&block_lower_solve_multi<V>,
+                                      &block_upper_solve_multi<V>};
 // A^T x = b: U^T y = z, then L^T w = y.
 template <class V>
-constexpr SweepPair<V> kTransposeSweeps{
-    {&block_upper_transpose_solve<V>, &block_lower_transpose_solve<V>},
-    {&block_upper_transpose_solve_multi<V>,
-     &block_lower_transpose_solve_multi<V>}};
+constexpr SweepPair<V> kTransposeSweeps{&block_upper_transpose_solve_multi<V>,
+                                        &block_lower_transpose_solve_multi<V>};
 
 /// The direct pass (DESIGN.md §13) of one column group: pack its k
 /// column-major right-hand sides into the group's own row-interleaved work
 /// panel `z` through `in` (rounding to V once), run the two sweeps, and
-/// unpack the result through `out` (widening exactly). k = 1 runs the
-/// single-vector sweeps: bitwise the k = 1 panel sweeps' result, and
-/// measurably faster.
+/// unpack the result through `out` (widening exactly).
 template <class V>
 Status direct_pass(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
                    const SweepPair<V>& sweeps, PermScale in, PermScale out,
@@ -1040,10 +824,8 @@ Status direct_pass(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
     for (std::size_t r = 0; r < nn; ++r)
       z[static_cast<std::size_t>(in.perm[r]) * kk + c] =
           static_cast<V>(in.scale[r] * rhs[c * nn + r]);
-  for (int s = 0; s < 2; ++s) {
-    const Status ss = k == 1
-                          ? sweeps.vec[s](f, plan, {z.data(), nn}, cancel)
-                          : sweeps.panel[s](f, plan, z.data(), k, k, cancel);
+  for (const auto sweep : sweeps) {
+    const Status ss = sweep(f, plan, z.data(), k, k, cancel);
     if (!ss.is_ok()) return ss;
   }
   for (std::size_t c = 0; c < kk; ++c)

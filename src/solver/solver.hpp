@@ -196,22 +196,10 @@ struct SolvePlan {
   std::vector<nnz_t> tlow_pos;
   std::vector<index_t> tlow_src;
 
-  // Single-vector sweeps: the non-empty columns of each block position, in
-  // ascending order, each with its gap-free first row or a scatter marker
-  // (a diagonal block lists every column: each holds its diagonal entry).
-  std::vector<nnz_t> col_ptr;  // [n_blocks + 1]
-  std::vector<kernels::SweepColumn> cols;
-  // [n] position of global column j's diagonal entry within its diagonal
-  // block's value array.
-  std::vector<nnz_t> diag_at;
+  // The sweep kernels' per-block column lists and diagonal positions.
+  runtime::ColumnLists lists;
 
   bool valid() const { return !diag_pos.empty(); }
-
-  /// The listed non-empty columns of the block at `pos`.
-  std::span<const kernels::SweepColumn> columns(nnz_t pos) const {
-    return {cols.data() + col_ptr[static_cast<std::size_t>(pos)],
-            cols.data() + col_ptr[static_cast<std::size_t>(pos) + 1]};
-  }
 
   /// Build from a factorised block matrix (requires all diagonal blocks).
   /// The plan is pure structure, so the one built against either precision
@@ -276,11 +264,13 @@ class Solver {
   Status solve(std::span<const value_t> b, std::span<value_t> x,
                SolveStats* solve_stats, const CancelToken* cancel) const;
 
-  /// Solve A X = B for an n x k right-hand-side panel. Each block of the
-  /// factors is visited once per triangular sweep and applied to all k
-  /// columns (the panel kernels of kernels/gessm.hpp, tstrf.hpp); iterative
-  /// refinement runs on the shrinking set of not-yet-converged columns.
-  /// Column j of the result is bitwise identical to solve(b.col(j)).
+  /// Solve A X = B for an n x k right-hand-side panel. The columns split
+  /// into at most one group per pool thread; each group's sweeps walk every
+  /// block's column lists once for all its columns (the sweep kernels of
+  /// kernels/kernel_common.hpp that solve() runs with one column), and
+  /// iterative refinement runs on the shrinking set of not-yet-converged
+  /// columns. Column j of the result is bitwise identical to
+  /// solve(b.col(j)).
   Status solve_multi(const Dense& b, Dense* x,
                      SolveStats* worst = nullptr) const;
 
@@ -419,42 +409,18 @@ class Solver {
 /// Block-level forward/backward substitution on a factorised BlockMatrixT,
 /// driven by its SolvePlan (exposed for the distributed triangular-solve
 /// benchmarks and tests): L y = z and U x = y, then the transposed U^T and
-/// L^T sweeps used by solve_transpose and the condition estimator. Every
-/// sweep is templated on the value type: the FP32 instantiation runs the
-/// identical traversal in FP32 arithmetic, which is what the mixed-IR
-/// correction solves execute (DESIGN.md §14). Each polls the optional
-/// CancelToken at every sweep level (one block row/column) and stops typed
-/// on expiry — the caller's working vector is then partial and must be
-/// discarded, which Solver's solve driver does by never publishing it.
-template <class V>
-Status block_lower_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
-                         std::type_identity_t<std::span<V>> x,
-                         const CancelToken* cancel = nullptr);
-template <class V>
-Status block_upper_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
-                         std::type_identity_t<std::span<V>> x,
-                         const CancelToken* cancel = nullptr);
-template <class V>
-Status block_upper_transpose_solve(const block::BlockMatrixT<V>& f,
-                                   const SolvePlan& plan,
-                                   std::type_identity_t<std::span<V>> x,
-                                   const CancelToken* cancel = nullptr);
-template <class V>
-Status block_lower_transpose_solve(const block::BlockMatrixT<V>& f,
-                                   const SolvePlan& plan,
-                                   std::type_identity_t<std::span<V>> x,
-                                   const CancelToken* cancel = nullptr);
-
-/// Multi-RHS (panel) variants of the plan-based sweeps: `x` is an n x k
-/// row-interleaved panel — column c of row r at x[r * stride + c], so the
-/// k-wide inner loops run over contiguous memory and each factor entry is
-/// decoded once for all columns (stride 1 with k == 1 is the plain vector
-/// layout). Each block of the sweep is visited once and applied to all k
-/// columns; per column the floating-point operation sequence is exactly the
-/// single-vector sweep's, so column c of the panel result is bitwise
-/// identical to running the single-vector sweep on that column alone.
-/// Like the plan-based single-vector sweeps, each polls the optional
-/// CancelToken at every sweep level.
+/// L^T sweeps used by solve_transpose and the condition estimator. `x` is an
+/// n x k row-interleaved panel — column c of row r at x[r * stride + c],
+/// stride >= k — and one vector is k = 1, stride 1. Each sweep walks the
+/// plan's column lists once for all k columns through the sweep kernels of
+/// kernels/kernel_common.hpp, and column c of the result is bitwise the
+/// sweep of that column alone. Every sweep is templated on the value type:
+/// the FP32 instantiation runs the identical traversal in FP32 arithmetic,
+/// which is what the mixed-IR correction solves execute (DESIGN.md §14).
+/// Each polls the optional CancelToken at every sweep level (one block
+/// row/column) and stops typed on expiry — the caller's panel is then
+/// partial and must be discarded, which Solver's solve driver does by never
+/// publishing it.
 template <class V>
 Status block_lower_solve_multi(const block::BlockMatrixT<V>& f,
                                const SolvePlan& plan, V* x, index_t stride,
@@ -473,5 +439,33 @@ Status block_lower_transpose_solve_multi(const block::BlockMatrixT<V>& f,
                                          const SolvePlan& plan, V* x,
                                          index_t stride, index_t k,
                                          const CancelToken* cancel = nullptr);
+
+/// The same sweeps on one vector.
+template <class V>
+Status block_lower_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
+                         std::type_identity_t<std::span<V>> x,
+                         const CancelToken* cancel = nullptr) {
+  return block_lower_solve_multi(f, plan, x.data(), 1, 1, cancel);
+}
+template <class V>
+Status block_upper_solve(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
+                         std::type_identity_t<std::span<V>> x,
+                         const CancelToken* cancel = nullptr) {
+  return block_upper_solve_multi(f, plan, x.data(), 1, 1, cancel);
+}
+template <class V>
+Status block_upper_transpose_solve(const block::BlockMatrixT<V>& f,
+                                   const SolvePlan& plan,
+                                   std::type_identity_t<std::span<V>> x,
+                                   const CancelToken* cancel = nullptr) {
+  return block_upper_transpose_solve_multi(f, plan, x.data(), 1, 1, cancel);
+}
+template <class V>
+Status block_lower_transpose_solve(const block::BlockMatrixT<V>& f,
+                                   const SolvePlan& plan,
+                                   std::type_identity_t<std::span<V>> x,
+                                   const CancelToken* cancel = nullptr) {
+  return block_lower_transpose_solve_multi(f, plan, x.data(), 1, 1, cancel);
+}
 
 }  // namespace pangulu::solver

@@ -1,8 +1,8 @@
-// The single-vector triangular sweeps against an ordered reference: the
-// entry-by-entry walk over every column of every block that the column
-// lists replaced. Each sweep must reproduce it bit for bit, at FP32 and
-// FP64, on blocks of every column kind and on right-hand sides holding
-// exact zeros and -0.
+// The triangular sweeps against an ordered reference: the entry-by-entry
+// walk over every column of every block that the column lists replaced.
+// Each sweep must reproduce it bit for bit, at FP32 and FP64, on blocks of
+// every column kind and on right-hand sides holding exact zeros and -0,
+// both on one vector and on every column of a row-interleaved panel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -159,6 +159,21 @@ Status run_sweep(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
   return Status::ok();
 }
 
+/// The same sweep on an n x k row-interleaved panel, stride k.
+template <class V>
+Status run_panel_sweep(const block::BlockMatrixT<V>& f, const SolvePlan& plan,
+                       Sweep s, std::vector<V>& x, index_t k) {
+  switch (s) {
+    case Sweep::kLower: return block_lower_solve_multi(f, plan, x.data(), k, k);
+    case Sweep::kUpper: return block_upper_solve_multi(f, plan, x.data(), k, k);
+    case Sweep::kUpperT:
+      return block_upper_transpose_solve_multi(f, plan, x.data(), k, k);
+    case Sweep::kLowerT:
+      return block_lower_transpose_solve_multi(f, plan, x.data(), k, k);
+  }
+  return Status::ok();
+}
+
 // ---- Inputs ----------------------------------------------------------------
 
 /// A value in (-1, 1) scaled by 2^-k, k uniform in [0, 20]: magnitudes
@@ -168,14 +183,20 @@ double spread_value(Rng& rng) {
   return std::ldexp(rng.uniform(-1, 1), -rng.uniform_index(0, 20));
 }
 
-/// Right-hand side with about a quarter exact zeros and a sixth -0.
+/// Right-hand side with a share `zero_below` of exact zeros and
+/// `neg_zero_below - zero_below` of -0 (by default about a quarter and a
+/// sixth).
 template <class V>
-std::vector<V> rhs_with_zeros(index_t n, std::uint64_t seed) {
+std::vector<V> rhs_with_zeros(index_t n, std::uint64_t seed,
+                              double zero_below = 0.25,
+                              double neg_zero_below = 0.42) {
   Rng rng(seed);
   std::vector<V> x(static_cast<std::size_t>(n));
   for (V& v : x) {
     const double u = rng.uniform();
-    v = u < 0.25 ? V(0) : u < 0.42 ? -V(0) : static_cast<V>(spread_value(rng));
+    v = u < zero_below       ? V(0)
+        : u < neg_zero_below ? -V(0)
+                             : static_cast<V>(spread_value(rng));
   }
   return x;
 }
@@ -202,6 +223,53 @@ index_t expect_matches_reference(const block::BlockMatrixT<V>& f,
       EXPECT_TRUE(run_sweep(f, plan, s, got).is_ok());
       EXPECT_TRUE(same_bits(want, got)) << "rhs " << r;
       for (V v : got) finite += std::isfinite(v) ? 1 : 0;
+    }
+  }
+  return finite;
+}
+
+/// Every sweep on row-interleaved panels of k = 1, 2, 3, 4, 8 and 19
+/// columns against the reference run on each column alone, bitwise: each
+/// lane width the kernels special-case, one they do not, and a panel wider
+/// than one 16-lane chunk. Each column has its own shares of exact zeros
+/// and -0; at odd k > 1 column 1 is all zeros (+0 and -0), so every row of
+/// the panel has a zero lane, and at even k rows with every lane non-zero
+/// take the kernels' all-live path. Returns the number of finite outputs
+/// checked.
+template <class V>
+index_t expect_panels_match_reference(const block::BlockMatrixT<V>& f,
+                                      const SolvePlan& plan,
+                                      std::uint64_t seed) {
+  const index_t n = f.grid().n;
+  index_t finite = 0;
+  for (index_t k : {1, 2, 3, 4, 8, 19}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    std::vector<std::vector<V>> cols;
+    for (index_t c = 0; c < k; ++c) {
+      const bool all_zero = c == 1 && k % 2 == 1;
+      const double zeros = all_zero ? 0.5 : 0.07 * (c % 4);
+      const double neg_zeros = all_zero ? 1.0 : zeros + 0.05 * ((c + 1) % 3);
+      cols.push_back(rhs_with_zeros<V>(
+          n, seed + 10 * static_cast<std::uint64_t>(c), zeros, neg_zeros));
+    }
+    for (Sweep s : kSweeps) {
+      SCOPED_TRACE(name(s));
+      std::vector<V> panel(static_cast<std::size_t>(n * k));
+      for (index_t c = 0; c < k; ++c)
+        for (index_t r = 0; r < n; ++r)
+          panel[static_cast<std::size_t>(r * k + c)] =
+              cols[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)];
+      EXPECT_TRUE(run_panel_sweep(f, plan, s, panel, k).is_ok());
+      for (index_t c = 0; c < k; ++c) {
+        std::vector<V> want = cols[static_cast<std::size_t>(c)];
+        ref_sweep(f, s, want);
+        std::vector<V> got(static_cast<std::size_t>(n));
+        for (index_t r = 0; r < n; ++r)
+          got[static_cast<std::size_t>(r)] =
+              panel[static_cast<std::size_t>(r * k + c)];
+        EXPECT_TRUE(same_bits(want, got)) << "column " << c;
+        for (V v : got) finite += std::isfinite(v) ? 1 : 0;
+      }
     }
   }
   return finite;
@@ -283,6 +351,8 @@ TEST(SweepOrderedReference, EveryColumnKindAtBothPrecisions) {
     EXPECT_GT(empty, 0);
     EXPECT_GT(expect_matches_reference(f64, plan, 100), 0);
     EXPECT_GT(expect_matches_reference(f32, plan, 200), 0);
+    EXPECT_GT(expect_panels_match_reference(f64, plan, 300), 0);
+    EXPECT_GT(expect_panels_match_reference(f32, plan, 400), 0);
   }
 }
 
@@ -316,10 +386,13 @@ TEST(SweepOrderedReference, FactoredMatricesAtBothPrecisions) {
       Solver s;
       ASSERT_TRUE(s.factorize(fam.a, opts).is_ok());
       const SolvePlan plan = SolvePlan::build(s.factors());
-      if (prec == kernels::Precision::kDouble)
+      if (prec == kernels::Precision::kDouble) {
         EXPECT_GT(expect_matches_reference(s.factors(), plan, 7), 0);
-      else
+        EXPECT_GT(expect_panels_match_reference(s.factors(), plan, 17), 0);
+      } else {
         EXPECT_GT(expect_matches_reference(s.factors32(), plan, 7), 0);
+        EXPECT_GT(expect_panels_match_reference(s.factors32(), plan, 17), 0);
+      }
     }
   }
 }
@@ -334,13 +407,15 @@ TEST(SweepPlan, Fp64TwinPlanDrivesFp32SweepsBitwise) {
   ASSERT_TRUE(s.factorize(matgen::grid2d_laplacian(60, 60), opts).is_ok());
   const SolvePlan p64 = SolvePlan::build(s.factors());
   const SolvePlan p32 = SolvePlan::build(s.factors32());
-  ASSERT_EQ(p64.cols.size(), p32.cols.size());
-  for (std::size_t i = 0; i < p64.cols.size(); ++i) {
-    EXPECT_EQ(p64.cols[i].col, p32.cols[i].col);
-    EXPECT_EQ(p64.cols[i].first, p32.cols[i].first);
+  const runtime::ColumnLists& l64 = p64.lists;
+  const runtime::ColumnLists& l32 = p32.lists;
+  ASSERT_EQ(l64.cols.size(), l32.cols.size());
+  for (std::size_t i = 0; i < l64.cols.size(); ++i) {
+    EXPECT_EQ(l64.cols[i].col, l32.cols[i].col);
+    EXPECT_EQ(l64.cols[i].first, l32.cols[i].first);
   }
-  EXPECT_EQ(p64.col_ptr, p32.col_ptr);
-  EXPECT_EQ(p64.diag_at, p32.diag_at);
+  EXPECT_EQ(l64.col_ptr, l32.col_ptr);
+  EXPECT_EQ(l64.diag_at, l32.diag_at);
   for (Sweep sw : kSweeps) {
     SCOPED_TRACE(name(sw));
     std::vector<float> a = rhs_with_zeros<float>(s.factors32().grid().n, 3);

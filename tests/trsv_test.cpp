@@ -104,6 +104,25 @@ TEST(Trsv, TimingOnlyRunLeavesVectorUntouched) {
   EXPECT_GT(res.makespan, 0);
 }
 
+TEST(Trsv, NumericRunOnTimingOnlyPlanIsRejected) {
+  // A plan built without numerics carries no column lists; running the
+  // numerics on it fails typed and leaves the vector untouched.
+  Csc a = matgen::grid2d_laplacian(8, 8);
+  Factored f = factorize_blocks(a, 16, 2);
+  TrsvOptions opts;
+  opts.n_ranks = 2;
+  opts.execute_numerics = false;
+  TrsvPlan plan;
+  ASSERT_TRUE(build_trsv_plan(f.bm, f.mapping, true, opts, &plan).is_ok());
+  std::vector<value_t> x(static_cast<std::size_t>(a.n_cols()), 3.0);
+  const std::vector<value_t> before = x;
+  opts.execute_numerics = true;
+  SimResult res;
+  const Status st = simulate_trsv(f.bm, plan, x, opts, &res);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.message();
+  EXPECT_EQ(x, before);
+}
+
 TEST(Trsv, RejectsBadInputs) {
   Csc a = matgen::grid2d_laplacian(6, 6);
   Factored f = factorize_blocks(a, 12, 2);
