@@ -1,7 +1,11 @@
 // Preprocessing front-end scaling: serial reference vs the threaded phases
 // (symbolic fill, 2D blocking, mapping/balancing) at 1/2/4/8 worker threads.
-// Reordering is excluded: it is a separate pipeline stage with its own bench
-// (the front-end phases here are the ones rebuilt on every re-factorisation).
+// Their total is the three phases rebuilt on every re-factorisation. Nested
+// dissection, the reordering step that runs on the pool, is timed in its own
+// columns outside that total: "serial" is a one-worker pool, which runs
+// every subtree on the caller, so its row against the 1-thread row shows
+// the timing noise. The harness exits non-zero if any pool size's ND
+// permutation differs from the serial one.
 //
 // Doubles as the perf smoke for `ctest -L perf`: the harness exits non-zero
 // when the 1-thread parallel path (which dispatches straight to the serial
@@ -13,6 +17,7 @@
 #include <thread>
 
 #include "bench_common.hpp"
+#include "ordering/nested_dissection.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/ops.hpp"
 
@@ -25,6 +30,7 @@ struct PhaseTimes {
   double symbolic = 0;
   double blocking = 0;
   double mapping = 0;
+  double nd = 0;  // nested dissection, not part of the total
   double total() const { return symbolic + blocking + mapping; }
 };
 
@@ -55,6 +61,7 @@ int main() {
             static_cast<double>(std::thread::hardware_concurrency()));
 
   bool guard_ok = true;
+  bool nd_same = true;
   std::vector<double> speedup4;
 
   for (const char* name : {"ASIC_680k", "Si87H76", "ecology1"}) {
@@ -62,6 +69,7 @@ int main() {
     ordering::ReorderResult reorder;
     ordering::reorder(raw, bench::paper_reorder(), &reorder).check();
     const Csc& a = reorder.permuted;
+    const ordering::Graph nd_graph = ordering::Graph::from_matrix(raw);
 
     // One warm pass to obtain the structures the timed phases need.
     symbolic::SymbolicResult sym;
@@ -71,6 +79,12 @@ int main() {
     const auto tasks = block::enumerate_tasks(bm);
     const auto grid = block::ProcessGrid::make(8);
 
+    auto time_nd = [&](ThreadPool& pool, PhaseTimes* out) {
+      Timer t;
+      auto perm = ordering::nested_dissection(nd_graph, {}, &pool);
+      out->nd = std::min(out->nd, t.seconds());
+      return perm;
+    };
     auto time_serial = [&](PhaseTimes* out) {
       Timer t;
       symbolic::SymbolicResult r;
@@ -103,12 +117,15 @@ int main() {
     // separate measurement windows easily exceeds the dispatch overhead the
     // guard is looking for, so both sides must share the same window.
     constexpr double kInit = 1e30;
-    PhaseTimes ser{kInit, kInit, kInit};
+    PhaseTimes ser{kInit, kInit, kInit, kInit};
+    ThreadPool serial_pool(1);
+    const std::vector<index_t> serial_nd =
+        ordering::nested_dissection(nd_graph, {}, &serial_pool);
 
     std::cout << "\n--- " << name << " (n=" << a.n_cols()
               << ", nnz(L+U)=" << sym.nnz_lu << ", bs=" << bs << ") ---\n";
     TextTable t({"threads", "symbolic (s)", "blocking (s)", "mapping (s)",
-                 "total (s)", "speedup"});
+                 "total (s)", "speedup", "ND (s)", "ND speedup"});
 
     const int thread_counts[] = {1, 2, 4, 8};
     std::vector<std::unique_ptr<ThreadPool>> pools;
@@ -116,8 +133,15 @@ int main() {
     for (int threads : thread_counts) {
       pools.push_back(
           std::make_unique<ThreadPool>(static_cast<std::size_t>(threads)));
-      rows.emplace_back(threads, PhaseTimes{kInit, kInit, kInit});
+      rows.emplace_back(threads, PhaseTimes{kInit, kInit, kInit, kInit});
     }
+    auto nd_at = [&](std::size_t k) {
+      if (time_nd(*pools[k], &rows[k].second) != serial_nd) {
+        nd_same = false;
+        std::cout << "ND PERMUTATION DIFFERS: " << rows[k].first
+                  << " threads vs serial\n";
+      }
+    };
     for (int i = 0; i < reps; ++i) {
       // Alternate who goes first: under cgroup CPU quotas, whichever run
       // starts later in the enforcement window gets throttled more, so a
@@ -132,19 +156,31 @@ int main() {
       for (std::size_t k = 1; k < pools.size(); ++k) {
         time_parallel(*pools[k], &rows[k].second);
       }
+      // ND the same way: serial and 1-thread alternate who goes first.
+      if (i % 2 == 0) {
+        time_nd(serial_pool, &ser);
+        nd_at(0);
+      } else {
+        nd_at(0);
+        time_nd(serial_pool, &ser);
+      }
+      for (std::size_t k = 1; k < pools.size(); ++k) nd_at(k);
     }
     t.add_row({"serial", TextTable::fmt(ser.symbolic, 4),
                TextTable::fmt(ser.blocking, 4), TextTable::fmt(ser.mapping, 4),
-               TextTable::fmt(ser.total(), 4), "1.00x"});
+               TextTable::fmt(ser.total(), 4), "1.00x",
+               TextTable::fmt(ser.nd, 4), "1.00x"});
 
     for (const auto& [threads, par] : rows) {
       const double speedup =
           par.total() > 0 ? ser.total() / par.total() : 0.0;
+      const double nd_speedup = par.nd > 0 ? ser.nd / par.nd : 0.0;
       t.add_row({std::to_string(threads), TextTable::fmt(par.symbolic, 4),
                  TextTable::fmt(par.blocking, 4),
                  TextTable::fmt(par.mapping, 4),
                  TextTable::fmt(par.total(), 4),
-                 TextTable::fmt_speedup(speedup)});
+                 TextTable::fmt_speedup(speedup), TextTable::fmt(par.nd, 4),
+                 TextTable::fmt_speedup(nd_speedup)});
 
       json.begin_row();
       json.field("matrix", name);
@@ -158,6 +194,9 @@ int main() {
       json.field("serial_mapping_seconds", ser.mapping);
       json.field("serial_total_seconds", ser.total());
       json.field("speedup", speedup);
+      json.field("nd_seconds", par.nd);
+      json.field("serial_nd_seconds", ser.nd);
+      json.field("nd_speedup", nd_speedup);
 
       if (threads == 1 && speedup < serial_guard) {
         guard_ok = false;
@@ -180,6 +219,8 @@ int main() {
     return 1;
   }
   std::cout << "wrote BENCH_preprocess.json\n";
+  if (!nd_same) return 1;
+  std::cout << "ND permutation identical at every pool size\n";
   if (!guard_ok) return 1;
   std::cout << "1-thread no-regression guard passed\n";
   return 0;

@@ -1,8 +1,8 @@
 #include "ordering/multilevel.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
-#include <queue>
 
 #include "util/rng.hpp"
 
@@ -79,45 +79,60 @@ WGraph contract(const WGraph& g, const std::vector<index_t>& match,
         (*fine_to_coarse)[static_cast<std::size_t>(v)])] +=
         g.vweight[static_cast<std::size_t>(v)];
 
-  // Aggregate edges with a marker-based merge per coarse vertex.
+  // Aggregate edges with a marker-based merge, fine vertices in ascending
+  // order. The marker is keyed by coarse vertex, so when another coarse
+  // vertex's fine vertex runs between the two halves of a matched pair, the
+  // second half re-adds a neighbour the first already has: rows can hold
+  // duplicate entries, and the matching on the next level sees them. Each
+  // row first gets room for its fine vertices' degree sum; one merge pass
+  // fills the rows, and a sequential pass closes the gaps.
+  const std::vector<index_t>& f2c = *fine_to_coarse;
+  std::vector<nnz_t> room(static_cast<std::size_t>(nc) + 1, 0);
+  for (index_t v = 0; v < g.n; ++v)
+    room[static_cast<std::size_t>(f2c[static_cast<std::size_t>(v)]) + 1] +=
+        g.ptr[static_cast<std::size_t>(v) + 1] -
+        g.ptr[static_cast<std::size_t>(v)];
+  for (index_t cv = 0; cv < nc; ++cv)
+    room[static_cast<std::size_t>(cv) + 1] +=
+        room[static_cast<std::size_t>(cv)];
+  c.adj.resize(static_cast<std::size_t>(room.back()));
+  c.eweight.resize(static_cast<std::size_t>(room.back()));
+  std::vector<nnz_t> fill(room.begin(), room.end() - 1);
   std::vector<index_t> marker(static_cast<std::size_t>(nc), -1);
   std::vector<nnz_t> slot(static_cast<std::size_t>(nc), 0);
-  c.ptr.assign(static_cast<std::size_t>(nc) + 1, 0);
-  std::vector<std::vector<std::pair<index_t, std::int64_t>>> rows(
-      static_cast<std::size_t>(nc));
   for (index_t v = 0; v < g.n; ++v) {
-    const index_t cv = (*fine_to_coarse)[static_cast<std::size_t>(v)];
-    auto& row = rows[static_cast<std::size_t>(cv)];
+    const index_t cv = f2c[static_cast<std::size_t>(v)];
     for (nnz_t p = g.ptr[static_cast<std::size_t>(v)];
          p < g.ptr[static_cast<std::size_t>(v) + 1]; ++p) {
       const index_t cu =
-          (*fine_to_coarse)[static_cast<std::size_t>(
-              g.adj[static_cast<std::size_t>(p)])];
+          f2c[static_cast<std::size_t>(g.adj[static_cast<std::size_t>(p)])];
       if (cu == cv) continue;  // contracted edge disappears
+      const std::int64_t w = g.eweight[static_cast<std::size_t>(p)];
       if (marker[static_cast<std::size_t>(cu)] == cv) {
-        row[static_cast<std::size_t>(slot[static_cast<std::size_t>(cu)])]
-            .second += g.eweight[static_cast<std::size_t>(p)];
+        c.eweight[static_cast<std::size_t>(
+            slot[static_cast<std::size_t>(cu)])] += w;
       } else {
         marker[static_cast<std::size_t>(cu)] = cv;
-        slot[static_cast<std::size_t>(cu)] = static_cast<nnz_t>(row.size());
-        row.push_back({cu, g.eweight[static_cast<std::size_t>(p)]});
+        const nnz_t q = fill[static_cast<std::size_t>(cv)]++;
+        slot[static_cast<std::size_t>(cu)] = q;
+        c.adj[static_cast<std::size_t>(q)] = cu;
+        c.eweight[static_cast<std::size_t>(q)] = w;
       }
     }
   }
-  for (index_t cv = 0; cv < nc; ++cv)
-    c.ptr[static_cast<std::size_t>(cv) + 1] =
-        c.ptr[static_cast<std::size_t>(cv)] +
-        static_cast<nnz_t>(rows[static_cast<std::size_t>(cv)].size());
-  c.adj.resize(static_cast<std::size_t>(c.ptr.back()));
-  c.eweight.resize(static_cast<std::size_t>(c.ptr.back()));
+  c.ptr.assign(static_cast<std::size_t>(nc) + 1, 0);
+  nnz_t q = 0;
   for (index_t cv = 0; cv < nc; ++cv) {
-    nnz_t q = c.ptr[static_cast<std::size_t>(cv)];
-    for (auto [cu, w] : rows[static_cast<std::size_t>(cv)]) {
-      c.adj[static_cast<std::size_t>(q)] = cu;
-      c.eweight[static_cast<std::size_t>(q)] = w;
-      ++q;
+    for (nnz_t p = room[static_cast<std::size_t>(cv)];
+         p < fill[static_cast<std::size_t>(cv)]; ++p, ++q) {
+      c.adj[static_cast<std::size_t>(q)] = c.adj[static_cast<std::size_t>(p)];
+      c.eweight[static_cast<std::size_t>(q)] =
+          c.eweight[static_cast<std::size_t>(p)];
     }
+    c.ptr[static_cast<std::size_t>(cv) + 1] = q;
   }
+  c.adj.resize(static_cast<std::size_t>(q));
+  c.eweight.resize(static_cast<std::size_t>(q));
   return c;
 }
 
@@ -135,13 +150,11 @@ std::vector<char> grow_partition(const WGraph& g, Rng& rng) {
   const std::int64_t target = total_weight(g) / 2;
   const index_t start = rng.uniform_index(0, g.n - 1);
   std::vector<char> visited(static_cast<std::size_t>(g.n), 0);
-  std::queue<index_t> q;
-  q.push(start);
+  std::vector<index_t> queue{start};
   visited[static_cast<std::size_t>(start)] = 1;
   std::int64_t grown = 0;
-  while (!q.empty() && grown < target) {
-    const index_t v = q.front();
-    q.pop();
+  for (std::size_t head = 0; head < queue.size() && grown < target; ++head) {
+    const index_t v = queue[head];
     side[static_cast<std::size_t>(v)] = 0;
     grown += g.vweight[static_cast<std::size_t>(v)];
     for (nnz_t p = g.ptr[static_cast<std::size_t>(v)];
@@ -149,7 +162,7 @@ std::vector<char> grow_partition(const WGraph& g, Rng& rng) {
       const index_t u = g.adj[static_cast<std::size_t>(p)];
       if (!visited[static_cast<std::size_t>(u)]) {
         visited[static_cast<std::size_t>(u)] = 1;
-        q.push(u);
+        queue.push_back(u);
       }
     }
   }
@@ -164,24 +177,65 @@ std::vector<char> grow_partition(const WGraph& g, Rng& rng) {
   return side;
 }
 
-/// One FM-style boundary refinement sweep: move the best-gain boundary
-/// vertices while the balance constraint allows; keep the best prefix.
+/// True when v has a neighbour on the other side.
+bool on_boundary(const WGraph& g, const std::vector<char>& side, index_t v) {
+  for (nnz_t p = g.ptr[static_cast<std::size_t>(v)];
+       p < g.ptr[static_cast<std::size_t>(v) + 1]; ++p)
+    if (side[static_cast<std::size_t>(g.adj[static_cast<std::size_t>(p)])] !=
+        side[static_cast<std::size_t>(v)])
+      return true;
+  return false;
+}
+
+/// FM-style boundary refinement: each pass visits vertices in ascending
+/// order and moves any with positive gain while the balance constraint
+/// allows. A vertex with no neighbour on the other side has gain <= 0, so a
+/// pass visits only the candidates that can have one: the boundary at the
+/// start of the pass plus the later neighbours of vertices it has moved,
+/// which makes the same moves as a sweep over every vertex. `cand` holds
+/// distinct vertices that include the boundary on entry, and exactly the
+/// boundary, ascending, on return.
 void fm_refine(const WGraph& g, std::vector<char>& side, double balance,
-               int passes) {
+               int passes, std::vector<index_t>* cand) {
   const std::int64_t total = total_weight(g);
   const auto max_side =
       static_cast<std::int64_t>(balance * static_cast<double>(total) / 2.0);
+  std::int64_t w0 = 0;
+  for (index_t v = 0; v < g.n; ++v)
+    if (side[static_cast<std::size_t>(v)] == 0)
+      w0 += g.vweight[static_cast<std::size_t>(v)];
 
+  auto keep_boundary = [&] {
+    std::sort(cand->begin(), cand->end());
+    cand->erase(std::remove_if(cand->begin(), cand->end(),
+                               [&](index_t v) {
+                                 return !on_boundary(g, side, v);
+                               }),
+                cand->end());
+  };
+  // Pass stamps: queued in this pass's heap / listed for the next pass.
+  std::vector<int> queued(static_cast<std::size_t>(g.n), -1);
+  std::vector<int> listed(static_cast<std::size_t>(g.n), -1);
+  std::vector<index_t> heap, next;
   for (int pass = 0; pass < passes; ++pass) {
-    // Gains: moving v to the other side changes the cut by (internal -
-    // external) edge weight.
-    std::int64_t w0 = 0;
-    for (index_t v = 0; v < g.n; ++v)
-      if (side[static_cast<std::size_t>(v)] == 0)
-        w0 += g.vweight[static_cast<std::size_t>(v)];
+    keep_boundary();
+    heap = *cand;  // ascending, so already a min-heap
+    for (index_t v : heap) queued[static_cast<std::size_t>(v)] = pass;
+    next.clear();
+    auto list = [&](index_t v) {
+      if (listed[static_cast<std::size_t>(v)] == pass) return;
+      listed[static_cast<std::size_t>(v)] = pass;
+      next.push_back(v);
+    };
 
     bool improved = false;
-    for (index_t v = 0; v < g.n; ++v) {
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      const index_t v = heap.back();
+      heap.pop_back();
+      list(v);
+      // Gain: moving v to the other side changes the cut by (internal -
+      // external) edge weight.
       const char sv = side[static_cast<std::size_t>(v)];
       std::int64_t internal = 0, external = 0;
       for (nnz_t p = g.ptr[static_cast<std::size_t>(v)];
@@ -203,9 +257,23 @@ void fm_refine(const WGraph& g, std::vector<char>& side, double balance,
       side[static_cast<std::size_t>(v)] = static_cast<char>(1 - sv);
       w0 = new_w0;
       improved = true;
+      // Neighbours may have become boundary vertices: the later ones are
+      // still visited in this pass, and all of them are listed for the next.
+      for (nnz_t p = g.ptr[static_cast<std::size_t>(v)];
+           p < g.ptr[static_cast<std::size_t>(v) + 1]; ++p) {
+        const index_t u = g.adj[static_cast<std::size_t>(p)];
+        list(u);
+        if (u > v && queued[static_cast<std::size_t>(u)] != pass) {
+          queued[static_cast<std::size_t>(u)] = pass;
+          heap.push_back(u);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        }
+      }
     }
+    cand->swap(next);
     if (!improved) break;
   }
+  keep_boundary();
 }
 
 std::int64_t cut_of(const WGraph& g, const std::vector<char>& side) {
@@ -246,16 +314,26 @@ Bisection multilevel_bisect(const Graph& g, const MultilevelOptions& opts) {
 
   // Initial partition on the coarsest graph, refined there first.
   std::vector<char> side = grow_partition(levels.back(), rng);
-  fm_refine(levels.back(), side, opts.balance, opts.refine_passes);
+  std::vector<index_t> cand(static_cast<std::size_t>(levels.back().n));
+  std::iota(cand.begin(), cand.end(), index_t(0));
+  fm_refine(levels.back(), side, opts.balance, opts.refine_passes, &cand);
 
-  // Uncoarsen with refinement at each level.
+  // Uncoarsen with refinement at each level. A fine vertex can only be on
+  // the boundary if its coarse vertex was, so the fine vertices of the
+  // coarse boundary are the first pass's candidates.
   for (std::size_t lvl = maps.size(); lvl-- > 0;) {
     const auto& f2c = maps[lvl];
+    std::vector<char> coarse_boundary(side.size(), 0);
+    for (index_t c : cand) coarse_boundary[static_cast<std::size_t>(c)] = 1;
     std::vector<char> fine_side(f2c.size());
-    for (std::size_t v = 0; v < f2c.size(); ++v)
-      fine_side[v] = side[static_cast<std::size_t>(f2c[v])];
+    cand.clear();
+    for (std::size_t v = 0; v < f2c.size(); ++v) {
+      const auto c = static_cast<std::size_t>(f2c[v]);
+      fine_side[v] = side[c];
+      if (coarse_boundary[c]) cand.push_back(static_cast<index_t>(v));
+    }
     side = std::move(fine_side);
-    fm_refine(levels[lvl], side, opts.balance, opts.refine_passes);
+    fm_refine(levels[lvl], side, opts.balance, opts.refine_passes, &cand);
   }
 
   // Guarantee both sides non-empty.

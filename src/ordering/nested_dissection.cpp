@@ -1,34 +1,33 @@
 #include "ordering/nested_dissection.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <exception>
+#include <numeric>
 
 #include "ordering/min_degree.hpp"
 #include "ordering/multilevel.hpp"
+#include "parallel/partition.hpp"
 
 namespace pangulu::ordering {
 
 namespace {
 
 /// BFS level structure from `start`, restricted to the whole (sub)graph.
-/// Returns levels per vertex and the visit order.
+/// Returns levels per vertex and the visit order, which doubles as the queue.
 void bfs_levels(const Graph& g, index_t start, std::vector<index_t>* level,
                 std::vector<index_t>* order) {
   level->assign(static_cast<std::size_t>(g.n), -1);
   order->clear();
-  std::queue<index_t> q;
-  q.push(start);
+  order->push_back(start);
   (*level)[static_cast<std::size_t>(start)] = 0;
-  while (!q.empty()) {
-    index_t v = q.front();
-    q.pop();
-    order->push_back(v);
+  for (std::size_t head = 0; head < order->size(); ++head) {
+    const index_t v = (*order)[head];
     for (nnz_t p = g.ptr[static_cast<std::size_t>(v)];
          p < g.ptr[static_cast<std::size_t>(v) + 1]; ++p) {
       index_t w = g.adj[static_cast<std::size_t>(p)];
       if ((*level)[static_cast<std::size_t>(w)] < 0) {
         (*level)[static_cast<std::size_t>(w)] = (*level)[static_cast<std::size_t>(v)] + 1;
-        q.push(w);
+        order->push_back(w);
       }
     }
   }
@@ -59,24 +58,37 @@ index_t pseudo_peripheral(const Graph& g, index_t start) {
   return v;
 }
 
-/// Order the vertices of `g` (local ids), writing global elimination
-/// positions into perm via local_to_global, starting at *next and advancing
-/// it. Separator-last recursion.
-void nd_recurse(const Graph& g, const std::vector<index_t>& local_to_global,
-                const NdOptions& opts, int depth, std::vector<index_t>* perm,
-                index_t* next) {
+/// One node of the separator tree: a subgraph (local ids), its local->global
+/// vertex map, and the first elimination position of its subtree. A node
+/// with range [start, start + g.n) gives its A side [start, start + |A|),
+/// its B side the next |B| positions and its separator the last ones, so
+/// every position is fixed by the offsets alone, whatever order the nodes
+/// run in.
+struct NdNode {
+  Graph g;
+  std::vector<index_t> to_global;
+  index_t start = 0;
+  int depth = 0;
+};
+
+/// Orders a whole subgraph by minimum degree at positions start, start+1, ...
+void order_by_min_degree(const Graph& g, const std::vector<index_t>& to_global,
+                         index_t start, std::vector<index_t>* perm) {
+  const std::vector<index_t> local = min_degree(g);
+  for (index_t v = 0; v < g.n; ++v)
+    (*perm)[static_cast<std::size_t>(to_global[static_cast<std::size_t>(v)])] =
+        start + local[static_cast<std::size_t>(v)];
+}
+
+/// Splits one node: either orders it as a leaf (no children) or numbers its
+/// separator at the end of its range and appends its A and B children to
+/// `children`. Touches only perm entries of the node's own vertices.
+void split_node(const Graph& g, const std::vector<index_t>& local_to_global,
+                index_t start, int depth, const NdOptions& opts,
+                std::vector<index_t>* perm, std::vector<NdNode>* children) {
   if (g.n == 0) return;
   if (g.n <= opts.leaf_size || depth >= opts.max_depth) {
-    std::vector<index_t> local = min_degree(g);
-    // local[v] = position within leaf; map to global positions.
-    std::vector<index_t> by_pos(static_cast<std::size_t>(g.n));
-    for (index_t v = 0; v < g.n; ++v)
-      by_pos[static_cast<std::size_t>(local[static_cast<std::size_t>(v)])] = v;
-    for (index_t k = 0; k < g.n; ++k) {
-      (*perm)[static_cast<std::size_t>(
-          local_to_global[static_cast<std::size_t>(by_pos[static_cast<std::size_t>(k)])])] =
-          (*next)++;
-    }
+    order_by_min_degree(g, local_to_global, start, perm);
     return;
   }
 
@@ -109,10 +121,6 @@ void nd_recurse(const Graph& g, const std::vector<index_t>& local_to_global,
   index_t max_level = 0;
   for (index_t w : order)
     max_level = std::max(max_level, level[static_cast<std::size_t>(w)]);
-
-  if (max_level == 0 && static_cast<index_t>(order.size()) < g.n) {
-    // src is isolated in a bigger graph: fall back on component split.
-  }
 
   // Choose the split level so that ~half the visited vertices are below it.
   std::vector<index_t> level_count(static_cast<std::size_t>(max_level) + 1, 0);
@@ -167,15 +175,7 @@ void nd_recurse(const Graph& g, const std::vector<index_t>& local_to_global,
   }
   if (a_verts.empty() || b_verts.empty()) {
     // Degenerate cut (e.g. a clique): stop recursing, order with min degree.
-    std::vector<index_t> local = min_degree(g);
-    std::vector<index_t> by_pos(static_cast<std::size_t>(g.n));
-    for (index_t v = 0; v < g.n; ++v)
-      by_pos[static_cast<std::size_t>(local[static_cast<std::size_t>(v)])] = v;
-    for (index_t k = 0; k < g.n; ++k) {
-      (*perm)[static_cast<std::size_t>(
-          local_to_global[static_cast<std::size_t>(by_pos[static_cast<std::size_t>(k)])])] =
-          (*next)++;
-    }
+    order_by_min_degree(g, local_to_global, start, perm);
     return;
   }
 
@@ -194,38 +194,122 @@ void nd_recurse(const Graph& g, const std::vector<index_t>& local_to_global,
     }
   }
 
-  auto to_global = [&](const std::vector<index_t>& locals) {
-    std::vector<index_t> g_ids;
-    g_ids.reserve(locals.size());
+  // Separator last: the end of this node's range.
+  index_t pos = start + static_cast<index_t>(a_verts.size() + b_verts.size());
+  for (index_t v : s_final)
+    (*perm)[static_cast<std::size_t>(
+        local_to_global[static_cast<std::size_t>(v)])] = pos++;
+
+  auto child = [&](const std::vector<index_t>& locals, index_t child_start) {
+    NdNode c;
+    c.g = g.induced(locals, nullptr);
+    c.to_global.reserve(locals.size());
     for (index_t v : locals)
-      g_ids.push_back(local_to_global[static_cast<std::size_t>(v)]);
-    return g_ids;
+      c.to_global.push_back(local_to_global[static_cast<std::size_t>(v)]);
+    c.start = child_start;
+    c.depth = depth + 1;
+    children->push_back(std::move(c));
   };
+  child(a_verts, start);
+  child(b_verts, start + static_cast<index_t>(a_verts.size()));
+}
 
-  std::vector<index_t> a_map, b_map;
-  Graph ga = g.induced(a_verts, nullptr);
-  Graph gb = g.induced(b_verts, nullptr);
-  a_map = to_global(a_verts);
-  b_map = to_global(b_verts);
-
-  nd_recurse(ga, a_map, opts, depth + 1, perm, next);
-  nd_recurse(gb, b_map, opts, depth + 1, perm, next);
-  // Separator last.
-  for (index_t v : s_final) {
-    (*perm)[static_cast<std::size_t>(local_to_global[static_cast<std::size_t>(v)])] =
-        (*next)++;
+/// The failure a serial run would have reported: among the nodes that
+/// threw, the first in the serial visit order (parent before children, A
+/// before B), which is the smallest (start, depth).
+class FirstFailure {
+ public:
+  void record(const NdNode& node, std::exception_ptr error)
+      PANGULU_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (!error_ || node.start < start_ ||
+        (node.start == start_ && node.depth < depth_)) {
+      error_ = std::move(error);
+      start_ = node.start;
+      depth_ = node.depth;
+    }
   }
+  /// Call once no task is running.
+  void rethrow() PANGULU_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  Mutex mu_;
+  std::exception_ptr error_ PANGULU_GUARDED_BY(mu_);
+  index_t start_ PANGULU_GUARDED_BY(mu_) = 0;
+  int depth_ PANGULU_GUARDED_BY(mu_) = 0;
+};
+
+/// split_node that never throws: a failure is recorded and the node gets no
+/// children, since pool tasks must not throw.
+void split_or_record(const NdNode& node, const NdOptions& opts,
+                     std::vector<index_t>* perm, std::vector<NdNode>* children,
+                     FirstFailure* failure) {
+  try {
+    split_node(node.g, node.to_global, node.start, node.depth, opts, perm,
+               children);
+  } catch (...) {
+    children->clear();
+    failure->record(node, std::current_exception());
+  }
+}
+
+/// Orders a whole subtree on the calling thread, releasing each node's
+/// graph before descending into its children.
+void order_subtree(NdNode node, const NdOptions& opts,
+                   std::vector<index_t>* perm, FirstFailure* failure) {
+  std::vector<NdNode> children;
+  split_or_record(node, opts, perm, &children, failure);
+  node = NdNode{};
+  for (NdNode& c : children) order_subtree(std::move(c), opts, perm, failure);
 }
 
 }  // namespace
 
-std::vector<index_t> nested_dissection(const Graph& g, const NdOptions& opts) {
+std::vector<index_t> nested_dissection(const Graph& g, const NdOptions& opts,
+                                       ThreadPool* pool) {
+  ThreadPool& tp = effective_pool(pool);
   std::vector<index_t> perm(static_cast<std::size_t>(g.n), -1);
-  index_t next = 0;
-  std::vector<index_t> all(static_cast<std::size_t>(g.n));
-  for (index_t v = 0; v < g.n; ++v) all[static_cast<std::size_t>(v)] = v;
-  nd_recurse(g, all, opts, 0, &perm, &next);
-  PANGULU_CHECK(next == g.n, "nested dissection did not order all vertices");
+  FirstFailure failure;
+
+  // The root splits on the caller: its failure is the first in any order.
+  std::vector<index_t> identity(static_cast<std::size_t>(g.n));
+  std::iota(identity.begin(), identity.end(), index_t(0));
+  std::vector<NdNode> frontier;
+  split_node(g, identity, 0, 0, opts, &perm, &frontier);
+
+  // The next levels of the separator tree, level by level: each level's
+  // nodes split in parallel, until there are enough subtrees to keep every
+  // worker busy.
+  // No task issues a parallel_for of its own: a waiter spins on tasks that
+  // the busy workers could never pick up.
+  const std::size_t wide = 4 * tp.size();
+  while (!frontier.empty() && frontier.size() < wide) {
+    std::vector<std::vector<NdNode>> kids(frontier.size());
+    parallel_for(tp, 0, static_cast<index_t>(frontier.size()), [&](index_t i) {
+      const auto k = static_cast<std::size_t>(i);
+      split_or_record(frontier[k], opts, &perm, &kids[k], &failure);
+    }, 1);
+    frontier.clear();
+    for (auto& list : kids)
+      for (NdNode& c : list) frontier.push_back(std::move(c));
+  }
+
+  // Then one task per remaining subtree, largest first.
+  std::stable_sort(frontier.begin(), frontier.end(),
+                   [](const NdNode& x, const NdNode& y) {
+                     return x.g.n > y.g.n;
+                   });
+  parallel_for(tp, 0, static_cast<index_t>(frontier.size()), [&](index_t i) {
+    order_subtree(std::move(frontier[static_cast<std::size_t>(i)]), opts, &perm,
+                  &failure);
+  }, 1);
+
+  failure.rethrow();
+  PANGULU_CHECK(std::find(perm.begin(), perm.end(), index_t(-1)) == perm.end(),
+                "nested dissection did not order all vertices");
   return perm;
 }
 

@@ -17,10 +17,12 @@ double predicted_flops(const Graph& g, const std::vector<index_t>& perm) {
       symbolic::factor_column_counts(g.ptr, g.adj, perm));
 }
 
-// kAuto: ND and AMD on the same graph, one after the other; the one with
-// strictly fewer predicted flops wins, a tie keeps ND.
-std::vector<index_t> cheaper_of_nd_amd(const Graph& g, const NdOptions& nd) {
-  std::vector<index_t> nd_perm = nested_dissection(g, nd);
+// kAuto: ND (on the pool) and AMD (on the caller) on the same graph, one
+// after the other; the one with strictly fewer predicted flops wins, a tie
+// keeps ND.
+std::vector<index_t> cheaper_of_nd_amd(const Graph& g, const NdOptions& nd,
+                                       ThreadPool* pool) {
+  std::vector<index_t> nd_perm = nested_dissection(g, nd, pool);
   std::vector<index_t> amd_perm = amd(g);
   return predicted_flops(g, amd_perm) < predicted_flops(g, nd_perm)
              ? std::move(amd_perm)
@@ -72,10 +74,10 @@ Status reorder(const Csc& a, const ReorderOptions& opts, ReorderResult* out,
       sym = amd(graph());
       break;
     case FillReducing::kNestedDissection:
-      sym = nested_dissection(graph(), nd);
+      sym = nested_dissection(graph(), nd, pool);
       break;
     case FillReducing::kAuto:
-      sym = cheaper_of_nd_amd(graph(), nd);
+      sym = cheaper_of_nd_amd(graph(), nd, pool);
       break;
   }
 

@@ -49,9 +49,10 @@ struct ReorderOptions {
   index_t nd_leaf_size = 64;
 };
 
-/// Run the reordering phase on a square matrix. `pool` feeds the parallel
-/// adjacency construction (Graph::from_matrix); the orderings themselves are
-/// sequential, and the result is identical at any thread count.
+/// Run the reordering phase on a square matrix. `pool` (nullptr: the global
+/// pool) builds the adjacency (Graph::from_matrix) and runs nested
+/// dissection's independent subtrees; MC64, AMD, minimum degree and RCM run
+/// on the caller. The result is identical at any thread count.
 Status reorder(const Csc& a, const ReorderOptions& opts, ReorderResult* out,
                ThreadPool* pool = nullptr);
 

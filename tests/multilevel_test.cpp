@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "matgen/generators.hpp"
 #include "ordering/multilevel.hpp"
 #include "ordering/nested_dissection.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sparse/ops.hpp"
 #include "symbolic/col_counts.hpp"
 
@@ -120,6 +123,108 @@ TEST(Multilevel, NdStillValidOnIrregularGraphs) {
     Graph g = Graph::from_matrix(m);
     auto perm = nested_dissection(g, {});
     EXPECT_TRUE(is_permutation(perm));
+  }
+}
+
+// FNV-1a over the little-endian bytes of each entry, continuing from `h`.
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+std::uint64_t fnv1a(const std::vector<index_t>& perm,
+                    std::uint64_t h = kFnvBasis) {
+  for (index_t x : perm) {
+    const auto u = static_cast<std::uint32_t>(x);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Three 2D grids of different sizes plus isolated vertices, in one matrix.
+Csc disconnected_grids() {
+  const index_t n = 3000;
+  Coo coo(n, n);
+  for (index_t i = 0; i < n; ++i) coo.add(i, i, 4.0);
+  auto grid = [&](index_t off, index_t side) {
+    for (index_t y = 0; y < side; ++y) {
+      for (index_t x = 0; x < side; ++x) {
+        const index_t v = off + y * side + x;
+        if (x + 1 < side) {
+          coo.add(v, v + 1, -1.0);
+          coo.add(v + 1, v, -1.0);
+        }
+        if (y + 1 < side) {
+          coo.add(v, v + side, -1.0);
+          coo.add(v + side, v, -1.0);
+        }
+      }
+    }
+  };
+  grid(0, 30);
+  grid(900, 40);
+  grid(2500, 20);
+  return Csc::from_coo(coo);
+}
+
+TEST(NestedDissection, SamePermutationAtEveryPoolSize) {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (std::size_t workers : {1, 2, 3, 4, 8})
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+
+  struct Case {
+    std::string name;
+    Csc m;
+  };
+  std::vector<Case> cases = {
+      {"grid2d", matgen::grid2d_laplacian(40, 40)},
+      {"grid3d", matgen::grid3d_laplacian(10, 10, 10)},
+      {"fem3d", matgen::fem3d(6, 6, 6, 3, 5)},
+      {"circuit", matgen::circuit(1500, 3.0, 2.1, 680)},
+      {"kkt", matgen::kkt(6, 6, 6, 3)},
+      {"banded_random", matgen::banded_random(1500, 20, 0.3, 0, 5)},
+      {"cage_style", matgen::cage_style(1500, 4, 7)},
+      {"shifted_illcond", matgen::shifted_illcond(40, 40, 1e6)},
+      {"random_sparse", matgen::random_sparse(1000, 4, 9)},
+      {"leaf_size", matgen::grid2d_laplacian(8, 8)},  // 64 = leaf_size
+      {"disconnected", disconnected_grids()},
+  };
+  for (const std::string& name : matgen::paper_matrix_names())
+    cases.push_back({name, matgen::paper_matrix(name, 0.5)});
+  std::uint64_t all = kFnvBasis;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Graph g = Graph::from_matrix(c.m);
+    const auto ref = nested_dissection(g, {}, pools[0].get());
+    ASSERT_TRUE(is_permutation(ref));
+    for (std::size_t k = 1; k < pools.size(); ++k)
+      EXPECT_EQ(nested_dissection(g, {}, pools[k].get()), ref)
+          << pools[k]->size() << " workers";
+    all = fnv1a(ref, all);
+  }
+
+  // Hashes of the permutations the serial recursion produced before the
+  // ordering ran on a pool: the same bits as before, not only across pools.
+  // `all` chains every case above, in order.
+  EXPECT_EQ(all, 0x367e9808f2c0115bull);
+  struct Pinned {
+    std::string name;
+    Csc m;
+    std::uint64_t hash;
+  };
+  const Pinned pinned[] = {
+      {"grid2d 200^2", matgen::grid2d_laplacian(200, 200),
+       0x52d6171190de25f1ull},
+      {"fem3d 12^3 x 3", matgen::fem3d(12, 12, 12, 3, 101),
+       0x19347ec75f70ae09ull},
+      {"circuit 6000", matgen::circuit(6000, 3.0, 2.1, 680),
+       0xf8e0b0a8934ee831ull},
+  };
+  for (const Pinned& c : pinned) {
+    SCOPED_TRACE(c.name);
+    const Graph g = Graph::from_matrix(c.m);
+    for (const auto& pool : pools)
+      EXPECT_EQ(fnv1a(nested_dissection(g, {}, pool.get())), c.hash)
+          << pool->size() << " workers";
   }
 }
 
